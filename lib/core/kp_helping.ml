@@ -1,0 +1,845 @@
+(** The Kogan-Petrank helping engine: the paper's wait-free slow path,
+    written once and shared by {!Kp_queue} and {!Kp_queue_fps}.
+
+    Faithful port of the Java pseudocode in the paper's Figures 1, 2, 4
+    and 6; comments of the form "L74" refer to the paper's line numbers.
+    Every thread owns a slot in the [state] array holding its current
+    {e operation descriptor} (phase, pending flag, operation type,
+    node). An operation (paper §3.1) picks a phase strictly larger than
+    every phase chosen before it, publishes its descriptor, and helps
+    every pending operation whose phase is ≤ its own, its own included.
+    Each operation type is split into three atomic steps so helpers apply
+    it exactly once: (1) mutate the list — the linearization point, (2)
+    flip [pending] to false in the owner's descriptor, (3) fix [tail]
+    (enqueue) or [head] (dequeue). Step (1) is a CAS on [last.next]
+    (enqueue, L74) or on the first node's [deq_tid] field (dequeue, L135).
+
+    This module holds everything behind the publication: descriptors,
+    state slots, node and descriptor pools, the phase and help policies,
+    [help_enq]/[help_deq] (single and batch) and the [help_finish_*]
+    steps. {!Kp_queue} drives it directly (publish, then help);
+    {!Kp_queue_fps} runs a bounded Michael-Scott fast path over the same
+    list and enters it only after persistent interference.
+
+    Both claim protocols run through the one [help_finish_*] pair, as
+    branches on node data rather than on who is calling:
+    - a node with [enq_tid = no_tid] was appended by a fast-path enqueue
+      and has no descriptor — finishing it only advances [tail];
+    - a sentinel claimed with a tid [>= num_threads] belongs to a
+      fast-path dequeue — finishing it only swings [head].
+    Base KP never creates such nodes or claims, so these branches are
+    dead there.
+
+    {!Kp_queue_hp} keeps its own copy of the protocol: hazard-pointer
+    publish-and-validate changes every traversal read, so it does not
+    share these traversals.
+
+    The [state] slots are cache-line padded ([Wfq_primitives.Padded]):
+    they are per-thread and CASed under contention, so packing them into
+    adjacent heap words would false-share lines between helpers.
+
+    Internal to the Kogan-Petrank family: the public interfaces are
+    {!Kp_queue} and {!Kp_queue_fps}. *)
+
+type help_policy =
+  | Help_all  (** base algorithm: scan the whole [state] array (L36-47) *)
+  | Help_one_cyclic
+      (** optimization 1: help at most one other pending operation per call,
+          choosing candidates cyclically *)
+  | Help_chunk of int
+      (** §3.3 generalization of optimization 1: traverse a cyclic chunk of
+          [k] candidates per operation ("indexes 0 through k-1 mod n ...
+          in the second invocation k mod n through 2k-1 mod n, and so
+          on"). [Help_chunk 1] behaves like {!Help_one_cyclic};
+          [Help_chunk (n-1)] approaches {!Help_all}. Wait-freedom is
+          preserved: a thread bypasses a given peer at most [ceil (n/k)]
+          consecutive times. *)
+
+type phase_policy =
+  | Phase_scan  (** base algorithm: [maxPhase()] scan (L48-57) *)
+  | Phase_counter
+      (** optimization 2: atomic counter bumped by a CAS whose result is
+          deliberately ignored (footnote 3) *)
+
+(** The further enhancements sketched in §3.3, off by default (the paper
+    evaluates the base and optimized variants without them). *)
+type tuning = {
+  gc_friendly : bool;
+      (** enhancement 2: before returning from an operation, overwrite
+          the thread's descriptor with a dummy holding no node reference,
+          so a long-dequeued node cannot be kept live by a stale
+          descriptor (the paper's "considered by the garbage collector as
+          a live object" leak) *)
+  validate_before_cas : bool;
+      (** enhancement 3: read the pending flag before the descriptor
+          CASes of L93/L149 and skip the allocation + CAS when the flag
+          is already off *)
+}
+
+let default_tuning = { gc_friendly = false; validate_before_cas = false }
+
+(* Test-only seeded bugs (model-checker calibration): each reinstates a
+   known-fatal deviation from the protocol so the test suite can prove
+   the checker finds it. Only {!Kp_queue_fps.Make.create_with} accepts
+   one; never set in production code. The first and third live in this
+   module, the other two in the fast path. *)
+type fault =
+  | Stale_helper_caller_phase
+      (* help_slot passes the caller's bound down instead of the
+         descriptor's own phase — the PR 2 livelock, un-fixed *)
+  | Fast_deq_no_claim
+      (* fast-path dequeue swings head MS-style without claiming the
+         sentinel's deq_tid — races slow dequeues into duplication *)
+  | Untagged_pool_claim
+      (* pooled-node recycling without the epoch tag: reset restores the
+         plain -1 claim word instead of bumping the incarnation, so a
+         stalled dequeuer's claim CAS can ABA a recycled node (claim it
+         on the strength of a reference captured in its previous life).
+         Only meaningful with ~pool:true. *)
+  | Batch_partial_publish
+      (* fast-path batch enqueue severs the chain after its first node
+         before the link CAS, silently dropping the suffix while
+         reporting the whole batch enqueued — a conservation violation
+         the batch DPOR litmuses must find and shrink. Only fires on
+         fast-path batches of >= 2 elements. *)
+
+(* Instrumentation handle (Wfq_obsv): per-tid single-writer cells only,
+   so an instrumented queue performs no extra shared-cell traffic — the
+   protocol's atomic-step traces are identical with and without it
+   (test/test_obsv.ml pins this under DPOR). [None] compiles the hot
+   paths down to the uninstrumented match arm. *)
+type metrics = {
+  m_help : Wfq_obsv.Counter.t;
+      (* peer-help dispatches, per helper tid (paper L36-47 scans that
+         found a pending peer; self-dispatches are not counted) *)
+  m_phase_lag : Wfq_obsv.Histogram.t;
+      (* helper's phase minus the helped peer descriptor's phase at
+         dispatch time: how far behind the operations we rescue are *)
+  m_desc_cas_fail : Wfq_obsv.Counter.t;
+      (* descriptor-completion/publication CASes lost to a racing
+         helper (every [drop_desc] site) *)
+  m_phase_cas_lost : Wfq_obsv.Counter.t;
+      (* Phase_counter bumps whose CAS failed (footnote 3): the bump is
+         lost, the phase is shared with the winner — harmless for
+         correctness, but previously invisible *)
+  m_batch_size : Wfq_obsv.Histogram.t;
+      (* elements per batch operation (enqueue_batch chain length /
+         dequeue_batch want), recorded once per batch at entry — the
+         denominator of the amortized-CAS story (docs/BATCHING.md) *)
+}
+
+let metrics registry ~prefix ~slots =
+  let open Wfq_obsv in
+  {
+    m_help = Metrics.counter registry ~name:(prefix ^ ".help_events") ~slots;
+    m_phase_lag =
+      Metrics.histogram registry ~name:(prefix ^ ".phase_lag") ~slots;
+    m_desc_cas_fail =
+      Metrics.counter registry ~name:(prefix ^ ".desc_cas_failures") ~slots;
+    m_phase_cas_lost =
+      Metrics.counter registry ~name:(prefix ^ ".phase_cas_lost") ~slots;
+    m_batch_size =
+      Metrics.histogram registry ~name:(prefix ^ ".batch_size") ~slots;
+  }
+
+let record_batch obsv ~tid k =
+  match obsv with
+  | Some m -> Wfq_obsv.Histogram.record m.m_batch_size ~slot:tid k
+  | None -> ()
+
+module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
+  module N = Kp_internals.Make (A)
+  open N
+
+  (* Per-thread descriptor slots are cache-line padded: two helpers
+     CASing logically-independent slots must not invalidate each other's
+     line (see lib/primitives/padded.mli). *)
+  module P = Wfq_primitives.Padded.Make (A)
+
+  module Pool = Wfq_primitives.Segment_pool.Make (A)
+
+  (* Paper Figure 1, lines 13-24. State slots advance by physical-
+     equality CAS exactly like Java reference CAS. The fields are
+     mutable only to support descriptor recycling (the §3.3 gc-friendly
+     reset generalized): a pooled record's fields are written by its
+     allocator {e before} it is published through the slot's atomic
+     CAS/exchange, and never after — so every reader that can reach the
+     record observes frozen values, exactly as with immutable records.
+     Stale readers that still hold a displaced record are covered by the
+     pool's quarantine: the record cannot be recycled (hence re-written)
+     until they finish their operation. *)
+  type 'a op_desc = {
+    mutable phase : int;
+    mutable pending : bool;
+    mutable enqueue : bool;
+    mutable node : 'a N.node option;
+    (* Batch extension. A batch enqueue publishes one descriptor for a
+       pre-linked chain of nodes: [node] is the chain's first node (the
+       single L74 CAS linearizes the whole chain) and [last_node] its
+       last, so [help_finish_enq] fixes [tail] with one jump over the
+       batch. A batch dequeue publishes [want] > 0; each element claim
+       appends its value to [taken] (length cached in [got_n]) by
+       replacing the whole record, and the operation stays pending
+       until [got_n = want] or the queue empties. Single operations
+       keep [last_node = None] and [want = 0]. *)
+    mutable last_node : 'a N.node option;
+    mutable want : int;
+    mutable got_n : int;
+    mutable taken : 'a list;
+    (* Intrusive Segment_pool link + retire stamp (see
+       Segment_pool.ops); dead storage while the descriptor is
+       published. *)
+    mutable pool_next : 'a op_desc;
+    mutable pool_stamp : int;
+  }
+
+  let fresh_desc () =
+    let rec d =
+      { phase = -1; pending = false; enqueue = true; node = None;
+        last_node = None; want = 0; got_n = 0; taken = [];
+        pool_next = d; pool_stamp = 0 }
+    in
+    d
+
+  let desc_ops =
+    {
+      Wfq_primitives.Segment_pool.get_next = (fun d -> d.pool_next);
+      set_next = (fun d e -> d.pool_next <- e);
+      get_stamp = (fun d -> d.pool_stamp);
+      set_stamp = (fun d s -> d.pool_stamp <- s);
+    }
+
+  (* Allocation recycling: one pool of list nodes and one of
+     descriptors, sharing a single epoch clock — one enter/exit
+     announcement per queue operation covers both. [descs] is [None]
+     when quarantine is disabled: descriptor reuse is only sound under
+     quarantine (a stale helper still dereferences the displaced
+     record's fields), whereas node reuse with the epoch tag alone is
+     exactly what the model-checking scenario isolates. *)
+  type 'a pools = {
+    nodes : 'a N.node Pool.t;
+    descs : 'a op_desc Pool.t option;
+  }
+
+  type 'a t = {
+    head : 'a N.node A.t; (* L25 *)
+    tail : 'a N.node A.t; (* L25 *)
+    state : 'a op_desc P.t array; (* L26 *)
+    phase_counter : int A.t; (* optimization 2 (§3.3) *)
+    help_policy : help_policy;
+    phase_policy : phase_policy;
+    tuning : tuning;
+    help_cursor : int array;
+        (* per-tid cyclic cursor for the cyclic helping policies;
+           single-writer *)
+    num_threads : int;
+    pools : 'a pools option;
+    obsv : metrics option;
+    fault : fault option; (* test-only seeded bug, None in production *)
+    idle_desc : 'a op_desc;
+        (* the shared construction-time descriptor; never pool-released *)
+  }
+
+  (* [who] prefixes the [Invalid_argument] messages with the public
+     module's name. *)
+  let create ~who ?(tuning = default_tuning) ?(pool = false) ?pool_segment
+      ?(pool_quarantine = true) ?obsv ?fault ~help ~phase ~num_threads () =
+    if num_threads <= 0 then invalid_arg (who ^ ".create: num_threads");
+    (match help with
+    | Help_chunk k when k <= 0 ->
+        invalid_arg (who ^ ".create: chunk size must be positive")
+    | Help_all | Help_one_cyclic | Help_chunk _ -> ());
+    (match pool_segment with
+    | Some k when k <= 0 ->
+        invalid_arg (who ^ ".create: pool_segment must be positive")
+    | _ -> ());
+    let sentinel = make_sentinel () in
+    let idle = fresh_desc () in
+    let pools =
+      if not pool then None
+      else begin
+        let clock = Pool.Clock.create ~num_threads in
+        let node_reset =
+          if fault = Some Untagged_pool_claim then N.recycle_untagged
+          else N.recycle
+        in
+        let nodes =
+          Pool.create ?segment_size:pool_segment
+            ~quarantine:pool_quarantine ~clock ~num_threads ~ops:N.pool_ops
+            ~fresh:make_sentinel ~reset:node_reset ()
+        in
+        let descs =
+          if pool_quarantine then
+            Some
+              (Pool.create ?segment_size:pool_segment ~quarantine:true
+                 ~clock ~num_threads ~ops:desc_ops ~fresh:fresh_desc
+                 ~reset:(fun _ -> ()) ())
+          else None
+        in
+        Some { nodes; descs }
+      end
+    in
+    {
+      head = A.make sentinel;
+      tail = A.make sentinel;
+      state = Array.init num_threads (fun _ -> P.make idle);
+      phase_counter = A.make (-1);
+      help_policy = help;
+      phase_policy = phase;
+      tuning;
+      help_cursor = Array.make num_threads 0;
+      num_threads;
+      pools;
+      obsv;
+      fault;
+      idle_desc = idle;
+    }
+
+  (* ------------------------------------------------------------------ *)
+  (* Pool plumbing. [self] is always the {e executing} thread's tid —    *)
+  (* a helper allocates and releases through its own pool slot, never    *)
+  (* the helped thread's (the slots are single-owner).                   *)
+  (* ------------------------------------------------------------------ *)
+
+  let op_enter t ~tid =
+    match t.pools with Some p -> Pool.enter p.nodes ~tid | None -> ()
+
+  let op_exit t ~tid =
+    match t.pools with Some p -> Pool.exit p.nodes ~tid | None -> ()
+
+  let alloc_node t ~self ~enq_tid value =
+    match t.pools with
+    | Some p ->
+        let n = Pool.alloc p.nodes ~tid:self in
+        n.N.value <- Some value;
+        n.N.enq_tid <- enq_tid;
+        n
+    | None -> make_node ~enq_tid value
+
+  (* Called by the unique winner of the head-swing CAS: at that point
+     the old sentinel is unreachable from the queue, and the pool's
+     quarantine keeps it intact until every in-flight operation (which
+     may still hold a reference from an earlier head read) finishes. *)
+  let release_node t ~self n =
+    match t.pools with
+    | Some p -> Pool.release p.nodes ~tid:self n
+    | None -> ()
+
+  (* The descriptor allocator: the batch protocol threads [last]/[want]/
+     [got]/[taken] through every record transition. *)
+  let mk_desc t ~self ~phase ~pending ~enqueue ~last ~want ~got ~taken
+      ~node =
+    match t.pools with
+    | Some { descs = Some dp; _ } ->
+        let d = Pool.alloc dp ~tid:self in
+        d.phase <- phase;
+        d.pending <- pending;
+        d.enqueue <- enqueue;
+        d.node <- node;
+        d.last_node <- last;
+        d.want <- want;
+        d.got_n <- got;
+        d.taken <- taken;
+        d
+    | _ ->
+        let rec d =
+          { phase; pending; enqueue; node; last_node = last; want;
+            got_n = got; taken; pool_next = d; pool_stamp = 0 }
+        in
+        d
+
+  (* A descriptor that lost its publication CAS was never visible to
+     anyone: back to the pool immediately. Every call site is a lost
+     descriptor CAS, so this is also the counting point. *)
+  let drop_desc t ~self d =
+    (match t.obsv with
+    | Some m -> Wfq_obsv.Counter.incr m.m_desc_cas_fail ~slot:self
+    | None -> ());
+    match t.pools with
+    | Some { descs = Some dp; _ } -> Pool.release dp ~tid:self d
+    | _ -> ()
+
+  (* The record displaced by a successful publication. Physical-equality
+     CAS (and the owner's atomic exchange) guarantee a unique displacer
+     per record, so each is retired exactly once. *)
+  let retire_desc t ~self d =
+    if d != t.idle_desc then
+      match t.pools with
+      | Some { descs = Some dp; _ } -> Pool.release dp ~tid:self d
+      | _ -> ()
+
+  (* Owner-side publication. Unpooled: the historical plain store.
+     Pooled: an atomic exchange, so the displaced record is recovered
+     without racing a helper's completion CAS on the same slot (a plain
+     read-then-store pair could retire a record a concurrent helper
+     just displaced, double-releasing it). *)
+  let publish t ~tid d =
+    match t.pools with
+    | Some { descs = Some _; _ } ->
+        retire_desc t ~self:tid (P.exchange t.state.(tid) d)
+    | _ -> P.set t.state.(tid) d
+
+  (* One descriptor-record transition: install [new_desc] over
+     [cur_desc] in [tid]'s slot, retiring the displaced record on
+     success and dropping the unpublished one on failure. *)
+  let transition t ~self tid cur_desc new_desc =
+    let won = P.compare_and_set t.state.(tid) cur_desc new_desc in
+    if won then retire_desc t ~self cur_desc else drop_desc t ~self new_desc;
+    won
+
+  (* L48-57 *)
+  let max_phase t =
+    Array.fold_left
+      (fun acc slot -> max acc (P.get slot).phase)
+      (-1) t.state
+
+  let next_phase t ~tid =
+    match t.phase_policy with
+    | Phase_scan -> max_phase t + 1
+    | Phase_counter ->
+        (* Footnote 3: a failed CAS just means another thread picked the
+           same phase, which is harmless for correctness — the phase
+           need not be unique, only non-decreasing — so the bump is
+           dropped rather than retried, and [m_phase_cas_lost] counts
+           it (duplicated phases mean extra helping traffic). *)
+        let cur = A.get t.phase_counter in
+        if not (A.compare_and_set t.phase_counter cur (cur + 1)) then begin
+          match t.obsv with
+          | Some m -> Wfq_obsv.Counter.incr m.m_phase_cas_lost ~slot:tid
+          | None -> ()
+        end;
+        cur + 1
+
+  (* L58-60 *)
+  let is_still_pending t tid phase =
+    let desc = P.get t.state.(tid) in
+    desc.pending && desc.phase <= phase
+
+  (* ------------------------------------------------------------------ *)
+  (* Enqueue (paper Figure 4)                                           *)
+  (* ------------------------------------------------------------------ *)
+
+  (* L85-97: finish the in-progress enqueue, if any. Steps (2) and (3) of
+     the scheme: flip the owner's pending flag, then advance [tail]. The
+     descriptor CAS (L93) can succeed more than once per node — benign,
+     because the replacement descriptor is identical each time.
+
+     A fast-path node ([enq_tid = no_tid]) has no descriptor to finish:
+     only [tail] is advanced (its appender may have been preempted
+     before its own tail CAS).
+
+     Batch extension: when the appended node heads a pre-linked chain,
+     the (validated-fresh) descriptor carries the chain's last node and
+     the tail fix jumps over the whole batch in one CAS. The jump is
+     safe for the head/tail ordering invariant: claims only happen
+     after reading [tail] strictly ahead of [head], so no dequeuer can
+     enter the chain before the jump lands, and the CAS-from-[last]
+     guarantees the jump only moves [tail] forward. *)
+  let help_finish_enq t ~self =
+    let last = A.get t.tail in
+    let next_o = A.get last.next in
+    match next_o with
+    | None -> ()
+    | Some next ->
+        let tid = next.enq_tid in
+        if tid = no_tid then ignore (A.compare_and_set t.tail last next)
+        else begin
+          (* L89: only real enqueued nodes ever follow [tail]. *)
+          assert (tid >= 0 && tid < t.num_threads);
+          let cur_desc = P.get t.state.(tid) in
+          (* L91: verify the slot still refers to the node just appended;
+             guards against racing [help_finish_enq] calls. The jump
+             target comes from the {e fresh} descriptor read (the one the
+             guard validated against [next_o]), never from [cur_desc]: a
+             stale [cur_desc] from an older operation merely loses its
+             completion CAS, but a stale [last_node] would teleport
+             [tail]. *)
+          if last == A.get t.tail then begin
+            let slot_desc = P.get t.state.(tid) in
+            if slot_desc.node == next_o then begin
+              let target =
+                match slot_desc.last_node with Some l -> l | None -> next
+              in
+              (* Enhancement 3 (§3.3): if helpers already flipped the
+                 flag, skip the descriptor allocation and CAS — it would
+                 fail or be a no-op — and go straight to fixing the
+                 tail. *)
+              if (not t.tuning.validate_before_cas) || cur_desc.pending
+              then
+                ignore
+                  (transition t ~self tid cur_desc
+                     (mk_desc t ~self ~phase:cur_desc.phase ~pending:false
+                        ~enqueue:true ~last:cur_desc.last_node ~want:0
+                        ~got:0 ~taken:[] ~node:next_o));
+              ignore (A.compare_and_set t.tail last target)
+            end
+          end
+        end
+
+  (* L67-84: drive thread [tid]'s pending enqueue to completion. The outer
+     [is_still_pending] check (L68) is what bounds the loop: it fails as
+     soon as any helper completes the operation. *)
+  let rec help_enq t ~self tid phase =
+    if is_still_pending t tid phase then begin
+      let last = A.get t.tail in
+      let next = A.get last.next in
+      if last == A.get t.tail then
+        match next with
+        | None ->
+            (* L72: tail is accurate, an enqueue can be applied. The inner
+               re-check (L73) preserves linearizability: without it a
+               stale helper could append a node for an operation that
+               already completed. *)
+            if is_still_pending t tid phase then begin
+              let node = (P.get t.state.(tid)).node in
+              if A.compare_and_set last.next None node then begin
+                (* L74 succeeded: the operation is linearized. *)
+                help_finish_enq t ~self
+              end
+              else help_enq t ~self tid phase
+            end
+            else help_enq t ~self tid phase
+        | Some _ ->
+            (* L79-81: some enqueue is mid-flight; finish it, then retry. *)
+            help_finish_enq t ~self;
+            help_enq t ~self tid phase
+      else help_enq t ~self tid phase
+    end
+
+  (* ------------------------------------------------------------------ *)
+  (* Dequeue (paper Figure 6)                                           *)
+  (* ------------------------------------------------------------------ *)
+
+  (* Every dequeue record transition carries the batch progress
+     ([want]/[got_n]/[taken]) across; a single dequeue keeps the
+     defaults. *)
+  let deq_desc t ~self cur_desc ~pending ~node =
+    mk_desc t ~self ~phase:cur_desc.phase ~pending ~enqueue:false
+      ~last:None ~want:cur_desc.want ~got:cur_desc.got_n
+      ~taken:cur_desc.taken ~node
+
+  (* L150: step (3) — physically remove the old sentinel. The unique
+     winner retires it into the pool (quarantined until in-flight
+     operations that may still hold a reference to it finish). *)
+  let swing_head t ~self first next_node =
+    if A.compare_and_set t.head first next_node then
+      release_node t ~self first
+
+  (* L141-153: finish the dequeue of whichever thread locked the sentinel
+     (wrote its tid into [head]'s [deq_tid], L135).
+
+     A claim [>= num_threads] is a fast-path dequeue's: no descriptor to
+     complete, only [head] to swing.
+
+     Batch extension ([want] > 0): the claim is one element of a batch.
+     Its value is [first.next]'s — appended to [taken] by replacing the
+     whole record, which also decides whether the batch stays pending.
+     The transition is guarded on the descriptor still recording
+     [first]: every transition installs a fresh record, so a stale
+     helper's CAS fails and each element is counted exactly once. The
+     head swing (step 3) stays unconditional either way. *)
+  let help_finish_deq t ~self =
+    let first = A.get t.head in
+    let next = A.get first.next in
+    let tid = N.claimed_tid first in (* L144, epoch tag stripped *)
+    if tid >= t.num_threads then begin
+      match next with
+      | Some next_node when first == A.get t.head ->
+          swing_head t ~self first next_node
+      | Some _ | None -> ()
+    end
+    else if tid <> no_tid then begin
+      let cur_desc = P.get t.state.(tid) in
+      match next with
+      | Some next_node when first == A.get t.head ->
+          (if cur_desc.want > 0 then begin
+             let points_to_first =
+               match cur_desc.node with
+               | Some n -> n == first
+               | None -> false
+             in
+             if cur_desc.pending && points_to_first then begin
+               let v =
+                 match next_node.value with
+                 | Some v -> v
+                 | None -> assert false
+               in
+               let got = cur_desc.got_n + 1 in
+               ignore
+                 (transition t ~self tid cur_desc
+                    (mk_desc t ~self ~phase:cur_desc.phase
+                       ~pending:(got < cur_desc.want) ~enqueue:false
+                       ~last:None ~want:cur_desc.want ~got
+                       ~taken:(v :: cur_desc.taken) ~node:None))
+             end
+           end
+           else if (not t.tuning.validate_before_cas) || cur_desc.pending
+           then
+             ignore
+               (transition t ~self tid cur_desc
+                  (deq_desc t ~self cur_desc ~pending:false
+                     ~node:cur_desc.node)));
+          swing_head t ~self first next_node
+      | Some _ | None -> ()
+    end
+
+  (* L109-140, also the batch dequeue driver ([batch] when the
+     descriptor's [want] > 0). Stage (1) — pointing the owner's
+     descriptor at the current sentinel — exists to make the empty case
+     race-free: a helper that sees an empty queue (L116-121) CASes the
+     owner's descriptor from one that does NOT point at the sentinel, so
+     it cannot race with a helper that saw a non-empty queue and already
+     performed stage (1).
+
+     A batch runs the same claim loop until the descriptor has
+     collected [want] values (its [pending] flag is flipped by the
+     [help_finish_deq] batch transition on the final element) or the
+     queue empties (terminal record keeps the partial [taken]). Any
+     helper can pick up the remaining suffix of a claimed batch
+     mid-flight: every per-element step is the standard record-CAS /
+     claim-CAS discipline, so helpers and owner interleave freely with
+     exactly-once accounting.
+
+     One batch-specific guard: if the current sentinel is already
+     claimed by [tid], its head swing has not landed yet (the previous
+     element's step 3). Finish it before seeking — recording a sentinel
+     this batch already claimed would append its successor's value
+     twice. Fast-path claims ([num_threads + tid]) never collide with
+     this check: slow batch claims use the plain tid. *)
+  let rec help_deq ~batch t ~self tid phase =
+    if is_still_pending t tid phase then begin
+      let first = A.get t.head in
+      (* Capture the sentinel's claim word {e at the same moment} as the
+         head reference: the later claim CAS expects this exact word, so
+         a node recycled in between (its incarnation epoch bumped)
+         cannot be ABA-claimed. Unpooled queues stay at epoch 0, where
+         the word is literally the historical [-1]/tid value. *)
+      let claim0 = A.get first.deq_tid in
+      let last = A.get t.tail in
+      let next = A.get first.next in
+      if first == A.get t.head then
+        if batch && N.claimed_tid first = tid then begin
+          help_finish_deq t ~self;
+          help_deq ~batch t ~self tid phase
+        end
+        else if first == last then begin
+          (* L115: queue might be empty *)
+          match next with
+          | None ->
+              (* L116-121: certainly empty — record the empty outcome in
+                 the owner's descriptor (it cannot raise here: this code
+                 may run in a helper's context, §3.1). A batch completes
+                 with whatever it has. *)
+              let cur_desc = P.get t.state.(tid) in
+              if last == A.get t.tail && is_still_pending t tid phase then
+                ignore
+                  (transition t ~self tid cur_desc
+                     (deq_desc t ~self cur_desc ~pending:false ~node:None));
+              help_deq ~batch t ~self tid phase
+          | Some _ ->
+              (* L122-123: an enqueue is in progress; help it first. *)
+              help_finish_enq t ~self;
+              help_deq ~batch t ~self tid phase
+        end
+        else begin
+          (* L125-137: queue is not empty *)
+          let cur_desc = P.get t.state.(tid) in
+          let node = cur_desc.node in
+          (* L128: break — required for linearizability. *)
+          if is_still_pending t tid phase then begin
+            let points_to_first =
+              match node with Some n -> n == first | None -> false
+            in
+            (if
+               first == A.get t.head
+               && (not points_to_first)
+               (* L129-133: stage (1) — record the current sentinel; a
+                  lost CAS is L132's continue. *)
+               && not
+                    (transition t ~self tid cur_desc
+                       (deq_desc t ~self cur_desc ~pending:true
+                          ~node:(Some first)))
+             then ()
+             else begin
+               (* L135: stage (2) — lock the sentinel; the successful
+                  CAS is the linearization point of the dequeue. *)
+               ignore (N.try_claim first ~observed:claim0 ~tid);
+               help_finish_deq t ~self
+             end);
+            help_deq ~batch t ~self tid phase
+          end
+        end
+      else help_deq ~batch t ~self tid phase
+    end
+
+  (* ------------------------------------------------------------------ *)
+  (* Helping policies                                                   *)
+  (* ------------------------------------------------------------------ *)
+
+  (* The phase passed DOWN is the descriptor's own ([desc.phase]), not
+     the caller's bound. A tid's phases strictly increase, so a helper
+     that read the descriptor before the operation completed fails its
+     [is_still_pending] re-check as soon as the tid publishes its next
+     operation. Helping at a larger bound would let a stale helper latch
+     onto that next operation — possibly of the other kind, e.g.
+     rewriting a pending enqueue descriptor through the dequeue helper,
+     or re-appending a consumed node. The paper's help() (Fig. 2) passes
+     the caller's phase, which is equivalent when the caller is a
+     phase-publishing operation: every later operation of the helped tid
+     picks a phase above the caller's. The fast path's [maybe_help]
+     helps at bound [max_int], which is only safe because of this. *)
+  let help_slot t ~self i phase =
+    let desc = P.get t.state.(i) in
+    if desc.pending && desc.phase <= phase then begin
+      (* Peer helps only: dispatching your own freshly-published op is
+         the common uncontended path (lag 0 by construction), so
+         counting it would bury the signal and put a histogram record
+         on every operation. A help event is rescuing someone else. *)
+      (if i <> self then
+         match t.obsv with
+         | Some m ->
+             Wfq_obsv.Counter.incr m.m_help ~slot:self;
+             (* How stale is the operation we are about to rescue?
+                Large lags mean threads are falling behind their
+                helpers (scheduling pressure). *)
+             Wfq_obsv.Histogram.record m.m_phase_lag ~slot:self
+               (phase - desc.phase)
+         | None -> ());
+      let bound =
+        match t.fault with
+        | Some Stale_helper_caller_phase -> phase (* seeded bug *)
+        | _ -> desc.phase
+      in
+      if desc.enqueue then help_enq t ~self i bound
+      else help_deq ~batch:(desc.want > 0) t ~self i bound
+    end
+
+  (* L36-47, or the §3.3 cyclic variant. Either way the caller's own
+     operation is completed before returning. *)
+  let run_help t ~tid ~phase =
+    match t.help_policy with
+    | Help_all ->
+        for i = 0 to Array.length t.state - 1 do
+          help_slot t ~self:tid i phase
+        done
+    | Help_one_cyclic ->
+        let c = t.help_cursor.(tid) in
+        t.help_cursor.(tid) <- (c + 1) mod t.num_threads;
+        if c <> tid then help_slot t ~self:tid c phase;
+        help_slot t ~self:tid tid phase
+    | Help_chunk k ->
+        let c = t.help_cursor.(tid) in
+        t.help_cursor.(tid) <- (c + k) mod t.num_threads;
+        for j = 0 to min k t.num_threads - 1 do
+          let i = (c + j) mod t.num_threads in
+          if i <> tid then help_slot t ~self:tid i phase
+        done;
+        help_slot t ~self:tid tid phase
+
+  (* ------------------------------------------------------------------ *)
+  (* Publish-then-help: the part of every slow operation after its      *)
+  (* phase pick                                                         *)
+  (* ------------------------------------------------------------------ *)
+
+  (* L62-65 for the chain [first .. last] ([last = None] for a single
+     node): publish, help, then finalize. The finalizing
+     [help_finish_enq] (L65) is required for wait-freedom — without it a
+     completed-but-unfinalized enqueue would block all future enqueues
+     until the suspended helper resumes (§3.2) — and for a batch it also
+     guarantees the tail jump has landed. *)
+  let enqueue_published t ~tid ~phase first last =
+    publish t ~tid
+      (mk_desc t ~self:tid ~phase ~pending:true ~enqueue:true ~last
+         ~want:0 ~got:0 ~taken:[] ~node:(Some first));
+    run_help t ~tid ~phase;
+    help_finish_enq t ~self:tid
+
+  (* L99-102 for [want] elements ([want = 0]: a single dequeue). The
+     finalizing [help_finish_deq] (L102) ensures [head] no longer refers
+     to a node whose [deq_tid] is ours before returning. *)
+  let dequeue_published t ~tid ~phase ~want =
+    publish t ~tid
+      (mk_desc t ~self:tid ~phase ~pending:true ~enqueue:false ~last:None
+         ~want ~got:0 ~taken:[] ~node:None);
+    run_help t ~tid ~phase;
+    help_finish_deq t ~self:tid
+
+  (* L104-107: the single dequeue's result. The descriptor points at the
+     sentinel that preceded our element at the linearization point;
+     [node] may already be pool-released by the head winner, but
+     quarantine keeps its fields intact until the caller exits. *)
+  let dequeued_value t ~tid =
+    match (P.get t.state.(tid)).node with
+    | None -> None (* L104-105: linearized on an empty queue *)
+    | Some node -> (
+        match A.get node.next with
+        | Some next ->
+            assert (next.value <> None);
+            next.value
+        | None -> assert false)
+
+  (* A batch dequeue's collected prefix, in FIFO order. *)
+  let dequeued_batch t ~tid = List.rev (P.get t.state.(tid)).taken
+
+  (* Enhancement 2 (§3.3): drop the node reference so the descriptor
+     cannot keep the node alive once it is dequeued. Safe: the operation
+     is finalized, so any stale helper's guards fail before it uses
+     this slot. *)
+  let release_desc_node t ~tid ~phase ~enqueue =
+    if t.tuning.gc_friendly then
+      publish t ~tid
+        (mk_desc t ~self:tid ~phase ~pending:false ~enqueue ~last:None
+           ~want:0 ~got:0 ~taken:[] ~node:None)
+
+  (* ------------------------------------------------------------------ *)
+  (* Observers (quiescent use)                                          *)
+  (* ------------------------------------------------------------------ *)
+
+  let to_list t = N.to_list t.head
+  let length t = N.length t.head
+  let is_empty t = N.is_empty t.head
+
+  let check_quiescent_invariants t =
+    match N.check_list_invariants ~head:t.head ~tail:t.tail with
+    | Error _ as e -> e
+    | Ok () ->
+        let pending =
+          Array.fold_left
+            (fun n slot -> if (P.get slot).pending then n + 1 else n)
+            0 t.state
+        in
+        if pending > 0 then
+          Error
+            (Printf.sprintf "%d state slots still pending at quiescence"
+               pending)
+        else Ok ()
+
+  let phase_of t ~tid = (P.get t.state.(tid)).phase
+  let pending_of t ~tid = (P.get t.state.(tid)).pending
+
+  (* Pool telemetry (quiescent use): (reused, fresh, parked) for the
+     node pool, and the same for the descriptor pool when recycling
+     descriptors; [None] for unpooled queues. *)
+  let pool_stats t =
+    match t.pools with
+    | None -> None
+    | Some p ->
+        let line pool =
+          ( Pool.reused pool,
+            Pool.allocated_fresh pool,
+            Pool.pooled pool + Pool.quarantined pool )
+        in
+        Some (line p.nodes, Option.map line p.descs)
+
+  (* Attach the node (and descriptor) pools' live counters to a metrics
+     registry; no-op for unpooled queues. *)
+  let register_pool_metrics t registry ~prefix =
+    match t.pools with
+    | None -> ()
+    | Some p ->
+        Pool.register_metrics p.nodes registry ~prefix:(prefix ^ ".nodes");
+        Option.iter
+          (fun dp ->
+            Pool.register_metrics dp registry ~prefix:(prefix ^ ".descs"))
+          p.descs
+end

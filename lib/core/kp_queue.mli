@@ -18,7 +18,7 @@
     [Wfq_registry] for dynamic thread populations). All operations are
     safe to call concurrently from any number of domains. *)
 
-type help_policy =
+type help_policy = Kp_helping.help_policy =
   | Help_all  (** base algorithm: help every pending operation with a
                   smaller-or-equal phase (paper L36-47) *)
   | Help_one_cyclic
@@ -30,14 +30,14 @@ type help_policy =
           {!Help_one_cyclic}; larger chunks approach {!Help_all}.
           Wait-freedom is preserved for any [k >= 1]. *)
 
-type phase_policy =
+type phase_policy = Kp_helping.phase_policy =
   | Phase_scan  (** base algorithm: scan the state array ([maxPhase]) *)
   | Phase_counter
       (** optimization 2: shared counter bumped by a result-ignored CAS
           (paper footnote 3); duplicate phases are harmless *)
 
 (** The further §3.3 enhancements, off by default. *)
-type tuning = {
+type tuning = Kp_helping.tuning = {
   gc_friendly : bool;
       (** reset the thread's descriptor to a node-free dummy before
           returning, so a dequeued node (and its value) cannot be kept
@@ -51,8 +51,10 @@ val default_tuning : tuning
 
 type metrics
 (** Instrumentation handle ({!Wfq_obsv}): help-event and
-    descriptor-CAS-failure counters, a phase-lag histogram, and the
-    lost-Phase_counter-bump counter. Writes are per-tid single-writer
+    descriptor-CAS-failure counters, a phase-lag histogram, the
+    lost-Phase_counter-bump counter and a batch-size histogram — the
+    metrics of the {!Kp_helping} engine, which {!Kp_queue_fps} exports
+    under the same names. Writes are per-tid single-writer
     plain cells only — an instrumented queue performs no extra
     shared-cell (atomic) traffic, so its DPOR traces are identical to an
     uninstrumented one's. *)
@@ -60,7 +62,8 @@ type metrics
 val metrics : Wfq_obsv.Metrics.t -> prefix:string -> slots:int -> metrics
 (** Create the handle and register its metrics under
     [prefix ^ ".help_events"/".phase_lag"/".desc_cas_failures"/
-    ".phase_cas_lost"]. [slots] must be the queue's [num_threads]. *)
+    ".phase_cas_lost"/".batch_size"]. [slots] must be the queue's
+    [num_threads]. *)
 
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
   type 'a t

@@ -17,7 +17,8 @@
     a distinct [tid] in [0, num_threads). *)
 
 (** Policies and tuning are shared with (and equal to) {!Kp_queue}'s:
-    they configure the slow path only. *)
+    they configure the slow path — the {!Kp_helping} engine both queues
+    run — only. *)
 type help_policy = Kp_queue.help_policy =
   | Help_all
   | Help_one_cyclic
@@ -38,25 +39,29 @@ val default_max_failures : int
     spinning, and a small budget keeps the worst-case latency tight). *)
 
 type metrics
-(** Instrumentation handle ({!Wfq_obsv}) for the path diagnostics the
-    always-on hit/entry counters don't capture: fast-path CAS rounds
-    consumed per operation and fast-dequeue claim handoffs. Writes are
-    per-tid single-writer plain cells — no extra shared-cell traffic. *)
+(** Instrumentation handle ({!Wfq_obsv}): the slow path's helping-engine
+    metrics, under the same names as {!Kp_queue.metrics}, plus the path
+    diagnostics the always-on hit/entry counters don't capture:
+    fast-path CAS rounds consumed per operation and fast-dequeue claim
+    handoffs. Writes are per-tid single-writer plain cells — no extra
+    shared-cell traffic. *)
 
 val metrics : Wfq_obsv.Metrics.t -> prefix:string -> slots:int -> metrics
 (** Create the handle and register its metrics under
-    [prefix ^ ".fast_rounds"/".claim_handoffs"/".batch_size"/
-    ".batch_cas"]. [batch_size] is a histogram of elements per batch
-    operation; [batch_cas] counts the CASes issued by fast-path batch
-    owners, so [batch_cas / sum(batch_size)] is the amortized
-    CAS-per-element figure (docs/BATCHING.md). [slots] must be the
-    queue's [num_threads]. *)
+    [prefix ^ ".help_events"/".phase_lag"/".desc_cas_failures"/
+    ".phase_cas_lost"/".batch_size"] (the helping engine's, as for
+    {!Kp_queue}) and [".fast_rounds"/".claim_handoffs"/".batch_cas"].
+    [batch_size] is a histogram of elements per batch operation;
+    [batch_cas] counts the CASes issued by fast-path batch owners, so
+    [batch_cas / sum(batch_size)] is the amortized CAS-per-element
+    figure (docs/BATCHING.md). [slots] must be the queue's
+    [num_threads]. *)
 
 (** Test-only seeded bugs: each reinstates a known-fatal deviation from
     the fast/slow compatibility handshake (docs/FASTPATH.md), so the
     model checker's ability to find and shrink them is itself testable.
     Never pass in production code. *)
-type fault =
+type fault = Kp_helping.fault =
   | Stale_helper_caller_phase
       (** helpers help at the caller's phase bound instead of the
           descriptor's own — the livelock documented in

@@ -31,7 +31,11 @@
 
     Helping policy: the §3.3 optimized configuration (atomic phase
     counter; cyclic single-thread helping), since this variant exists for
-    realistic deployments. *)
+    realistic deployments.
+
+    This is the one KP variant that does not run on the shared helping
+    engine {!Kp_helping}: the publish-and-validate step above changes
+    every traversal read of the protocol, so it keeps its own copy. *)
 
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   module Hp = Wfq_hazard.Hazard.Make (A)

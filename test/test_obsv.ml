@@ -405,6 +405,42 @@ let test_instrumented_fps_populates () =
   Alcotest.(check (option int)) "no fast hits" (Some 0)
     (O.Metrics.value reg "fps.fast_hits")
 
+(* ------------------------------------------------------------------ *)
+(* One metric set for the Kogan-Petrank family                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Both KP registry configurations run the same helping engine, so both
+   export its metrics under the same names; fps adds its fast-path
+   diagnostics and always-on path counters next to them. *)
+let kp_core_metrics =
+  [ "help_events"; "phase_lag"; "desc_cas_failures"; "phase_cas_lost";
+    "batch_size"; "depth" ]
+
+let family_metrics =
+  [
+    ("kp-opt12", kp_core_metrics);
+    ( "fps-pooled",
+      kp_core_metrics
+      @ [ "fast_rounds"; "claim_handoffs"; "batch_cas"; "slow_entries";
+          "fast_hits"; "nodes.reused"; "descs.reused" ] );
+  ]
+
+let test_family_metrics_registered (id, names) () =
+  let reg = O.Metrics.create () in
+  let q =
+    Wfq_core.Backends.instantiate_with
+      (module Wfq_primitives.Real_atomic)
+      (Wfq_core.Backends.find id) ~obsv:(reg, id) ~num_threads:2 ()
+  in
+  q.Wfq_core.Queue_intf.enq ~tid:0 1;
+  ignore (q.deq ~tid:1 : int option);
+  List.iter
+    (fun n ->
+      let name = id ^ "." ^ n in
+      Alcotest.(check bool) (name ^ " registered") true
+        (O.Metrics.value reg name <> None))
+    names
+
 let () =
   Alcotest.run "obsv"
     [
@@ -446,4 +482,10 @@ let () =
           Alcotest.test_case "fps metrics populate" `Quick
             test_instrumented_fps_populates;
         ] );
+      ( "kp-family",
+        List.map
+          (fun ((id, _) as row) ->
+            Alcotest.test_case (id ^ " metric names") `Quick
+              (test_family_metrics_registered row))
+          family_metrics );
     ]

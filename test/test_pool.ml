@@ -187,6 +187,8 @@ type 'q pooled_queue = {
   deq : 'q -> tid:int -> int option;
   drain_deq : 'q -> tid:int -> int option;
   reuse_count : 'q -> int;
+  solo_reused : int;
+      (* exact node-pool reuse count of [test_pooled_recycling]'s run *)
 }
 
 type packed = Q : string * 'q pooled_queue -> packed
@@ -203,6 +205,7 @@ let pooled_queues =
           reuse_count =
             (fun q ->
               match Ms.pool_stats q with Some (r, _, _) -> r | None -> -1);
+          solo_reused = 15_872;
         } );
     Q
       ( "kp-opt12 pooled",
@@ -219,6 +222,7 @@ let pooled_queues =
               match Kp.pool_stats q with
               | Some ((r, _, _), _) -> r
               | None -> -1);
+          solo_reused = 15_936;
         } );
     Q
       ( "kp-fps pooled",
@@ -236,6 +240,7 @@ let pooled_queues =
               match Fps.pool_stats q with
               | Some ((r, _, _), _) -> r
               | None -> -1);
+          solo_reused = 15_872;
         } );
   ]
 
@@ -273,14 +278,29 @@ let test_pooled_conservation (Q (name, q)) () =
   in
   Alcotest.(check (list int))
     "every value delivered exactly once" expected
-    (List.sort compare consumed);
+    (List.sort compare consumed)
+
+(* The recycling claim, on a deterministic schedule: one domain runs the
+   same number of enqueue/dequeue pairs alone, so the reuse count is an
+   exact function of the queue and pool code and is pinned. Under four
+   domains it depends on how the OS interleaves the domains' quarantine
+   epochs, which is why the test above asserts delivery only. *)
+let test_pooled_recycling (Q (name, q)) () =
+  let domains = 4 and per_domain = 4_000 in
+  let t = q.make ~num_threads:domains in
+  for i = 1 to domains * per_domain do
+    q.enq t ~tid:0 i;
+    if q.deq t ~tid:0 <> Some i then
+      Alcotest.failf "%s: pairs on one domain out of order at %d" name i
+  done;
   let reused = q.reuse_count t in
   (* Quarantine and carve batching keep some nodes parked, but a clear
-     majority of a domain's allocations must be served by recycling. *)
+     majority of the allocations must be served by recycling. *)
   Alcotest.(check bool)
     (Printf.sprintf "nodes recycled (reused = %d)" reused)
     true
-    (reused > domains * per_domain / 4)
+    (reused > domains * per_domain / 4);
+  Alcotest.(check int) "exact reuse count" q.solo_reused reused
 
 (* ------------------------------------------------------------------ *)
 (* DPOR: the recycle-ABA suite                                        *)
@@ -478,7 +498,12 @@ let () =
         List.map
           (fun (Q (name, _) as q) ->
             Alcotest.test_case name `Quick (test_pooled_conservation q))
-          pooled_queues );
+          pooled_queues
+        @ List.map
+            (fun (Q (name, _) as q) ->
+              Alcotest.test_case (name ^ " recycles (one domain)") `Quick
+                (test_pooled_recycling q))
+            pooled_queues );
       ( "dpor-recycle",
         [
           Alcotest.test_case "claim tag litmus: tagged holds" `Quick
