@@ -185,6 +185,58 @@ let test_by_name () =
           (String.concat ", " (List.map I.name I.all))))
     (fun () -> ignore (I.by_name "nope"))
 
+(* The display names are the series keys of the committed BENCH_*.json
+   files (BENCH_figures, _fps, _alloc, _ring, _polylog, _shard), so a
+   refactor of how a configuration is built must not rename one. *)
+let test_series_labels () =
+  let names = List.map I.name in
+  let check what expected got =
+    Alcotest.(check (list string)) what expected got
+  in
+  let paper = [ "LF"; "base WF"; "opt WF (1+2)" ] in
+  let scale =
+    { Wfq_harness.Figures.threads = [ 1 ]; iters = 50; runs = 1;
+      sizes = [ 1 ] }
+  in
+  let labels = List.map (fun (s : R.series) -> s.R.label) in
+  check "fig7 rows" paper (labels (Wfq_harness.Figures.fig7 ~scale ()));
+  check "fig8 rows" paper (labels (Wfq_harness.Figures.fig8 ~scale ()));
+  check "fig9 rows"
+    [ "base WF"; "opt WF (1+2)"; "opt WF (1)"; "opt WF (2)" ]
+    (labels (Wfq_harness.Figures.fig9 ~scale ()));
+  check "fps_bench_series"
+    (paper
+    @ [ "WF fps"; "WF fps pooled"; "WF fps mf=1"; "WF fps mf=8";
+        "WF fps mf=64"; "WF fps mf=1024" ])
+    (names I.fps_bench_series);
+  check "alloc_series"
+    [ "LF"; "LF pooled"; "opt WF (1+2)"; "opt WF (1+2) pooled"; "WF fps";
+      "WF fps pooled" ]
+    (names I.alloc_series);
+  check "ring_series"
+    [ "opt WF (1+2)"; "opt WF (1+2) pooled"; "WF fps pooled"; "WF ring" ]
+    (names I.ring_series);
+  check "polylog_series"
+    [ "opt WF (1+2)"; "WF fps pooled"; "WF polylog" ]
+    (names I.polylog_series);
+  check "shard_series"
+    [ "opt WF (1+2)"; "WF shard-1"; "WF shard-2"; "WF shard-4";
+      "WF shard-8"; "WF shard-8 (rr)" ]
+    (names I.shard_series);
+  check "batch_series"
+    [ "WF fps per-item"; "WF fps batch"; "opt WF (1+2) batch";
+      "WF ring batch"; "WF shard-4 (rr) batch" ]
+    (List.map I.batch_name I.batch_series);
+  check "ablation"
+    [ "opt WF (1+2)"; "WF chunk-2"; "WF chunk-4"; "WF tuned" ]
+    (names I.ablation);
+  check "all"
+    [ "LF"; "LF pooled"; "LF optimistic"; "base WF"; "opt WF (1)";
+      "opt WF (2)"; "opt WF (1+2)"; "opt WF (1+2) pooled"; "WF fps";
+      "WF fps pooled"; "WF ring"; "WF polylog"; "WF hazard-ptr";
+      "WF universal"; "flat-combining"; "two-lock"; "mutex" ]
+    (names I.all)
+
 let test_chart_renders () =
   let series =
     [
@@ -247,5 +299,7 @@ let () =
           Alcotest.test_case "series well-formed" `Slow test_figures_shapes;
           Alcotest.test_case "latency summary" `Quick test_latency_summary;
           Alcotest.test_case "by_name lookup" `Quick test_by_name;
+          Alcotest.test_case "series labels pinned" `Quick
+            test_series_labels;
         ] );
     ]
