@@ -130,13 +130,10 @@ let () =
      to near zero (nodes are recycled, not minted); the ns column prices
      the pool bookkeeping the recycling costs in exchange. *)
   time "FPS pooled" (fun () ->
-      let q =
-        Fps.create_with ~pool:true
-          ~max_failures:Wfq_core.Kp_queue_fps.default_max_failures
-          ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-          ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads:1 ()
-      in
+      let module B = (val Wfq_core.Backends.find "fps-pooled") in
+      let module Fp = B.Make (A) in
+      let q = Fp.create ~num_threads:1 () in
       for i = 1 to iters do
-        Fps.enqueue q ~tid:0 i;
-        ignore (Fps.dequeue q ~tid:0)
+        Fp.enqueue q ~tid:0 i;
+        ignore (Fp.dequeue q ~tid:0)
       done)

@@ -993,7 +993,7 @@ let run_openloop rates events producers consumers pattern duty burst_len skew
   in
   let selected =
     match backends with
-    | None -> Bks.all ()
+    | None -> Bks.all
     | Some ids ->
         String.split_on_char ',' ids
         |> List.filter (fun x -> x <> "")
@@ -1013,7 +1013,7 @@ let run_openloop rates events producers consumers pattern duty burst_len skew
   let results =
     List.map
       (fun (module B : Qi.BACKEND) ->
-        let impl = OL.impl_of_backend (module B) in
+        let impl = Wfq_harness.Impls.(unbatched (of_backend (module B))) in
         let pts =
           List.map
             (fun rate ->
@@ -1191,7 +1191,7 @@ let print_backends () =
         | None -> "unbounded"
         | Some c -> string_of_int c)
         (if B.sim_safe then "yes" else "no"))
-    (Wfq_core.Backends.all ())
+    Wfq_core.Backends.all
 
 let list_backends_arg =
   let doc =

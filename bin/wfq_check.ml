@@ -20,6 +20,7 @@ module Ck = Wfq_sim.Check
 module H = Wfq_lincheck.History
 module C = Wfq_lincheck.Checker
 module SA = Wfq_sim.Sim_atomic
+module Qi = Wfq_core.Queue_intf
 module Ms = Wfq_core.Ms_queue.Make (SA)
 module Kp = Wfq_core.Kp_queue.Make (SA)
 module Kp_hp = Wfq_core.Kp_queue_hp.Make (SA)
@@ -83,23 +84,7 @@ let rec queue_of_name = function
           deq_batch = Some (fun q ~tid ~n -> Kp.dequeue_batch q ~tid ~n);
           extra_check = None;
         }
-  | "kp-opt12" ->
-      Q
-        {
-          make =
-            (fun ~num_threads ->
-              Kp.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
-                ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ());
-          enq = (fun q ~tid v -> Kp.enqueue q ~tid v);
-          deq = (fun q ~tid -> Kp.dequeue q ~tid);
-          contents = Kp.to_list;
-          try_enq = None;
-          capacity = None;
-          enq_batch = Some (fun q ~tid vs -> Kp.enqueue_batch q ~tid vs);
-          try_enq_batch = None;
-          deq_batch = Some (fun q ~tid ~n -> Kp.dequeue_batch q ~tid ~n);
-          extra_check = None;
-        }
+  | "kp-opt12" -> registered "kp-opt12"
   | "kp-fps" ->
       (* max_failures 1 so DPOR explores one fast round plus the
          slow-path descriptor in every operation, including the
@@ -147,20 +132,30 @@ let rec queue_of_name = function
       (* the tournament-tree queue: every explored schedule also runs
          the quiescent structural audit (block-log monotonicity, size
          recurrence) on top of lincheck *)
-      Q
-        {
-          make = (fun ~num_threads -> Poly.create ~num_threads ());
-          enq = (fun q ~tid v -> Poly.enqueue q ~tid v);
-          deq = (fun q ~tid -> Poly.dequeue q ~tid);
-          contents = Poly.to_list;
-          try_enq = None;
-          capacity = None;
-          enq_batch = Some (fun q ~tid vs -> Poly.enqueue_batch q ~tid vs);
-          try_enq_batch = None;
-          deq_batch = Some (fun q ~tid ~n -> Poly.dequeue_batch q ~tid ~n);
-          extra_check = Some Poly.check_quiescent_invariants;
-        }
+      registered "polylog"
   | other -> failwith ("unknown queue: " ^ other)
+
+(* A registry entry exactly as registered, through its instance; every
+   explored schedule also runs the backend's quiescent structural
+   audit. *)
+and registered id =
+  let (module B : Wfq_core.Queue_intf.BACKEND) = Wfq_core.Backends.find id in
+  Q
+    {
+      make =
+        (fun ~num_threads ->
+          Wfq_core.Backends.instantiate_with (module SA) (module B)
+            ~num_threads ());
+      enq = (fun q ~tid v -> q.Qi.enq ~tid v);
+      deq = (fun q ~tid -> q.Qi.deq ~tid);
+      contents = (fun q -> q.Qi.dump ());
+      try_enq = Option.map (fun _ q ~tid v -> q.Qi.try_enq ~tid v) B.capacity;
+      capacity = B.capacity;
+      enq_batch = Some (fun q ~tid vs -> q.Qi.enq_batch ~tid vs);
+      try_enq_batch = None;
+      deq_batch = Some (fun q ~tid ~n -> q.Qi.deq_batch ~tid ~n);
+      extra_check = Some (fun q -> q.Qi.check ());
+    }
 
 and ring_packed ~capacity ~max_failures =
   Q

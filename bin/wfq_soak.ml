@@ -14,6 +14,7 @@ type totals = {
   mutable enqs : int;
   mutable deq_hits : int;
   mutable deq_empties : int;
+  mutable fulls : int; (* enqueues a bounded queue refused *)
   mutable checksum : int; (* sum of enqueued minus sum of dequeued *)
 }
 
@@ -29,7 +30,7 @@ let run_soak queue_name threads seconds seed list_queues =
   let q = Q.create ~num_threads:(threads + 1) in
   let stop = Atomic.make false in
   let totals = Array.init threads (fun _ ->
-      { enqs = 0; deq_hits = 0; deq_empties = 0; checksum = 0 })
+      { enqs = 0; deq_hits = 0; deq_empties = 0; fulls = 0; checksum = 0 })
   in
   let worker tid () =
     let rng = Rng.split_for ~seed ~tid in
@@ -37,13 +38,22 @@ let run_soak queue_name threads seconds seed list_queues =
     while not (Atomic.get stop) do
       (* Bursts keep the queue length wandering instead of hovering. *)
       let burst = 1 + Rng.below rng 32 in
-      if Rng.bool rng then
-        for _ = 1 to burst do
-          let v = 1 + Rng.below rng 1_000_000 in
-          Q.enqueue q ~tid v;
-          t.enqs <- t.enqs + 1;
-          t.checksum <- t.checksum + v
-        done
+      if Rng.bool rng then begin
+        (* A bounded queue that refuses an element ends the burst; the
+           refused value never entered, so it stays out of the
+           checksum. *)
+        let rec enq k =
+          if k > 0 then
+            let v = 1 + Rng.below rng 1_000_000 in
+            match Q.enqueue q ~tid v with
+            | () ->
+                t.enqs <- t.enqs + 1;
+                t.checksum <- t.checksum + v;
+                enq (k - 1)
+            | exception Wfq_core.Ring_queue.Ring_full -> t.fulls <- t.fulls + 1
+        in
+        enq burst
+      end
       else
         for _ = 1 to burst do
           match Q.dequeue q ~tid with
@@ -75,11 +85,12 @@ let run_soak queue_name threads seconds seed list_queues =
   let enqs = Array.fold_left (fun a t -> a + t.enqs) 0 totals in
   let hits = Array.fold_left (fun a t -> a + t.deq_hits) 0 totals in
   let empties = Array.fold_left (fun a t -> a + t.deq_empties) 0 totals in
+  let fulls = Array.fold_left (fun a t -> a + t.fulls) 0 totals in
   let checksum = Array.fold_left (fun a t -> a + t.checksum) 0 totals in
   Printf.printf
-    "ops: %d enq, %d deq, %d empty-deq in %.2fs (%.0f ops/s)\n" enqs hits
-    empties dt
-    (float_of_int (enqs + hits + empties) /. dt);
+    "ops: %d enq, %d deq, %d empty-deq, %d full in %.2fs (%.0f ops/s)\n" enqs
+    hits empties fulls dt
+    (float_of_int (enqs + hits + empties + fulls) /. dt);
   let count_ok = enqs - hits = !leftover_count in
   let sum_ok = checksum = !leftover_sum in
   Printf.printf "conservation: count %s, checksum %s (%d left in queue)\n"

@@ -1,14 +1,9 @@
-(** The in-tree backend configurations, registered once each
+(** The in-tree backend configurations, listed once each
     (docs/BACKENDS.md). This module is the single place a new backend
     touches outside its own implementation: wrap the configured
-    algorithm as a {!Queue_intf.BACKEND} and add one
-    [Backend_registry.register] line — [Wfq_shard], the scheduler
-    adapters, the conformance battery and [wfq_bench] all iterate the
-    registry.
-
-    Consumers must go through this module's re-exports ([all], [find],
-    [ids]) rather than [Backend_registry] directly: touching [Backends]
-    is what forces the registrations to run. *)
+    algorithm as a {!Queue_intf.BACKEND} and add one entry to {!all} —
+    [Wfq_shard], the scheduler's run-queue adapter, the conformance
+    battery and [wfq_bench] all iterate this list. *)
 
 module type ATOMIC = Wfq_primitives.Atomic_intf.ATOMIC
 
@@ -80,13 +75,13 @@ end) : Queue_intf.BACKEND = struct
   end
 end
 
-module Kp_opt12 = Kp_backend (struct
+module Kp_default = Kp_backend (struct
   let id = "kp-opt12"
   let label = "opt WF (1+2)"
   let pool_default = false
 end)
 
-module Kp_opt12_pooled = Kp_backend (struct
+module Kp_pooled = Kp_backend (struct
   let id = "kp-opt12-pooled"
   let label = "opt WF (1+2) pooled"
   let pool_default = true
@@ -195,16 +190,20 @@ module Polylog : Queue_intf.BACKEND = struct
   end
 end
 
-(* --- registration (one line per backend) --------------------------- *)
+(* --- the registry ---------------------------------------------------- *)
 
-let () = Backend_registry.register (module Kp_opt12)
-let () = Backend_registry.register (module Kp_opt12_pooled)
-let () = Backend_registry.register (module Fps_default)
-let () = Backend_registry.register (module Fps_pooled)
-let () = Backend_registry.register (module Ring_default)
-let () = Backend_registry.register (module Polylog)
+(* Registry order is output order: benchmark and test rows follow it. *)
+let all : (module Queue_intf.BACKEND) list =
+  [ (module Kp_default); (module Kp_pooled); (module Fps_default);
+    (module Fps_pooled); (module Ring_default); (module Polylog) ]
 
-(* Re-exports: the registry view every consumer should use. *)
-let all = Backend_registry.all
-let find = Backend_registry.find
-let ids = Backend_registry.ids
+let id (module B : Queue_intf.BACKEND) = B.id
+let ids = List.map id all
+
+let find key =
+  match List.find_opt (fun b -> id b = key) all with
+  | Some b -> b
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Backends.find: unknown backend %S (known: %s)" key
+           (String.concat ", " ids))

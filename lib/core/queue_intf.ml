@@ -85,8 +85,8 @@ end
     client in the tree consumes — core ops, native batches, the bounded
     insert, quiescent observers, the structural audit, and the metrics
     hookup. A module satisfying [QUEUE_BACKEND] (wrapped in a {!BACKEND}
-    and registered once in {!Backend_registry} via [Backends]) is picked
-    up by [Wfq_shard], the scheduler's run-queue adapters, the lincheck
+    and listed once in [Backends.all]) is picked up by [Wfq_shard], the
+    scheduler's run-queue adapter, the lincheck
     and DPOR conformance batteries, and [wfq_bench] with zero
     per-backend edits anywhere outside [lib/core].
 

@@ -12,7 +12,6 @@ module Fc = Wfq_core.Fc_queue.Make (A)
 module Kp = Wfq_core.Kp_queue.Make (A)
 module Kp_hp = Wfq_core.Kp_queue_hp.Make (A)
 module Fps = Wfq_core.Kp_queue_fps.Make (A)
-module Sh = Wfq_shard.Shard.Make (A)
 module Rg = Wfq_core.Ring_queue.Make (A)
 
 module type BENCH_QUEUE = sig
@@ -25,6 +24,46 @@ module type BENCH_QUEUE = sig
 end
 
 type impl = (module BENCH_QUEUE)
+
+module type BATCH_BENCH_QUEUE = sig
+  include BENCH_QUEUE
+
+  val enqueue_batch : t -> tid:int -> int list -> unit
+  val dequeue_batch : t -> tid:int -> n:int -> int list
+end
+
+type batch_impl = (module BATCH_BENCH_QUEUE)
+
+(* The registry route: any {!Wfq_core.Queue_intf.BACKEND} as a bench
+   impl. The backend's own functions are packed directly — no
+   closure-record hop — so a registry row costs per operation exactly
+   what a hand-built module over the same functor did. A bounded
+   backend's [enqueue] waits out a full queue ([try_enqueue] retry):
+   under open-loop load the delay lands in the enqueue-latency samples,
+   the honest reading of "the queue was full". *)
+let of_backend ?label (module B : Wfq_core.Queue_intf.BACKEND) : batch_impl =
+  (module struct
+    module Q = B.Make (A)
+
+    type t = int Q.t
+
+    let name = Option.value label ~default:B.label
+    let create ~num_threads = Q.create ~num_threads ()
+
+    let enqueue : t -> tid:int -> int -> unit =
+      if B.capacity = None then Q.enqueue
+      else fun q ~tid v ->
+        while not (Q.try_enqueue q ~tid v) do
+          Domain.cpu_relax ()
+        done
+
+    let dequeue = Q.dequeue
+    let enqueue_batch = Q.enqueue_batch
+    let dequeue_batch = Q.dequeue_batch
+  end)
+
+let unbatched (module Q : BATCH_BENCH_QUEUE) : impl = (module Q)
+let registered id = unbatched (of_backend (Wfq_core.Backends.find id))
 
 let lf : impl =
   (module struct
@@ -63,82 +102,38 @@ let lms : impl =
     let dequeue = Lms.dequeue
   end)
 
-let kp_variant variant_name help phase : impl =
+(* The paper's §3.3 ablation rows, each with a helping or phase policy
+   (or tuning) no registry entry carries. *)
+let kp_variant ?tuning variant_name help phase : impl =
   (module struct
     type t = int Kp.t
 
     let name = variant_name
-    let create ~num_threads = Kp.create_with ~help ~phase ~num_threads ()
+    let create ~num_threads = Kp.create_with ?tuning ~help ~phase ~num_threads ()
     let enqueue = Kp.enqueue
     let dequeue = Kp.dequeue
   end)
 
-let wf_base = kp_variant "base WF" Wfq_core.Kp_queue.Help_all
-    Wfq_core.Kp_queue.Phase_scan
-
-let wf_opt1 = kp_variant "opt WF (1)" Wfq_core.Kp_queue.Help_one_cyclic
-    Wfq_core.Kp_queue.Phase_scan
-
-let wf_opt2 = kp_variant "opt WF (2)" Wfq_core.Kp_queue.Help_all
-    Wfq_core.Kp_queue.Phase_counter
-
-let wf_opt12 = kp_variant "opt WF (1+2)" Wfq_core.Kp_queue.Help_one_cyclic
-    Wfq_core.Kp_queue.Phase_counter
-
-let wf_pooled : impl =
-  (module struct
-    type t = int Kp.t
-
-    let name = "opt WF (1+2) pooled"
-
-    let create ~num_threads =
-      Kp.create_with ~pool:true ~help:Wfq_core.Kp_queue.Help_one_cyclic
-        ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ()
-
-    let enqueue = Kp.enqueue
-    let dequeue = Kp.dequeue
-  end)
+let wf_base = kp_variant "base WF" Help_all Phase_scan
+let wf_opt1 = kp_variant "opt WF (1)" Help_one_cyclic Phase_scan
+let wf_opt2 = kp_variant "opt WF (2)" Help_all Phase_counter
+let wf_opt12 = registered "kp-opt12"
+let wf_pooled = registered "kp-opt12-pooled"
 
 (* §3.3 extension variants (not in the paper's evaluation): chunked
    cyclic helping and the further tuning enhancements. *)
-let kp_variant_full variant_name ~help ~phase ~tuning : impl =
-  (module struct
-    type t = int Kp.t
-
-    let name = variant_name
-    let create ~num_threads = Kp.create_with ~tuning ~help ~phase ~num_threads ()
-    let enqueue = Kp.enqueue
-    let dequeue = Kp.dequeue
-  end)
-
 let wf_chunk k =
-  kp_variant_full
-    (Printf.sprintf "WF chunk-%d" k)
-    ~help:(Wfq_core.Kp_queue.Help_chunk k)
-    ~phase:Wfq_core.Kp_queue.Phase_counter
-    ~tuning:Wfq_core.Kp_queue.default_tuning
+  kp_variant (Printf.sprintf "WF chunk-%d" k) (Help_chunk k) Phase_counter
 
 let wf_tuned =
-  kp_variant_full "WF tuned"
-    ~help:Wfq_core.Kp_queue.Help_one_cyclic
-    ~phase:Wfq_core.Kp_queue.Phase_counter
+  kp_variant "WF tuned" Help_one_cyclic Phase_counter
     ~tuning:{ Wfq_core.Kp_queue.gc_friendly = true; validate_before_cas = true }
 
 (* Sharded front-end (lib/shard) over opt-(1+2) KP shards. The pairs
    workload must use its relaxed variant: a sweep can miss a concurrent
    enqueue, so "impossible empty" does not hold for [shards > 1]. *)
-let shard_impl variant_name ~policy k : impl =
-  (module struct
-    type t = int Sh.t
-
-    let name = variant_name
-
-    let create ~num_threads =
-      Sh.create ~policy ~shards:k ~num_threads ()
-
-    let enqueue = Sh.enqueue
-    let dequeue = Sh.dequeue
-  end)
+let shard_impl label ~policy k =
+  of_backend ~label (Wfq_shard.Shard.as_backend ~policy ~shards:k "kp-opt12")
 
 (* The headline entries use the tid-affine policy: on the pairs
    workload a thread's dequeue starts at the shard its enqueue just
@@ -147,14 +142,12 @@ let shard_impl variant_name ~policy k : impl =
    at 8 domains. The ticketed general-purpose policy is kept as a
    labelled variant. *)
 let wf_shard k =
-  shard_impl
-    (Printf.sprintf "WF shard-%d" k)
-    ~policy:Wfq_shard.Shard.Tid_affine k
+  unbatched
+    (shard_impl (Printf.sprintf "WF shard-%d" k) ~policy:Tid_affine k)
 
 let wf_shard_rr k =
-  shard_impl
-    (Printf.sprintf "WF shard-%d (rr)" k)
-    ~policy:Wfq_shard.Shard.Round_robin k
+  unbatched
+    (shard_impl (Printf.sprintf "WF shard-%d (rr)" k) ~policy:Round_robin k)
 
 (* Series for the shard-scaling bench: the best unsharded variant
    against the front-end at growing shard counts (shard-1 measures the
@@ -165,32 +158,26 @@ let shard_series =
 
 (* Fast-path/slow-path KP queue (PPoPP 2012 methodology): lock-free
    Michael-Scott rounds until [max_failures] failures, then the KP
-   helping slow path. The slow path runs the paper's fastest variant
-   (opt 1+2), matching [Fps.create]'s default. *)
-let fps_variant ?(pool = false) variant_name ~max_failures : impl =
+   helping slow path. The registry carries the default budget; the
+   sweep below pins others, with the slow path in the paper's fastest
+   variant (opt 1+2), matching the registered rows. *)
+let wf_fps = registered "fps"
+let wf_fps_pooled = registered "fps-pooled"
+
+let wf_fps_mf k : impl =
   (module struct
     type t = int Fps.t
 
-    let name = variant_name
+    let name = Printf.sprintf "WF fps mf=%d" k
 
     let create ~num_threads =
-      Fps.create_with ~pool ~max_failures
+      Fps.create_with ~max_failures:k
         ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
         ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads ()
 
     let enqueue = Fps.enqueue
     let dequeue = Fps.dequeue
   end)
-
-let wf_fps =
-  fps_variant "WF fps"
-    ~max_failures:Wfq_core.Kp_queue_fps.default_max_failures
-
-let wf_fps_pooled =
-  fps_variant ~pool:true "WF fps pooled"
-    ~max_failures:Wfq_core.Kp_queue_fps.default_max_failures
-
-let wf_fps_mf k = fps_variant (Printf.sprintf "WF fps mf=%d" k) ~max_failures:k
 
 (* The issue's sweep: how quickly does throughput degrade as the
    fast-path budget shrinks toward pure-slow-path behaviour? *)
@@ -209,29 +196,22 @@ let alloc_series = [ lf; lf_pooled; wf_opt12; wf_pooled; wf_fps; wf_fps_pooled ]
 
 (* Bounded-memory ring (Ring_queue): elements live in pre-allocated
    slots, so steady state allocates nothing per operation. 8192 slots
-   comfortably exceeds every benchmark workload's peak depth (pairs
-   peaks at [threads] elements); [enqueue] on a full ring raises. *)
-let wf_ring_cap ~capacity ~max_failures : impl =
+   (the registry's ring has 1024) comfortably exceed every benchmark
+   workload's peak depth (pairs peaks at [threads] elements); [enqueue]
+   on a full ring raises. *)
+let ring_8192 name : batch_impl =
   (module struct
     type t = int Rg.t
 
-    let name =
-      if
-        capacity = 8192
-        && max_failures = Wfq_core.Ring_queue.default_max_failures
-      then "WF ring"
-      else Printf.sprintf "WF ring c=%d mf=%d" capacity max_failures
-
-    let create ~num_threads =
-      Rg.create_with ~capacity ~max_failures ~num_threads ()
-
+    let name = name
+    let create ~num_threads = Rg.create_with ~capacity:8192 ~num_threads ()
     let enqueue = Rg.enqueue
     let dequeue = Rg.dequeue
+    let enqueue_batch = Rg.enqueue_batch
+    let dequeue_batch = Rg.dequeue_batch
   end)
 
-let wf_ring =
-  wf_ring_cap ~capacity:8192
-    ~max_failures:Wfq_core.Ring_queue.default_max_failures
+let wf_ring = unbatched (ring_8192 "WF ring")
 
 (* Series for the ring bench (wfq_bench ring): the ring against the
    linked-queue allocation floor (the pooled members of each family) and
@@ -240,29 +220,9 @@ let wf_ring =
    its pairs throughput against "WF fps pooled" at 1 domain. *)
 let ring_series = [ wf_opt12; wf_pooled; wf_fps_pooled; wf_ring ]
 
-(* The registry route: any {!Wfq_core.Queue_intf.BACKEND} as a bench
-   impl through its uniform instance — no per-backend plumbing. The
-   display name defaults to the backend's registered label (kept
-   distinct from the hand-tuned rows above, which pin non-default
-   configurations the registry does not carry). *)
-let of_backend ?label (module B : Wfq_core.Queue_intf.BACKEND) : impl =
-  (module struct
-    type t = int Wfq_core.Queue_intf.instance
-
-    let name = Option.value label ~default:B.label
-
-    let create ~num_threads =
-      Wfq_core.Backends.instantiate (module B) ~num_threads ()
-
-    let enqueue q ~tid v = q.Wfq_core.Queue_intf.enq ~tid v
-    let dequeue q ~tid = q.Wfq_core.Queue_intf.deq ~tid
-  end)
-
-let registry_impls () = List.map (fun b -> of_backend b) (Wfq_core.Backends.all ())
-
 (* The polylog tournament tree (Naderibeni & Ruppert): O(log^2 p) steps
    per operation against the KP family's O(p) helping scans. *)
-let wf_polylog = of_backend (Wfq_core.Backends.find "polylog")
+let wf_polylog = registered "polylog"
 
 (* Series for the crossover bench (wfq_bench polylog): the paper's
    fastest O(p) queue, the lowest-allocation O(p) variant, and the
@@ -328,9 +288,9 @@ let all =
    tuning enhancements. *)
 let ablation = [ wf_opt12; wf_chunk 2; wf_chunk 4; wf_tuned ]
 
-(* Batch-native registry (docs/BATCHING.md): the backends exposing
-   first-class [enqueue_batch]/[dequeue_batch], plus a per-item adapter
-   over the headline fps queue. The adapter loops the single-element
+(* Batch-native rows (docs/BATCHING.md): the backends exposing
+   first-class [enqueue_batch]/[dequeue_batch], plus a per-item wrapper
+   over the headline fps queue. The wrapper loops the single-element
    operations, so in the batch workload the only variable between
    "WF fps per-item" and "WF fps batch" is batch nativeness — the
    amortization headline's baseline. Both fps rows run the pooled
@@ -338,106 +298,35 @@ let ablation = [ wf_opt12; wf_chunk 2; wf_chunk 4; wf_tuned ]
    segment-recycled nodes the allocator no longer dominates either
    side, so the ratio isolates what batching actually amortizes — the
    per-element CAS protocol. *)
-module type BATCH_BENCH_QUEUE = sig
-  include BENCH_QUEUE
-
-  val enqueue_batch : t -> tid:int -> int list -> unit
-  val dequeue_batch : t -> tid:int -> n:int -> int list
-end
-
-type batch_impl = (module BATCH_BENCH_QUEUE)
-
-let fps_per_item : batch_impl =
+let per_item label (module Q : BATCH_BENCH_QUEUE) : batch_impl =
   (module struct
-    type t = int Fps.t
+    include Q
 
-    let name = "WF fps per-item"
-
-    let create ~num_threads =
-      Fps.create_with ~pool:true
-        ~max_failures:Wfq_core.Kp_queue_fps.default_max_failures
-        ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-        ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads ()
-
-    let enqueue = Fps.enqueue
-    let dequeue = Fps.dequeue
-    let enqueue_batch q ~tid vs = List.iter (fun v -> Fps.enqueue q ~tid v) vs
+    let name = label
+    let enqueue_batch q ~tid vs = List.iter (fun v -> Q.enqueue q ~tid v) vs
 
     let dequeue_batch q ~tid ~n =
       let rec go k acc =
         if k = 0 then List.rev acc
         else
-          match Fps.dequeue q ~tid with
+          match Q.dequeue q ~tid with
           | Some v -> go (k - 1) (v :: acc)
           | None -> List.rev acc
       in
       go n []
   end)
 
-let fps_batch : batch_impl =
-  (module struct
-    type t = int Fps.t
+let fps_batch =
+  of_backend ~label:"WF fps batch" (Wfq_core.Backends.find "fps-pooled")
 
-    let name = "WF fps batch"
+let fps_per_item = per_item "WF fps per-item" fps_batch
 
-    let create ~num_threads =
-      Fps.create_with ~pool:true
-        ~max_failures:Wfq_core.Kp_queue_fps.default_max_failures
-        ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-        ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads ()
+let kp_batch =
+  of_backend ~label:"opt WF (1+2) batch" (Wfq_core.Backends.find "kp-opt12")
 
-    let enqueue = Fps.enqueue
-    let dequeue = Fps.dequeue
-    let enqueue_batch = Fps.enqueue_batch
-    let dequeue_batch = Fps.dequeue_batch
-  end)
+let ring_batch = ring_8192 "WF ring batch"
 
-let kp_batch : batch_impl =
-  (module struct
-    type t = int Kp.t
-
-    let name = "opt WF (1+2) batch"
-
-    let create ~num_threads =
-      Kp.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
-        ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ()
-
-    let enqueue = Kp.enqueue
-    let dequeue = Kp.dequeue
-    let enqueue_batch = Kp.enqueue_batch
-    let dequeue_batch = Kp.dequeue_batch
-  end)
-
-let ring_batch : batch_impl =
-  (module struct
-    type t = int Rg.t
-
-    let name = "WF ring batch"
-
-    let create ~num_threads =
-      Rg.create_with ~capacity:8192
-        ~max_failures:Wfq_core.Ring_queue.default_max_failures ~num_threads ()
-
-    let enqueue = Rg.enqueue
-    let dequeue = Rg.dequeue
-    let enqueue_batch = Rg.enqueue_batch
-    let dequeue_batch = Rg.dequeue_batch
-  end)
-
-let shard_batch : batch_impl =
-  (module struct
-    type t = int Sh.t
-
-    let name = "WF shard-4 (rr) batch"
-
-    let create ~num_threads =
-      Sh.create ~policy:Wfq_shard.Shard.Round_robin ~shards:4 ~num_threads ()
-
-    let enqueue = Sh.enqueue
-    let dequeue = Sh.dequeue
-    let enqueue_batch = Sh.enqueue_batch
-    let dequeue_batch = Sh.dequeue_batch
-  end)
+let shard_batch = shard_impl "WF shard-4 (rr) batch" ~policy:Round_robin 4
 
 let batch_series =
   [ fps_per_item; fps_batch; kp_batch; ring_batch; shard_batch ]

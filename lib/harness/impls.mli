@@ -13,6 +13,33 @@ end
 
 type impl = (module BENCH_QUEUE)
 
+module type BATCH_BENCH_QUEUE = sig
+  include BENCH_QUEUE
+
+  val enqueue_batch : t -> tid:int -> int list -> unit
+  val dequeue_batch : t -> tid:int -> n:int -> int list
+end
+(** A benchmarked queue with first-class batch operations
+    (docs/BATCHING.md). *)
+
+type batch_impl = (module BATCH_BENCH_QUEUE)
+
+val of_backend :
+  ?label:string -> (module Wfq_core.Queue_intf.BACKEND) -> batch_impl
+(** Any backend — a {!Wfq_core.Backends} entry or a
+    {!Wfq_shard.Shard.as_backend} configuration — as a bench impl, its
+    functions packed directly (no closure-record hop). The display name
+    defaults to the backend's label. A bounded backend's [enqueue]
+    retries [try_enqueue] until the queue has room (backpressure); an
+    unbounded one's is the backend's own. *)
+
+val unbatched : batch_impl -> impl
+(** Forget the batch operations. *)
+
+val registered : string -> impl
+(** [registered id] is {!of_backend} of [Wfq_core.Backends.find id]
+    under its registered label, without the batch operations. *)
+
 val lf : impl
 (** Michael-Scott lock-free queue — the paper's baseline ("LF"). *)
 
@@ -36,12 +63,12 @@ val wf_opt2 : impl
 (** Optimization 2 only: atomic phase counter ("opt WF (2)"). *)
 
 val wf_opt12 : impl
-(** Both optimizations ("opt WF (1+2)"). *)
+(** Both optimizations ("opt WF (1+2)"): the registry's ["kp-opt12"]. *)
 
 val wf_pooled : impl
 (** opt WF (1+2) with node and descriptor recycling through
-    {!Wfq_primitives.Segment_pool} ("opt WF (1+2) pooled"):
-    [Kp_queue.create_with ~pool:true]. *)
+    {!Wfq_primitives.Segment_pool} ("opt WF (1+2) pooled"): the
+    registry's ["kp-opt12-pooled"]. *)
 
 val wf_chunk : int -> impl
 (** §3.3 extension: cyclic chunk helping of the given size. *)
@@ -53,7 +80,7 @@ val wf_tuned : impl
 val wf_shard : int -> impl
 (** Sharded front-end ([lib/shard]) with the given shard count,
     tid-affine policy (shard = tid mod N, steal on empty), over
-    opt-(1+2) KP shards. Relaxed FIFO: benchmark it with
+    ["kp-opt12"] shards ({!Wfq_shard.Shard.as_backend}). Relaxed FIFO: benchmark it with
     {!Workload.pairs_relaxed}, not {!Workload.pairs} (a non-atomic
     sweep may observe empty under concurrency). *)
 
@@ -65,14 +92,15 @@ val shard_series : impl list
     front-end at 1/2/4/8 shards plus the 8-shard round-robin variant. *)
 
 val wf_fps : impl
-(** Fast-path/slow-path KP queue ("WF fps"): lock-free Michael-Scott
-    rounds until {!Wfq_core.Kp_queue_fps.default_max_failures} failures,
-    then the KP helping slow path (opt 1+2). Wait-free, linearizable,
-    strict FIFO — safe with {!Workload.pairs}. *)
+(** Fast-path/slow-path KP queue ("WF fps", the registry's ["fps"]):
+    lock-free Michael-Scott rounds until
+    {!Wfq_core.Kp_queue_fps.default_max_failures} failures, then the KP
+    helping slow path (opt 1+2). Wait-free, linearizable, strict FIFO —
+    safe with {!Workload.pairs}. *)
 
 val wf_fps_pooled : impl
-(** {!wf_fps} with node and descriptor recycling ("WF fps pooled"):
-    [Kp_queue_fps.create_with ~pool:true]. *)
+(** {!wf_fps} with node and descriptor recycling ("WF fps pooled", the
+    registry's ["fps-pooled"]). *)
 
 val wf_fps_mf : int -> impl
 (** Same with an explicit [max_failures] budget ("WF fps mf=K"). *)
@@ -96,22 +124,10 @@ val wf_ring : impl
     benchmark workload approaches the bound). Strict FIFO — safe with
     {!Workload.pairs}. *)
 
-val wf_ring_cap : capacity:int -> max_failures:int -> impl
-(** {!wf_ring} with explicit capacity and fast-path budget
-    ("WF ring c=C mf=K"). *)
-
 val ring_series : impl list
 (** Series for the ring bench ([wfq_bench ring]): opt WF (1+2), its
     pooled counterpart (the words/op floor the ring must beat), WF fps
     pooled (the throughput baseline) and the ring. *)
-
-val of_backend : ?label:string -> (module Wfq_core.Queue_intf.BACKEND) -> impl
-(** Any registered backend ({!Wfq_core.Backends}) as a bench impl
-    through its uniform instance; display name defaults to the
-    backend's registered label. *)
-
-val registry_impls : unit -> impl list
-(** One {!of_backend} impl per registered backend, registry order. *)
 
 val wf_polylog : impl
 (** Polylog-step tournament-tree queue ({!Wfq_core.Polylog_queue},
@@ -149,28 +165,19 @@ val all : impl list
 val ablation : impl list
 (** Variants for the helping-chunk / tuning ablation bench. *)
 
-module type BATCH_BENCH_QUEUE = sig
-  include BENCH_QUEUE
-
-  val enqueue_batch : t -> tid:int -> int list -> unit
-  val dequeue_batch : t -> tid:int -> n:int -> int list
-end
-(** A benchmarked queue with first-class batch operations
-    (docs/BATCHING.md). *)
-
-type batch_impl = (module BATCH_BENCH_QUEUE)
-
 val fps_per_item : batch_impl
-(** "WF fps per-item": the headline fps queue with batches looped one
+(** "WF fps per-item": {!fps_batch}'s queue with batches looped one
     element at a time — the amortization baseline every batch-native
     series is compared against (and the CI guard's denominator). *)
 
 val fps_batch : batch_impl
-(** "WF fps batch": same queue, native batch operations — one fast-path
-    CAS (or one slow-path descriptor) per whole batch. *)
+(** "WF fps batch": the registry's ["fps-pooled"], native batch
+    operations — one fast-path CAS (or one slow-path descriptor) per
+    whole batch. *)
 
 val kp_batch : batch_impl
-(** "opt WF (1+2) batch": the base wait-free queue's native batches. *)
+(** "opt WF (1+2) batch": the registry's ["kp-opt12"] native
+    batches. *)
 
 val ring_batch : batch_impl
 (** "WF ring batch": the bounded ring's native batches (8192 slots). *)

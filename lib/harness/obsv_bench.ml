@@ -19,12 +19,20 @@
     the stats collector, not of instrumented queues. *)
 
 module RA = Wfq_primitives.Real_atomic
-module Kp = Wfq_core.Kp_queue.Make (RA)
 module Fq = Wfq_core.Kp_queue_fps.Make (RA)
 module Sh = Wfq_shard.Shard.Make (RA)
 module Obsv = Wfq_obsv
 
 let now_ns = Clock.now_ns
+
+(* A fresh queue of registry entry [id] on real atomics, its hot-path
+   instrumentation and metrics attached under [?obsv]'s prefix, as its
+   enqueue and dequeue. *)
+let registered id ?obsv ~num_threads () =
+  let module B = (val Wfq_core.Backends.find id) in
+  let module Q = B.Make (RA) in
+  let q = Q.create ?obsv ~num_threads () in
+  (Q.enqueue q, Q.dequeue q)
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented collection runs                                       *)
@@ -88,23 +96,15 @@ let collect ~threads ~iters () =
       :: !lines
   in
   (* opt WF (1+2): the phase-lag / help-event / lost-phase-bump story. *)
-  let kp =
-    Kp.create_with
-      ~obsv:(Wfq_core.Kp_queue.metrics reg ~prefix:"kp_opt12" ~slots)
-      ~help:Wfq_core.Kp_queue.Help_one_cyclic
-      ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads:slots ()
+  let enq, deq =
+    registered "kp-opt12" ~obsv:(reg, "kp_opt12") ~num_threads:slots ()
   in
-  run "kp_opt12" ~relaxed:false ~enq:(Kp.enqueue kp) ~deq:(Kp.dequeue kp);
+  run "kp_opt12" ~relaxed:false ~enq ~deq;
   (* WF fps pooled: fast-path rounds, claim handoffs, pool hit rate. *)
-  let fps =
-    Fq.create_with ~pool:true
-      ~obsv:(Wfq_core.Kp_queue_fps.metrics reg ~prefix:"fps_pooled" ~slots)
-      ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-      ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads:slots ()
+  let enq, deq =
+    registered "fps-pooled" ~obsv:(reg, "fps_pooled") ~num_threads:slots ()
   in
-  Fq.register_metrics fps reg ~prefix:"fps_pooled";
-  run "fps_pooled" ~relaxed:false ~enq:(Fq.enqueue fps)
-    ~deq:(Fq.dequeue fps);
+  run "fps_pooled" ~relaxed:false ~enq ~deq;
   (* WF fps with a zero fast budget: every operation takes the slow
      path, so the slow-path-rate metrics are guaranteed non-trivial. *)
   let fslow =
@@ -198,8 +198,6 @@ let measure_overhead ~iters ~runs () =
      separate multi-domain runs) do not converge on a shared 1-core
      host; this does. *)
   let slots = 2 and tid = 0 in
-  (* The throwaway registry receives the enabled side's metrics;
-     nothing reads it — the cost under test is the write path. *)
   let chunk ~enq ~deq () =
     let t0 = now_ns () in
     for i = 1 to iters do
@@ -208,34 +206,12 @@ let measure_overhead ~iters ~runs () =
     done;
     float_of_int (now_ns () - t0)
   in
-  let kp obsv =
-    let obsv =
-      if obsv then
-        Some
-          (Wfq_core.Kp_queue.metrics (Obsv.Metrics.create ()) ~prefix:"kp"
-             ~slots)
-      else None
-    in
-    let q =
-      Kp.create_with ?obsv ~help:Wfq_core.Kp_queue.Help_one_cyclic
-        ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads:slots ()
-    in
-    chunk ~enq:(Kp.enqueue q) ~deq:(Kp.dequeue q)
-  in
-  let fps obsv =
-    let obsv =
-      if obsv then
-        Some
-          (Wfq_core.Kp_queue_fps.metrics
-             (Obsv.Metrics.create ())
-             ~prefix:"fps" ~slots)
-      else None
-    in
-    let q =
-      Fq.create_with ?obsv ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-        ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads:slots ()
-    in
-    chunk ~enq:(Fq.enqueue q) ~deq:(Fq.dequeue q)
+  (* The throwaway registry receives the enabled side's metrics;
+     nothing reads it — the cost under test is the write path. *)
+  let queue id obsv =
+    let obsv = if obsv then Some (Obsv.Metrics.create (), id) else None in
+    let enq, deq = registered id ?obsv ~num_threads:slots () in
+    chunk ~enq ~deq
   in
   let guard name mk =
     let disabled = mk false and enabled = mk true in
@@ -265,4 +241,4 @@ let measure_overhead ~iters ~runs () =
       enabled_ns_per_op = best !don_ /. ops;
       ratio = median !ratios }
   in
-  [ guard "kp_opt12" kp; guard "fps" fps ]
+  [ guard "kp_opt12" (queue "kp-opt12"); guard "fps" (queue "fps") ]

@@ -91,28 +91,6 @@ type result = {
   sojourn_hist : Hist.t;  (** per consumer *)
 }
 
-(* Any registered backend as an open-loop target. [enq] blocks with
-   backpressure on bounded backends ([try_enq] retry): a full ring
-   delays the producer past the intended send time and the delay lands
-   in the enqueue-latency samples — which is the honest open-loop
-   reading of "the queue was full". *)
-let impl_of_backend (module B : Wfq_core.Queue_intf.BACKEND) : Impls.impl =
-  (module struct
-    type t = int Wfq_core.Queue_intf.instance
-
-    let name = B.label
-
-    let create ~num_threads =
-      Wfq_core.Backends.instantiate (module B) ~num_threads ()
-
-    let enqueue q ~tid v =
-      while not (q.Wfq_core.Queue_intf.try_enq ~tid v) do
-        Domain.cpu_relax ()
-      done
-
-    let dequeue q ~tid = q.Wfq_core.Queue_intf.deq ~tid
-  end)
-
 let validate cfg =
   if cfg.producers <= 0 || cfg.consumers <= 0 then
     invalid_arg "Open_loop.run: producers/consumers must be positive";

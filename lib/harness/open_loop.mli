@@ -51,12 +51,6 @@ type result = {
   sojourn_hist : Wfq_obsv.Histogram.t;  (** one slot per consumer *)
 }
 
-val impl_of_backend : (module Wfq_core.Queue_intf.BACKEND) -> Impls.impl
-(** Any registered backend as an open-loop target. Enqueue applies
-    backpressure on bounded backends ([try_enq] retry loop): a full
-    queue delays the producer past the intended send time, and the
-    delay lands in the enqueue-latency samples. *)
-
 val run : ?metrics:Wfq_obsv.Metrics.t * string -> config -> Impls.impl -> result
 (** Run one open-loop point on real domains ([producers + consumers]
     spawned, plus the calling domain which validates the drain).

@@ -18,11 +18,6 @@
 module Sched = Wfq_sched.Sched
 module RA = Wfq_primitives.Real_atomic
 module M = Wfq_obsv.Metrics
-module Kp_sched = Sched.Make (RA) (Sched.Rq_kp (RA))
-module Fps_sched = Sched.Make (RA) (Sched.Rq_fps_pooled (RA))
-module Shard_sched = Sched.Make (RA) (Sched.Rq_shard (RA))
-module Ring_sched = Sched.Make (RA) (Sched.Rq_ring (RA))
-
 let now_ns = Clock.now_ns
 
 type scale = {
@@ -58,12 +53,16 @@ let cpu_work n =
   done;
   ignore (Sys.opaque_identity !acc)
 
+let sched_of (module B : Wfq_core.Queue_intf.BACKEND) : (module Sched.S) =
+  (module Sched.Make (RA) (Sched.Rq_of (B) (RA)))
+
 let backends : (string * (module Sched.S)) list =
   [
-    ("kp_opt12", (module Kp_sched));
-    ("fps_pooled", (module Fps_sched));
-    ("shard_rr2", (module Shard_sched));
-    ("ring", (module Ring_sched));
+    ("kp_opt12", sched_of (Wfq_core.Backends.find "kp-opt12"));
+    ("fps_pooled", sched_of (Wfq_core.Backends.find "fps-pooled"));
+    ( "shard_rr2",
+      sched_of (Wfq_shard.Shard.as_backend ~policy:Round_robin ~shards:2 "kp-opt12") );
+    ("ring", (module Sched.Make (RA) (Sched.Rq_ring (RA))));
   ]
 
 let service_once (module Sch : Sched.S) ~backend ~domains ~requests ~fanout

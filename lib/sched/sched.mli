@@ -166,32 +166,26 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) (Q : RUN_QUEUE) : S
     Instantiating [Q] over the same [A] keeps the whole system on one
     plane — mandatory for simulator runs. *)
 
-(** {2 Run-queue backends}
-
-    Pre-packaged {!RUN_QUEUE}s, each in the paper's fastest slow-path
-    configuration (opt (1+2)). *)
-
-module Rq_kp (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE
-(** The wait-free Kogan-Petrank queue, opt WF (1+2). *)
-
-module Rq_fps_pooled (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE
-(** The fast-path/slow-path queue with segment-pooled nodes and
-    descriptors — the lowest-allocation backend. *)
-
-module Rq_shard (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE
-(** A 2-shard round-robin {!Wfq_shard} front-end per run-queue:
-    k-relaxed order within one worker's queue, strict per shard. *)
+(** {2 Run-queue backends} *)
 
 module Rq_ring (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE
 (** The bounded-memory {!Wfq_core.Ring_queue}, 4096 slots per worker:
     zero allocation per task hand-off. A worker exceeding 4096 queued
-    slices sees [Wfq_core.Ring_queue.Ring_full] — a bound no workload
-    here approaches. *)
+    slices sees [Wfq_core.Ring_queue.Ring_full]. The bound is not
+    remote: at [wfq_bench sched]'s committed scale (200 requests ×
+    fanout 8) the scheduler's [runq_depth] histogram peaks at 1,600
+    slices at 1 worker and 1,280–1,600 at 2 and 4 — every subfiber of
+    every request queued at once — and the peak grows with
+    requests × fanout. This is why [Rq_ring] exists beside
+    [Rq_of (ring)]: the registry ring's 1024 slots overflow at that
+    scale. A run-queue that survives a full ring is ROADMAP item 5b. *)
 
 module Rq_of
     (B : Wfq_core.Queue_intf.BACKEND)
     (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE
-(** Any registered backend as a run-queue, in its registered default
+(** Any backend as a run-queue, in its registered default
     configuration: [Make (A) (Rq_of (B) (A))] builds a scheduler on
     backend [B] with no per-backend adapter — e.g.
-    [Rq_of ((val Wfq_core.Backends.find "polylog")) (A)]. *)
+    [Rq_of ((val Wfq_core.Backends.find "polylog")) (A)], or a sharded
+    run-queue with [Rq_of ((val Wfq_shard.Shard.as_backend ~shards:2
+    "kp-opt12")) (A)]. *)

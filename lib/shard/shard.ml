@@ -30,11 +30,7 @@
 
 type policy = Round_robin | Tid_affine | Length_aware
 
-type backend =
-  | Kp_opt12
-  | Fps of { max_failures : int }
-  | Ring of { capacity : int; max_failures : int }
-  | Registered of string
+type backend = Registered of string
 
 type shard_stats = {
   enqueues : int;
@@ -46,81 +42,14 @@ type shard_stats = {
 module Qi = Wfq_core.Queue_intf
 
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
-  module Kp = Wfq_core.Kp_queue.Make (A)
-  module Fq = Wfq_core.Kp_queue_fps.Make (A)
-  module Rg = Wfq_core.Ring_queue.Make (A)
-
   (* Per-shard queue: any {!Wfq_core.Queue_intf.instance} — all
      registered backends are wait-free strict FIFOs, so the front-end's
      ordering and progress contracts are backend-independent (bounded
      backends additionally bound each shard — see the interface). The
-     closure-record indirection replaces the closed per-backend variant
-     this file used to dispatch on: one indirect call, negligible next
+     closure-record indirection costs one indirect call, negligible next
      to the atomic traffic of the operation itself, and a new backend
-     needs no edit here at all ([Registered id] reaches it through
-     {!Wfq_core.Backends}). The three legacy constructors carry their
-     tuning parameters, so their instances are built directly on the
-     family functors. *)
-
-  let kp_instance ~num_threads () : _ Qi.instance =
-    let q =
-      Kp.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
-        ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ()
-    in
-    {
-      Qi.i_name = Kp.name;
-      enq = (fun ~tid v -> Kp.enqueue q ~tid v);
-      try_enq =
-        (fun ~tid v ->
-          Kp.enqueue q ~tid v;
-          true);
-      deq = (fun ~tid -> Kp.dequeue q ~tid);
-      enq_batch = (fun ~tid vs -> Kp.enqueue_batch q ~tid vs);
-      deq_batch = (fun ~tid ~n -> Kp.dequeue_batch q ~tid ~n);
-      size = (fun () -> Kp.length q);
-      empty = (fun () -> Kp.is_empty q);
-      dump = (fun () -> Kp.to_list q);
-      check = (fun () -> Kp.check_quiescent_invariants q);
-      metrics = (fun r ~prefix -> Kp.register_metrics q r ~prefix);
-    }
-
-  let fps_instance ~max_failures ~num_threads () : _ Qi.instance =
-    let q =
-      Fq.create_with ~max_failures ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-        ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads ()
-    in
-    {
-      Qi.i_name = Fq.name;
-      enq = (fun ~tid v -> Fq.enqueue q ~tid v);
-      try_enq =
-        (fun ~tid v ->
-          Fq.enqueue q ~tid v;
-          true);
-      deq = (fun ~tid -> Fq.dequeue q ~tid);
-      enq_batch = (fun ~tid vs -> Fq.enqueue_batch q ~tid vs);
-      deq_batch = (fun ~tid ~n -> Fq.dequeue_batch q ~tid ~n);
-      size = (fun () -> Fq.length q);
-      empty = (fun () -> Fq.is_empty q);
-      dump = (fun () -> Fq.to_list q);
-      check = (fun () -> Fq.check_quiescent_invariants q);
-      metrics = (fun r ~prefix -> Fq.register_metrics q r ~prefix);
-    }
-
-  let ring_instance ~capacity ~max_failures ~num_threads () : _ Qi.instance =
-    let q = Rg.create_with ~capacity ~max_failures ~num_threads () in
-    {
-      Qi.i_name = Rg.name;
-      enq = (fun ~tid v -> Rg.enqueue q ~tid v);
-      try_enq = (fun ~tid v -> Rg.try_enqueue q ~tid v);
-      deq = (fun ~tid -> Rg.dequeue q ~tid);
-      enq_batch = (fun ~tid vs -> Rg.enqueue_batch q ~tid vs);
-      deq_batch = (fun ~tid ~n -> Rg.dequeue_batch q ~tid ~n);
-      size = (fun () -> Rg.length q);
-      empty = (fun () -> Rg.is_empty q);
-      dump = (fun () -> Rg.to_list q);
-      check = (fun () -> Rg.check_quiescent_invariants q);
-      metrics = (fun r ~prefix -> Rg.register_metrics q r ~prefix);
-    }
+     needs no edit here at all: [Registered id] reaches it through
+     {!Wfq_core.Backends}. *)
 
   type 'a t = {
     shards : 'a Qi.instance array;
@@ -151,57 +80,32 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let name = "wf-shard"
 
-  let create ?(policy = Round_robin) ?(backend = Kp_opt12) ?(shards = 4)
-      ~num_threads () =
+  let create ?(policy = Round_robin) ?(backend = Registered "kp-opt12")
+      ?(shards = 4) ~num_threads () =
     if shards <= 0 then invalid_arg "Shard.create: shards must be positive";
     if num_threads <= 0 then invalid_arg "Shard.create: num_threads";
-    (* Validate backend parameters here, with one uniform message, so a
-       bad configuration fails before any shard is allocated rather
-       than deep inside a shard constructor. *)
-    (match backend with
-    | Kp_opt12 -> ()
-    | Fps { max_failures } ->
-        if max_failures < 0 then
-          invalid_arg
-            "Shard.create: invalid backend configuration (Fps: negative \
-             max_failures)"
-    | Ring { capacity; max_failures } ->
-        if capacity <= 0 then
-          invalid_arg
-            "Shard.create: invalid backend configuration (Ring: capacity \
-             must be positive)";
-        if max_failures < 0 then
-          invalid_arg
-            "Shard.create: invalid backend configuration (Ring: negative \
-             max_failures)"
-    | Registered id ->
-        if not (List.mem id (Wfq_core.Backends.ids ())) then
+    (* Resolve the backend here, with one uniform message, so a bad
+       configuration fails before any shard is allocated. *)
+    let (Registered id) = backend in
+    let b =
+      match Wfq_core.Backends.find id with
+      | b -> b
+      | exception Invalid_argument _ ->
           invalid_arg
             (Printf.sprintf
                "Shard.create: invalid backend configuration (Registered: \
                 unknown backend %S; known: %s)"
                id
-               (String.concat ", " (Wfq_core.Backends.ids ()))));
+               (String.concat ", " Wfq_core.Backends.ids))
+    in
     let per_shard_tids () =
       Array.init shards (fun _ ->
           Wfq_obsv.Counter.create ~slots:num_threads ())
     in
     (* Every thread may touch every shard (stealing), so each shard is
-       sized for the full thread population. Both backends run the slow
-       path in the opt-(1+2) configuration, the paper's fastest (the
-       §3.3 tuning enhancements measured slower here — see
-       EXPERIMENTS.md). *)
+       sized for the full thread population. *)
     let make_shard () =
-      match backend with
-      | Kp_opt12 -> kp_instance ~num_threads ()
-      | Fps { max_failures } -> fps_instance ~max_failures ~num_threads ()
-      | Ring { capacity; max_failures } ->
-          ring_instance ~capacity ~max_failures ~num_threads ()
-      | Registered id ->
-          Wfq_core.Backends.instantiate_with
-            (module A)
-            (Wfq_core.Backends.find id)
-            ~num_threads ()
+      Wfq_core.Backends.instantiate_with (module A) b ~num_threads ()
     in
     {
       shards = Array.init shards (fun _ -> make_shard ());
@@ -506,3 +410,43 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           t.shards.(s).Qi.size ())
     done
 end
+
+let as_backend ?(policy = Round_robin) ?(shards = 4) id :
+    (module Qi.BACKEND) =
+  let (module B : Qi.BACKEND) = Wfq_core.Backends.find id in
+  if B.capacity <> None then
+    invalid_arg
+      (Printf.sprintf "Shard.as_backend: %S is bounded (a full shard has no \
+                       try_enqueue)" id);
+  let tag, policy_name =
+    match policy with
+    | Round_robin -> ("rr", "round-robin")
+    | Tid_affine -> ("tid", "tid-affine")
+    | Length_aware -> ("la", "length-aware")
+  in
+  (module struct
+    let id = Printf.sprintf "shard-%s%d-%s" tag shards id
+    let label = Printf.sprintf "%d %s shards over %s" shards policy_name B.label
+    let family = "shard"
+    let capacity = None
+    let sim_safe = B.sim_safe
+
+    module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
+      module S = Make (A)
+
+      (* Before [include S], which shadows [policy] and [shards]. *)
+      let make ~num_threads =
+        S.create ~policy ~backend:(Registered B.id) ~shards ~num_threads ()
+
+      include S
+
+      let create ?obsv ?pool:_ ~num_threads () =
+        let q = make ~num_threads in
+        Option.iter (fun (r, p) -> S.register_metrics q r ~prefix:p) obsv;
+        q
+
+      let try_enqueue t ~tid v =
+        S.enqueue t ~tid v;
+        true
+    end
+  end)

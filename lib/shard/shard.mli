@@ -63,35 +63,15 @@ type policy =
           evens shard lengths under skewed producers at the cost of one
           extra counter read per operation *)
 
-(** Per-shard queue algorithm. All variants are wait-free strict FIFOs,
-    so the front-end's ordering and progress contracts hold for every
-    backend; they differ in memory behaviour and slow-path shape.
-    Default is {!Kp_opt12}. *)
-type backend =
-  | Kp_opt12
-      (** base Kogan-Petrank queue, opt-(1+2) configuration (default —
-          the original front-end behaviour); unbounded, one node
-          allocation per element *)
-  | Fps of { max_failures : int }
-      (** fast-path/slow-path variant ({!Wfq_core.Kp_queue_fps}):
-          lock-free rounds until [max_failures] failures per operation,
-          then the KP helping slow path; unbounded, pooled-node
-          allocation *)
-  | Ring of { capacity : int; max_failures : int }
-      (** bounded-memory ring ({!Wfq_core.Ring_queue}): [capacity]
-          pre-allocated slots per shard, zero steady-state allocation,
-          array locality; [max_failures] fast slot-CAS rounds before
-          the helping slow path. {b Bounded}: with this backend each
-          shard holds at most [capacity] elements and [enqueue] raises
-          [Wfq_core.Ring_queue.Ring_full] on a full shard (total
-          front-end capacity = [shards * capacity]) *)
-  | Registered of string
-      (** any backend registered in {!Wfq_core.Backends}, by id (e.g.
-          ["polylog"]), in its registered default configuration — the
-          uniform QUEUE_BACKEND route: a backend added to the registry
-          is usable as a shard with no edit to this subsystem. The
-          three constructors above remain for configurations that need
-          per-shard tuning parameters. *)
+(** Per-shard queue algorithm: any backend in {!Wfq_core.Backends}, by
+    id (e.g. ["fps-pooled"], ["polylog"]), in its registered
+    configuration. A backend added to the registry is usable as a shard
+    with no edit to this subsystem. All registered backends are
+    wait-free strict FIFOs, so the front-end's ordering and progress
+    contracts hold for every one of them. A bounded backend (["ring"])
+    bounds each shard: [enqueue] raises its full-queue exception on a
+    full shard. Default is [Registered "kp-opt12"]. *)
+type backend = Registered of string
 
 (** Per-shard operation counters (monotonic, snapshot via {!Make.stats};
     exact at quiescence, indicative under concurrency). *)
@@ -120,13 +100,12 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
     'a t
   (** [create ~policy ~backend ~shards ~num_threads ()] builds a
       front-end over [shards] (default 4) independent queues of the
-      given [backend] (default {!Kp_opt12}), each usable by threads
-      [0 .. num_threads - 1] (every thread may touch every shard via
-      stealing). Default policy is {!Round_robin}. Raises
+      given [backend] (default [Registered "kp-opt12"]), each usable by
+      threads [0 .. num_threads - 1] (every thread may touch every
+      shard via stealing). Default policy is {!Round_robin}. Raises
       [Invalid_argument] for [shards <= 0], [num_threads <= 0], or an
-      invalid backend configuration — negative [max_failures] in {!Fps}
-      or {!Ring}, or non-positive [capacity] in {!Ring}; the message
-      names the offending backend and field. *)
+      unknown backend id; the message names the id and the known
+      ones. *)
 
   val create_strict : num_threads:int -> unit -> 'a t
   (** Single-shard strict FIFO mode: equivalent to [create ~shards:1],
@@ -155,9 +134,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
       keep together too — spreading them would degenerate to
       per-element sub-batches — rotating shards across successive
       batches via the ticket. Intra-batch FIFO order is preserved
-      within each shard's sub-batch. With the {!Ring} backend a full
-      shard raises [Wfq_core.Ring_queue.Ring_full]; the elements
-      already accepted remain enqueued. *)
+      within each shard's sub-batch. With a bounded backend a full
+      shard raises its full-queue exception; the elements already
+      accepted remain enqueued. *)
 
   val dequeue_batch : 'a t -> tid:int -> n:int -> 'a list
   (** Remove up to [n] elements with a single ticket acquisition: one
@@ -231,3 +210,15 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
       [prefix ^ ".shard<i>.enqueues"/".dequeues"/".steals"/
       ".empty_sweeps"/".depth"]. *)
 end
+
+val as_backend :
+  ?policy:policy -> ?shards:int -> string -> (module Wfq_core.Queue_intf.BACKEND)
+(** [as_backend ~policy ~shards id] is the front-end over [shards]
+    [Registered id] shards as a {!Wfq_core.Queue_intf.BACKEND}, so any
+    driver that takes a backend ([Wfq_sched.Sched.Rq_of], the bench
+    harness) runs it with no adapter of its own. [create]'s [?obsv]
+    registers {!Make.register_metrics}; [?pool] is ignored. Shard
+    configurations are not in {!Wfq_core.Backends.all}: their order is
+    relaxed, which the registry's strict-FIFO batteries would reject.
+    Raises [Invalid_argument] for an unknown or bounded [id] (a full
+    shard cannot report [try_enqueue]'s [false]). *)

@@ -9,14 +9,14 @@
 
    replacing the hand-maintained per-backend row lists the concurrent
    test file used to carry. A new backend gets all of this from its one
-   registration line; nothing here names a backend. *)
+   registry entry; nothing here names a backend. *)
 
 module Q = Wfq_core.Queue_intf
 module B = Wfq_core.Backends
 module SA = Wfq_sim.Sim_atomic
 module Ck = Wfq_sim.Check
 
-let backends = B.all ()
+let backends = B.all
 let bid (module Bk : Q.BACKEND) = Bk.id
 
 (* ------------------------------------------------------------------ *)
@@ -24,17 +24,32 @@ let bid (module Bk : Q.BACKEND) = Bk.id
 (* ------------------------------------------------------------------ *)
 
 let test_registry () =
-  let ids = B.ids () in
+  let ids = B.ids in
   Alcotest.(check bool) "non-empty" true (ids <> []);
   let sorted = List.sort_uniq compare ids in
   Alcotest.(check int) "ids unique" (List.length ids) (List.length sorted);
   List.iter
     (fun id -> Alcotest.(check string) "find roundtrip" id (bid (B.find id)))
     ids;
-  Alcotest.(check bool) "polylog registered" true (List.mem "polylog" ids);
-  match B.find "no-such-backend" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "find of unknown id must raise"
+  Alcotest.(check bool) "polylog registered" true (List.mem "polylog" ids)
+
+(* The registry is a static list, so these are the checks a
+   registration-time guard would make: no two entries share an id or a
+   bench label, and an unknown id is refused with the known ones. *)
+let test_registry_invariants () =
+  let unique what l =
+    Alcotest.(check int) (what ^ " unique") (List.length l)
+      (List.length (List.sort_uniq compare l))
+  in
+  unique "ids" (List.map bid backends);
+  unique "labels" (List.map (fun (module Bk : Q.BACKEND) -> Bk.label) backends);
+  Alcotest.(check (list string)) "ids in registry order"
+    (List.map bid backends) B.ids;
+  Alcotest.check_raises "unknown id names the known ones"
+    (Invalid_argument
+       (Printf.sprintf "Backends.find: unknown backend %S (known: %s)"
+          "no-such" (String.concat ", " B.ids)))
+    (fun () -> ignore (B.find "no-such"))
 
 (* ------------------------------------------------------------------ *)
 (* Sequential suite (real atomics, one thread) *)
@@ -170,7 +185,11 @@ let per_sim_backend mk label =
 let () =
   Alcotest.run "backend-battery"
     [
-      ("registry", [ Alcotest.test_case "sanity" `Quick test_registry ]);
+      ( "registry",
+        [
+          Alcotest.test_case "sanity" `Quick test_registry;
+          Alcotest.test_case "invariants" `Quick test_registry_invariants;
+        ] );
       ( "sequential",
         per_backend test_seq_fifo "fifo"
         @ per_backend test_seq_empty_runs "empty runs"

@@ -26,7 +26,8 @@ module Fps = Wfq_core.Kp_queue_fps.Make (A)
 module Ring = Wfq_core.Ring_queue.Make (A)
 module Shard = Wfq_shard.Shard.Make (A)
 module Sched = Wfq_sched.Sched
-module Fps_sched = Sched.Make (A) (Sched.Rq_fps_pooled (A))
+module Fps_backend = (val Wfq_core.Backends.find "fps-pooled")
+module Fps_sched = Sched.Make (A) (Sched.Rq_of (Fps_backend) (A))
 
 (* ------------------------------------------------------------------ *)
 (* Uniform sequential contract                                         *)

@@ -434,18 +434,19 @@ let test_probes_sequential () =
   Alcotest.(check (result unit string)) "invariants" (Ok ())
     (Fp.check_quiescent_invariants q)
 
-(* Sharded front-end over FPS shards: the Wfq_shard wiring. *)
+(* Sharded front-end over FPS shards (the registry's "fps", fast-path
+   budget 64): the Wfq_shard wiring. *)
 module Sh = Wfq_shard.Shard.Make (A)
 
 let test_shard_fps_backend () =
   let threads = 4 in
   let q =
     Sh.create ~policy:Wfq_shard.Shard.Tid_affine
-      ~backend:(Wfq_shard.Shard.Fps { max_failures = 8 })
+      ~backend:(Wfq_shard.Shard.Registered "fps")
       ~shards:2 ~num_threads:threads ()
   in
   Alcotest.(check bool) "backend probe" true
-    (Sh.backend q = Wfq_shard.Shard.Fps { max_failures = 8 });
+    (Sh.backend q = Wfq_shard.Shard.Registered "fps");
   let per = 2_000 in
   let domains =
     List.init threads (fun tid ->

@@ -276,7 +276,7 @@ let registry_cases =
             } )
       in
       row_cases ?cap:Bk.capacity row)
-    (Bks.all ())
+    (Bks.all)
 
 (* Sim-based linearizability rows for the hazard-pointer variant: the
    recycling protocol mutates node fields, so a protocol race corrupts

@@ -22,14 +22,20 @@ module S = Wfq_sim.Scheduler
 module E = Wfq_sim.Explore
 module M = Wfq_obsv.Metrics
 module Sched = Wfq_sched.Sched
-module Kp_sched = Sched.Make (A) (Sched.Rq_kp (A))
-module Fps_sched = Sched.Make (A) (Sched.Rq_fps_pooled (A))
-module Shard_sched = Sched.Make (A) (Sched.Rq_shard (A))
-module Sim_sched = Sched.Make (SA) (Sched.Rq_kp (SA))
-
-(* The registry route: any registered backend as a run-queue through
-   the uniform Rq_of adapter — here the polylog tournament tree. *)
+(* Every run-queue comes through the uniform Rq_of adapter: registry
+   entries by id, the sharded front-end through Shard.as_backend. *)
+module Kp_backend = (val Wfq_core.Backends.find "kp-opt12")
+module Fps_backend = (val Wfq_core.Backends.find "fps-pooled")
 module Poly_backend = (val Wfq_core.Backends.find "polylog")
+
+module Shard_backend =
+  (val Wfq_shard.Shard.as_backend ~policy:Wfq_shard.Shard.Round_robin
+         ~shards:2 "kp-opt12")
+
+module Kp_sched = Sched.Make (A) (Sched.Rq_of (Kp_backend) (A))
+module Fps_sched = Sched.Make (A) (Sched.Rq_of (Fps_backend) (A))
+module Shard_sched = Sched.Make (A) (Sched.Rq_of (Shard_backend) (A))
+module Sim_sched = Sched.Make (SA) (Sched.Rq_of (Kp_backend) (SA))
 module Poly_sched = Sched.Make (A) (Sched.Rq_of (Poly_backend) (A))
 
 exception Boom

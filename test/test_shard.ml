@@ -62,7 +62,7 @@ let test_registered_backends () =
         (a <> None && b <> None && a <> b);
       Alcotest.(check (option int)) (id ^ ": drained") None (Sh.dequeue t ~tid:0);
       check_invariants t)
-    (Wfq_core.Backends.ids ());
+    Wfq_core.Backends.ids;
   match Sh.create ~backend:(P.Registered "no-such") ~num_threads:1 () with
   | (_ : int Sh.t) -> Alcotest.fail "unknown registered id must be rejected"
   | exception Invalid_argument msg ->
