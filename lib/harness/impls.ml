@@ -109,7 +109,8 @@ let kp_variant ?tuning variant_name help phase : impl =
     type t = int Kp.t
 
     let name = variant_name
-    let create ~num_threads = Kp.create_with ?tuning ~help ~phase ~num_threads ()
+    let create ~num_threads =
+      Kp.create_with ?tuning ~help ~phase ~num_threads ()
     let enqueue = Kp.enqueue
     let dequeue = Kp.dequeue
   end)

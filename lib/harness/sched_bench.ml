@@ -18,6 +18,7 @@
 module Sched = Wfq_sched.Sched
 module RA = Wfq_primitives.Real_atomic
 module M = Wfq_obsv.Metrics
+
 let now_ns = Clock.now_ns
 
 type scale = {
@@ -61,7 +62,9 @@ let backends : (string * (module Sched.S)) list =
     ("kp_opt12", sched_of (Wfq_core.Backends.find "kp-opt12"));
     ("fps_pooled", sched_of (Wfq_core.Backends.find "fps-pooled"));
     ( "shard_rr2",
-      sched_of (Wfq_shard.Shard.as_backend ~policy:Round_robin ~shards:2 "kp-opt12") );
+      sched_of
+        (Wfq_shard.Shard.as_backend ~policy:Round_robin ~shards:2 "kp-opt12")
+    );
     ("ring", (module Sched.Make (RA) (Sched.Rq_ring (RA))));
   ]
 

@@ -416,17 +416,18 @@ let as_backend ?(policy = Round_robin) ?(shards = 4) id :
   let (module B : Qi.BACKEND) = Wfq_core.Backends.find id in
   if B.capacity <> None then
     invalid_arg
-      (Printf.sprintf "Shard.as_backend: %S is bounded (a full shard has no \
-                       try_enqueue)" id);
-  let tag, policy_name =
+      (Printf.sprintf
+         "Shard.as_backend: %S is bounded (a full shard has no try_enqueue)"
+         id);
+  let tag =
     match policy with
-    | Round_robin -> ("rr", "round-robin")
-    | Tid_affine -> ("tid", "tid-affine")
-    | Length_aware -> ("la", "length-aware")
+    | Round_robin -> "rr"
+    | Tid_affine -> "tid"
+    | Length_aware -> "la"
   in
   (module struct
     let id = Printf.sprintf "shard-%s%d-%s" tag shards id
-    let label = Printf.sprintf "%d %s shards over %s" shards policy_name B.label
+    let label = Printf.sprintf "%d %s shards over %s" shards tag B.label
     let family = "shard"
     let capacity = None
     let sim_safe = B.sim_safe

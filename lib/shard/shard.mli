@@ -212,7 +212,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
 end
 
 val as_backend :
-  ?policy:policy -> ?shards:int -> string -> (module Wfq_core.Queue_intf.BACKEND)
+  ?policy:policy ->
+  ?shards:int ->
+  string ->
+  (module Wfq_core.Queue_intf.BACKEND)
 (** [as_backend ~policy ~shards id] is the front-end over [shards]
     [Registered id] shards as a {!Wfq_core.Queue_intf.BACKEND}, so any
     driver that takes a backend ([Wfq_sched.Sched.Rq_of], the bench

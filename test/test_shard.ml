@@ -71,6 +71,27 @@ let test_registered_backends () =
         (String.length msg > 0
         && String.sub msg 0 12 = "Shard.create")
 
+(* [as_backend]: a shard configuration behind the uniform BACKEND
+   signature, so registry-driven clients build it through
+   [Backends.instantiate]; bounded backends are refused, since a full
+   shard cannot answer [try_enqueue] with [false]. *)
+let test_as_backend () =
+  let b = P.as_backend ~policy:P.Round_robin ~shards:2 "fps-pooled" in
+  let module B = (val b : Wfq_core.Queue_intf.BACKEND) in
+  Alcotest.(check string) "id" "shard-rr2-fps-pooled" B.id;
+  let reg = Wfq_obsv.Metrics.create () in
+  let q = Wfq_core.Backends.instantiate b ~obsv:(reg, "s") ~num_threads:2 () in
+  Alcotest.(check bool) "try_enq" true (q.try_enq ~tid:0 1);
+  q.enq ~tid:1 2;
+  Alcotest.(check (option int)) "depth gauge" (Some 2)
+    (Wfq_obsv.Metrics.value reg "s.depth");
+  Alcotest.(check (list int)) "both served" [ 1; 2 ]
+    (List.sort compare (q.deq_batch ~tid:0 ~n:3));
+  Alcotest.(check (result unit string)) "audit" (Ok ()) (q.check ());
+  match P.as_backend "ring" with
+  | _ -> Alcotest.fail "a bounded backend must be refused"
+  | exception Invalid_argument _ -> ()
+
 (* ---------------------------------------------------------------- *)
 (* Sequential semantics vs a per-shard FIFO model                    *)
 (* ---------------------------------------------------------------- *)
@@ -585,6 +606,8 @@ let seq_cases =
   Alcotest.test_case "create validation / defaults" `Quick f
   :: Alcotest.test_case "registered backends as shards" `Quick
        test_registered_backends
+  :: Alcotest.test_case "shard configuration as a backend" `Quick
+       test_as_backend
   :: (List.concat_map
         (fun p ->
           List.map
