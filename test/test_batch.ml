@@ -448,12 +448,21 @@ let test_domains_batch_stress (Q (name, b)) () =
   let num_threads = producers + consumers in
   let q = b.make ~num_threads in
   let total = producers * per_producer in
-  let consumed = Atomic.make 0 in
+  let consumed = Atomic.make 0 and produced = Atomic.make 0 in
   let logs = Array.make consumers [] in
+  (* Producers keep at most [window] elements in flight, so the bounded
+     rows (4096 slots) never fill however the domains are scheduled.
+     The claims here are conservation and order; a full ring is
+     covered by the "ring bounded" cases. *)
+  let window = 1024 in
   let producer p () =
     let seq = ref 1 in
     while !seq <= per_producer do
       let k = min (1 + (!seq mod 5)) (per_producer - !seq + 1) in
+      while Atomic.get produced - Atomic.get consumed + k > window do
+        Domain.cpu_relax ()
+      done;
+      ignore (Atomic.fetch_and_add produced k : int);
       let vs = List.init k (fun i -> encode ~producer:p ~seq:(!seq + i)) in
       if !seq mod 3 = 0 then List.iter (fun v -> b.enq q ~tid:p v) vs
       else b.enq_batch q ~tid:p vs;
