@@ -218,7 +218,7 @@ val as_backend :
   (module Wfq_core.Queue_intf.BACKEND)
 (** [as_backend ~policy ~shards id] is the front-end over [shards]
     [Registered id] shards as a {!Wfq_core.Queue_intf.BACKEND}, so any
-    driver that takes a backend ([Wfq_sched.Sched.Rq_of], the bench
+    client that takes a backend ([Wfq_sched.Sched.Rq_of], the bench
     harness) runs it with no adapter of its own. [create]'s [?obsv]
     registers {!Make.register_metrics}; [?pool] is ignored. Shard
     configurations are not in {!Wfq_core.Backends.all}: their order is
