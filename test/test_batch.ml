@@ -40,9 +40,12 @@ type 'q batch_queue = {
   enq_batch : 'q -> tid:int -> int list -> unit;
   deq_batch : 'q -> tid:int -> n:int -> int list;
   len : 'q -> int;
+  capacity : int option;  (** [Some c] for a bounded queue of [c] slots *)
 }
 
 type packed = Q : string * 'q batch_queue -> packed
+
+let ring_capacity = 4096
 
 let backends =
   [
@@ -58,6 +61,7 @@ let backends =
           enq_batch = (fun q ~tid vs -> Kp.enqueue_batch q ~tid vs);
           deq_batch = (fun q ~tid ~n -> Kp.dequeue_batch q ~tid ~n);
           len = Kp.length;
+          capacity = None;
         } );
     Q
       ( "kp-fps mf=1",
@@ -72,6 +76,7 @@ let backends =
           enq_batch = (fun q ~tid vs -> Fps.enqueue_batch q ~tid vs);
           deq_batch = (fun q ~tid ~n -> Fps.dequeue_batch q ~tid ~n);
           len = Fps.length;
+          capacity = None;
         } );
     Q
       ( "kp-fps mf=64",
@@ -86,32 +91,35 @@ let backends =
           enq_batch = (fun q ~tid vs -> Fps.enqueue_batch q ~tid vs);
           deq_batch = (fun q ~tid ~n -> Fps.dequeue_batch q ~tid ~n);
           len = Fps.length;
+          capacity = None;
         } );
     Q
       ( "ring mf=1",
         {
           make =
             (fun ~num_threads ->
-              Ring.create_with ~capacity:4096 ~max_failures:1 ~num_threads
-                ());
+              Ring.create_with ~capacity:ring_capacity ~max_failures:1
+                ~num_threads ());
           enq = (fun q ~tid v -> Ring.enqueue q ~tid v);
           deq = (fun q ~tid -> Ring.dequeue q ~tid);
           enq_batch = (fun q ~tid vs -> Ring.enqueue_batch q ~tid vs);
           deq_batch = (fun q ~tid ~n -> Ring.dequeue_batch q ~tid ~n);
           len = Ring.length;
+          capacity = Some ring_capacity;
         } );
     Q
       ( "ring mf=0 (all slow)",
         {
           make =
             (fun ~num_threads ->
-              Ring.create_with ~capacity:4096 ~max_failures:0 ~num_threads
-                ());
+              Ring.create_with ~capacity:ring_capacity ~max_failures:0
+                ~num_threads ());
           enq = (fun q ~tid v -> Ring.enqueue q ~tid v);
           deq = (fun q ~tid -> Ring.dequeue q ~tid);
           enq_batch = (fun q ~tid vs -> Ring.enqueue_batch q ~tid vs);
           deq_batch = (fun q ~tid ~n -> Ring.dequeue_batch q ~tid ~n);
           len = Ring.length;
+          capacity = Some ring_capacity;
         } );
     (* Strict (single-shard) front-end: a linearizable FIFO, so the
        uniform ordering contract applies verbatim. *)
@@ -124,6 +132,7 @@ let backends =
           enq_batch = (fun q ~tid vs -> Shard.enqueue_batch q ~tid vs);
           deq_batch = (fun q ~tid ~n -> Shard.dequeue_batch q ~tid ~n);
           len = Shard.length;
+          capacity = None;
         } );
   ]
 
@@ -450,19 +459,26 @@ let test_domains_batch_stress (Q (name, b)) () =
   let total = producers * per_producer in
   let consumed = Atomic.make 0 and produced = Atomic.make 0 in
   let logs = Array.make consumers [] in
-  (* Producers keep at most [window] elements in flight, so the bounded
-     rows (4096 slots) never fill however the domains are scheduled.
-     The claims here are conservation and order; a full ring is
-     covered by the "ring bounded" cases. *)
-  let window = 1024 in
+  (* On a bounded row, producers keep at most [capacity - max_batch]
+     elements counted in flight, so the ring never fills however the
+     domains are scheduled: two producers can pass the check together,
+     and each adds at most [max_batch]. The claims here are
+     conservation and order; a full ring is covered by the "ring
+     bounded" cases. Unbounded rows run free, so a consumer can fall
+     far behind a deep queue. *)
+  let max_batch = 5 in
+  let window = Option.map (fun c -> c - max_batch) b.capacity in
   let producer p () =
     let seq = ref 1 in
     while !seq <= per_producer do
-      let k = min (1 + (!seq mod 5)) (per_producer - !seq + 1) in
-      while Atomic.get produced - Atomic.get consumed + k > window do
-        Domain.cpu_relax ()
-      done;
-      ignore (Atomic.fetch_and_add produced k : int);
+      let k = min (1 + (!seq mod max_batch)) (per_producer - !seq + 1) in
+      Option.iter
+        (fun w ->
+          while Atomic.get produced - Atomic.get consumed + k > w do
+            Domain.cpu_relax ()
+          done;
+          ignore (Atomic.fetch_and_add produced k : int))
+        window;
       let vs = List.init k (fun i -> encode ~producer:p ~seq:(!seq + i)) in
       if !seq mod 3 = 0 then List.iter (fun v -> b.enq q ~tid:p v) vs
       else b.enq_batch q ~tid:p vs;
@@ -523,6 +539,7 @@ let shard_affine =
         enq_batch = (fun q ~tid vs -> Shard.enqueue_batch q ~tid vs);
         deq_batch = (fun q ~tid ~n -> Shard.dequeue_batch q ~tid ~n);
         len = Shard.length;
+        capacity = None;
       } )
 
 let contract_cases =
