@@ -214,7 +214,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         n.N.value <- Some value;
         n.N.enq_tid <- no_tid;
         n
-    | None -> make_node ~enq_tid:no_tid value
+    | None -> make_node ~link:t.h.H.idle_node ~enq_tid:no_tid (Some value)
 
   (* Unique head-swing winner only (both paths). *)
   let release_node t ~tid n =
@@ -485,9 +485,14 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      prefix grab is safe because every delivery — fast or slow,
      per-item or batch — requires claiming the node currently at
      [t.head]: while our claim holds and [head] still points at the
-     claimed sentinel, nobody can deliver anything, and next pointers
-     of live in-queue nodes are immutable (set once, None -> Some), so
-     the walked chain is exactly what the jump publishes. A successful
+     claimed sentinel, nobody can deliver anything, and the next
+     pointers of nodes still in the queue are immutable (set once,
+     None -> Some succ), so the walked chain is exactly what the jump
+     publishes. A next pointer changes a second time, to a self-link,
+     only once its node has been dequeued (Kp_helping.dequeued_value),
+     so the walk can meet one only after [head] has left the claimed
+     sentinel; the jump CAS then fails and the values walked past are
+     dropped. A successful
      jump linearizes every collected element at the jump CAS (the
      skipped nodes are never observable as sentinels); a failed jump
      means a helper already swung [head] one node on our behalf, so

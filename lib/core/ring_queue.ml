@@ -102,9 +102,10 @@ let default_capacity = 1024
 let default_max_failures = 64
 
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
-  (* Slots and per-thread descriptor cells are cache-line padded: both
-     are CASed under contention and adjacent heap words would
-     false-share lines between threads (lib/primitives/padded.mli). *)
+  (* Slots and per-thread descriptor cells are [Padded] cells: both are
+     CASed under contention. The padding keeps their records apart, but
+     not the atomic blocks once those are promoted
+     (lib/primitives/padded.mli). *)
   module P = Wfq_primitives.Padded.Make (A)
 
   (* One atomic cell per slot. The [int] is a packed (position, tid)

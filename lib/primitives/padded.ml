@@ -1,16 +1,17 @@
-(** Cache-line padded atomic cells.
+(** Atomic cells wrapped in records padded past one cache line.
 
-    Per-thread slots that live in adjacent heap words (e.g. the entries of
-    the paper's [state] array) can suffer false sharing: two threads CASing
-    logically-independent slots invalidate each other's cache line. A
-    [Padded.t] embeds the atomic in a record padded to at least one cache
-    line (64 bytes = 8 words on x86-64), so distinct slots never share a
-    line regardless of allocation order. *)
+    The padding keeps the {e records} (the cell pointer and seven filler
+    words, 72 bytes with the header) off each other's 64-byte lines. The
+    atomic cell is a separate two-word block that the padding does not
+    place: young cells sit next to their records, but promoted cells are
+    packed by the major heap's two-word size class, 16 bytes apart. See
+    padded.mli. *)
 
 type 'a t = {
   cell : 'a Atomic.t;
   (* Seven immutable filler words push the next heap object past the
-     cache line that holds [cell]'s pointer and header. *)
+     cache line that holds [cell]'s pointer and header. They do not pad
+     the block [cell] points to. *)
   _p0 : int;
   _p1 : int;
   _p2 : int;

@@ -1,9 +1,19 @@
-(** Cache-line padded atomic cells.
+(** Atomic cells wrapped in records padded past one cache line.
 
     Per-thread slots allocated back-to-back (like the entries of the
-    paper's [state] array) can false-share a cache line; a [Padded.t]
-    embeds its atomic in a record padded past 64 bytes so two distinct
-    cells never share a line. *)
+    paper's [state] array) can false-share a cache line. A [Padded.t] is
+    a record of nine words (72 bytes): the pointer to its atomic cell
+    plus seven filler words. What that guarantees is narrow: two
+    {e records} never share a 64-byte line. The atomic cell itself is a
+    separate two-word block, and the padding does not control where it
+    lives. While the cells are young they sit next to their records, so
+    consecutively made cells are about 88 bytes apart. Once a major
+    collection has promoted them, the major heap packs two-word blocks
+    together: four cells made in a row were measured 16 bytes apart
+    after [Gc.full_major ()], next to two other atomics made just
+    before them. Long-lived cells are therefore {e not} kept off each
+    other's lines. Doing that needs a padded allocation of the cell
+    itself, which [ATOMIC] does not offer. *)
 
 type 'a t
 

@@ -138,6 +138,84 @@ let test_validate_before_cas_saves_nothing_uncontended () =
   Alcotest.(check int) "same CAS count uncontended" base.C.cas_success
     tuned.C.cas_success
 
+(* ------------------------- allocation ------------------------------ *)
+
+(* Words per operation on one domain, from [Gc] counters: exact, since a
+   single domain allocates the same words on every run. The probe runs
+   100k enqueue/dequeue pairs and forces a minor collection every 1,000
+   pairs, so a queue whose dequeued nodes keep their successors
+   reachable (nepotism: a promoted, dequeued node pointing at the young
+   node enqueued after it) promotes every node it allocates. *)
+
+type alloc = { enq_words : int; deq_words : int; promoted_per_pair : float }
+
+let alloc_pairs = 100_000
+
+let alloc_probe ~enq ~deq =
+  Gc.full_major ();
+  let enq_w = ref 0 and deq_w = ref 0 in
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  for i = 1 to alloc_pairs do
+    let w0 = Gc.minor_words () in
+    enq i;
+    let w1 = Gc.minor_words () in
+    ignore (deq ());
+    let w2 = Gc.minor_words () in
+    enq_w := !enq_w + int_of_float (w1 -. w0);
+    deq_w := !deq_w + int_of_float (w2 -. w1);
+    if i mod 1_000 = 0 then Gc.minor ()
+  done;
+  let p1 = (Gc.quick_stat ()).Gc.promoted_words in
+  {
+    enq_words = !enq_w / alloc_pairs;
+    deq_words = !deq_w / alloc_pairs;
+    promoted_per_pair = (p1 -. p0) /. float_of_int alloc_pairs;
+  }
+
+let backend_probe id =
+  let i : int Wfq_core.Queue_intf.instance =
+    Wfq_core.Backends.instantiate (Wfq_core.Backends.find id) ~num_threads:1
+      ()
+  in
+  alloc_probe
+    ~enq:(fun v -> i.Wfq_core.Queue_intf.enq ~tid:0 v)
+    ~deq:(fun () -> i.Wfq_core.Queue_intf.deq ~tid:0)
+
+let check_promoted name a =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s promotes < 0.1 words/pair (got %.3f)" name
+       a.promoted_per_pair)
+    true
+    (a.promoted_per_pair < 0.1)
+
+let test_kp_opt12_alloc () =
+  (* Enqueue: node 13 words (record 7, two atomics 2 each, value box 2),
+     two descriptors of 11 and the [Some node] box. Dequeue: three
+     descriptors and the [Some sentinel] box. A per-node or
+     per-descriptor [let rec] would add a second copy of each record; a
+     dequeued sentinel that is not self-linked would promote every
+     node. *)
+  let a = backend_probe "kp-opt12" in
+  Alcotest.(check int) "enqueue words" 37 a.enq_words;
+  Alcotest.(check int) "dequeue words" 35 a.deq_words;
+  check_promoted "kp-opt12" a
+
+let test_fps_alloc () =
+  (* The fast-path enqueue allocates just the node. Its fast-path
+     dequeues do not self-link, so unpooled fps still promotes: that is
+     not pinned here. *)
+  let a = backend_probe "fps" in
+  Alcotest.(check int) "enqueue words" 15 a.enq_words
+
+let test_ms_alloc () =
+  let module Q = Wfq_core.Ms_queue.Make (Wfq_primitives.Real_atomic) in
+  let q = Q.create ~num_threads:1 () in
+  let a =
+    alloc_probe ~enq:(fun v -> Q.enqueue q ~tid:0 v)
+      ~deq:(fun () -> Q.dequeue q ~tid:0)
+  in
+  check_promoted "LF (Ms_queue)" a
+
 let test_counters_reset_and_total () =
   CA.reset ();
   Alcotest.(check int) "reset zeroes" 0 (C.total (CA.snapshot ()));
@@ -178,5 +256,12 @@ let () =
             test_phase_counter_cas;
           Alcotest.test_case "validation is contention-only" `Quick
             test_validate_before_cas_saves_nothing_uncontended;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "kp-opt12 words and promotion" `Quick
+            test_kp_opt12_alloc;
+          Alcotest.test_case "fps enqueue words" `Quick test_fps_alloc;
+          Alcotest.test_case "LF promotion" `Quick test_ms_alloc;
         ] );
     ]
