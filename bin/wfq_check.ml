@@ -276,7 +276,7 @@ let batch_scenarios : (string * script list * int option * int option) list =
        CAS lands, either side may be the one completing the suffix *)
     ( "b-enq-vs-deq",
       [ [ `Enq_batch [ 1; 2 ] ]; [ `Deq; `Deq ] ],
-      Some 79,
+      Some 81,
       None );
     (* two racing batch enqueues: batches may interleave at the batch
        granularity but never within one *)
@@ -326,7 +326,7 @@ let fps_batch_scenarios :
     ( "b-chain-vs-deq",
       [],
       [ [ `Enq_batch [ 1; 2 ] ]; [ `Deq; `Deq ] ],
-      Some 80,
+      Some 82,
       None );
   ]
 
