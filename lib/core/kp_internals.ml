@@ -1,5 +1,5 @@
 (** The node / linked-list representation shared by the Kogan-Petrank
-    queue family ([Kp_queue], [Kp_queue_fps]).
+    queue family ([Kp_queue], [Kp_queue_fps], [Kp_queue_hp]).
 
     Paper Figure 1, lines 1-12: a singly-linked list of nodes behind a
     sentinel. [value] is [None] only for the initial sentinel; [enq_tid]

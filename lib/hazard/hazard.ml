@@ -3,7 +3,7 @@
 
     Paper §3.4 prescribes exactly this technique for running the wait-free
     queue in non-GC environments. OCaml has a GC, so "reclamation" here
-    means returning nodes to a {!Pool} for reuse; the safety obligation is
+    means returning nodes to a pool for reuse; the safety obligation is
     identical — a node must not be recycled (and its fields mutated) while
     any thread may still dereference it — and a protocol bug manifests as
     real data corruption in the stress tests, just as use-after-free

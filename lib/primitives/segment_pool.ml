@@ -32,8 +32,14 @@
     All shared cells go through the [ATOMIC] functor argument, so the
     pool runs unchanged under [Wfq_sim.Sim_atomic] and is DPOR-checkable
     alongside the queues it feeds. Free lists and quarantines are
-    strictly tid-local (single-owner plain state, like
-    [Wfq_hazard.Pool]); only the clock is shared.
+    strictly tid-local (single-owner plain state); only the clock is
+    shared.
+
+    Each tid parks at most {!max_parked} objects, free and quarantined
+    together; [release] leaves any further object to the GC. Without
+    the bound, a tid that only releases (a consumer whose producer
+    allocates from its own slot) would park every object it ever
+    retired.
 
     Both containers are {e intrusive}: objects are chained through a
     client-provided link field and stamped through a client-provided
@@ -149,6 +155,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
   }
 
   let default_segment_size = 64
+  let max_parked = 4096
 
   let create ?(segment_size = default_segment_size) ?(quarantine = true)
       ~clock ~num_threads ~ops ~fresh ~reset () =
@@ -249,11 +256,13 @@ module Make (A : Atomic_intf.ATOMIC) = struct
     obj
 
   (* Retire an object. With quarantine, park it stamped with the current
-     global epoch; without (tests of the tag in isolation), it is
-     immediately reusable. *)
+     global epoch; without (tests of the tag in isolation, or hazard
+     pointers deciding when it is safe), it is immediately reusable. A
+     tid already parking [max_parked] objects leaves it to the GC. *)
   let release t ~tid obj =
     let s = t.slots.(tid) in
-    if t.quarantine then begin
+    if s.free_len + s.quarantine_len >= max_parked then ()
+    else if t.quarantine then begin
       t.ops.set_stamp obj (Clock.current t.clock);
       t.ops.set_next obj t.dummy;
       if s.q_head == t.dummy then s.q_head <- obj
@@ -267,7 +276,7 @@ module Make (A : Atomic_intf.ATOMIC) = struct
     end
 
   (* ------------------------------------------------------------------ *)
-  (* Stats (quiescent aggregation, like Wfq_hazard.Pool's)              *)
+  (* Stats (quiescent aggregation)                                     *)
   (* ------------------------------------------------------------------ *)
 
   let sum t f = Array.fold_left (fun acc s -> acc + f s) 0 t.slots

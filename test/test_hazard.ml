@@ -1,7 +1,6 @@
-(* Tests for the hazard-pointer machinery and the node pool. *)
+(* Tests for the hazard-pointer machinery. *)
 
 module Hp = Wfq_hazard.Hazard.Make (Wfq_primitives.Real_atomic)
-module Pool = Wfq_hazard.Pool
 
 type node = { mutable tag : int }
 
@@ -107,39 +106,6 @@ let test_create_validation () =
            ~free:(fun ~tid:_ (_ : node) -> ())
            ()))
 
-(* ----------------------------- Pool ------------------------------ *)
-
-let test_pool_reuse () =
-  let p = Pool.create ~capacity:8 ~num_threads:1 () in
-  let fresh () = { tag = 0 } in
-  let reset n = n.tag <- -1 in
-  let a = Pool.alloc p ~tid:0 ~fresh ~reset in
-  Alcotest.(check int) "first alloc fresh" 1 (Pool.allocated_fresh p);
-  a.tag <- 42;
-  Pool.release p ~tid:0 a;
-  Alcotest.(check int) "pooled" 1 (Pool.pooled p);
-  let b = Pool.alloc p ~tid:0 ~fresh ~reset in
-  Alcotest.(check bool) "same object recycled" true (a == b);
-  Alcotest.(check int) "reset ran" (-1) b.tag;
-  Alcotest.(check int) "reuse counted" 1 (Pool.reused p)
-
-let test_pool_capacity_bound () =
-  let p = Pool.create ~capacity:2 ~num_threads:1 () in
-  Pool.release p ~tid:0 { tag = 1 };
-  Pool.release p ~tid:0 { tag = 2 };
-  Pool.release p ~tid:0 { tag = 3 };
-  (* third drop ignored *)
-  Alcotest.(check int) "bounded" 2 (Pool.pooled p)
-
-let test_pool_per_thread_isolation () =
-  let p = Pool.create ~capacity:8 ~num_threads:2 () in
-  Pool.release p ~tid:0 { tag = 1 };
-  let fresh () = { tag = 99 } in
-  let b = Pool.alloc p ~tid:1 ~fresh ~reset:(fun _ -> ()) in
-  Alcotest.(check int) "tid 1 does not see tid 0's pool" 99 b.tag;
-  let a = Pool.alloc p ~tid:0 ~fresh ~reset:(fun _ -> ()) in
-  Alcotest.(check int) "tid 0 reuses its own" 1 a.tag
-
 (* -------------------- cross-domain integration ------------------- *)
 
 let test_hazard_cross_domain_stress () =
@@ -204,13 +170,6 @@ let () =
           Alcotest.test_case "stats and flush" `Quick test_stats_and_flush;
           Alcotest.test_case "create validation" `Quick
             test_create_validation;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "reuse with reset" `Quick test_pool_reuse;
-          Alcotest.test_case "capacity bound" `Quick test_pool_capacity_bound;
-          Alcotest.test_case "per-thread isolation" `Quick
-            test_pool_per_thread_isolation;
         ] );
       ( "integration",
         [
