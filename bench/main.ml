@@ -61,6 +61,26 @@ let micro_groups =
     ("fig10-enqueue-alloc", [ I.lf; I.wf_base; I.wf_opt12; I.wf_hp ], enq_op);
   ]
 
+(* Minor words allocated, read with [Gc.minor_words]. Bechamel's own
+   [minor_allocated] reads [Gc.quick_stat], whose [minor_words] only
+   advances at a minor collection on OCaml 5.1: it reads 0.0 words/op
+   for runs shorter than a minor heap. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words =
+  Measure.instance
+    (module Minor_words)
+    (Measure.register (module Minor_words))
+
 let run_micro () =
   print_endline "== Bechamel micro-benchmarks (single-thread per-op cost) ==";
   (* Bechamel's monotonic_clock instance reads the same CLOCK_MONOTONIC
@@ -68,7 +88,7 @@ let run_micro () =
      harness's latency samples (Latency, Open_loop) are directly
      comparable — no wall-clock/monotonic mismatch between stages. *)
   let clock = Toolkit.Instance.monotonic_clock in
-  let alloc = Toolkit.Instance.minor_allocated in
+  let alloc = minor_words in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
   in
