@@ -41,7 +41,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
     'a t -> tid:int -> slot:int -> (unit -> 'a option) -> 'a option
   (** [protect_read t ~tid ~slot read] loops read → publish → re-read
       until stable; the returned node (if any) is published and was
-      reachable at publication time. *)
+      reachable at publication time. Lock-free only: it retries for as
+      long as other threads keep changing the source. *)
 
   val retire : 'a t -> tid:int -> 'a -> unit
   (** Hand a node removed from the structure to deferred reclamation;
