@@ -318,7 +318,7 @@ let fps_batch_scenarios :
     ( "b-grab-vs-enq",
       [ 1 ],
       [ [ `Deq_batch 2 ]; [ `Enq 2 ] ],
-      Some 48,
+      Some 49,
       None );
     (* a pre-linked batch chain racing single dequeues: one link CAS
        publishes the chain; either side may finish the tail jump *)

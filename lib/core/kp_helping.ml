@@ -1,5 +1,6 @@
 (** The Kogan-Petrank helping engine: the paper's wait-free slow path,
-    written once and shared by {!Kp_queue} and {!Kp_queue_fps}.
+    written once and shared by {!Kp_queue}, {!Kp_queue_fps} and
+    {!Kp_queue_hp}.
 
     Faithful port of the Java pseudocode in the paper's Figures 1, 2, 4
     and 6; comments of the form "L74" refer to the paper's line numbers.
@@ -53,7 +54,7 @@
     still false-share a line.
 
     Internal to the Kogan-Petrank family: the public interfaces are
-    {!Kp_queue} and {!Kp_queue_fps}. *)
+    {!Kp_queue}, {!Kp_queue_fps} and {!Kp_queue_hp}. *)
 
 type help_policy =
   | Help_all  (** base algorithm: scan the whole [state] array (L36-47) *)
@@ -186,7 +187,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     mutable phase : int;
     mutable pending : bool;
     mutable enqueue : bool;
-    mutable node : 'a N.node option;
+    mutable node : 'a N.node; (* the queue's nil: no node *)
     (* Batch extension. A batch enqueue publishes one descriptor for a
        pre-linked chain of nodes: [node] is the chain's first node (the
        single L74 CAS linearizes the whole chain) and [last_node] its
@@ -195,8 +196,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
        appends its value to [taken] (length cached in [got_n]) by
        replacing the whole record, and the operation stays pending
        until [got_n = want] or the queue empties. Single operations
-       keep [last_node = None] and [want = 0]. *)
-    mutable last_node : 'a N.node option;
+       keep [last_node] nil and [want = 0]. *)
+    mutable last_node : 'a N.node;
     mutable want : int;
     mutable got_n : int;
     mutable taken : 'a list;
@@ -211,10 +212,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      at itself; every other descriptor links to it. A [let rec] per
      descriptor would allocate each record twice (see
      [Kp_internals.make_sentinel]). *)
-  let make_idle_desc () =
+  let make_idle_desc ~nil =
     let rec d =
-      { phase = -1; pending = false; enqueue = true; node = None;
-        last_node = None; want = 0; got_n = 0; taken = [];
+      { phase = -1; pending = false; enqueue = true; node = nil;
+        last_node = nil; want = 0; got_n = 0; taken = [];
         pool_next = d; pool_stamp = 0 }
     in
     d
@@ -261,7 +262,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         (* the shared construction-time descriptor; never pool-released.
            Also the pool link of every other descriptor. *)
     idle_node : 'a N.node;
-        (* never on the list: the pool link of every node *)
+        (* the queue's nil ([Kp_internals.make_nil]): never on the list;
+           the [next] of the last node, the "no node" of a descriptor
+           and the pool link of every node *)
   }
 
   (* [who] prefixes the [Invalid_argument] messages with the public
@@ -279,26 +282,30 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     | Some k when k <= 0 ->
         invalid_arg (who ^ ".create: pool_segment must be positive")
     | _ -> ());
-    (* The first sentinel links to itself, not to [idle_node]: the minor
-       collection that promotes the queue reaches it first, and a link
-       to [idle_node] promoted that node's two atomics in among the
-       queue's hot ones, which the major heap packs 16 bytes apart
-       (padded.mli). On the benchmark's backlog workload that put
+    (* The first sentinel's pool link points at itself, not at
+       [idle_node]: the minor collection that promotes the queue reaches
+       the sentinel first, and a pool link to [idle_node] there moved
+       the queue's hot atomics, which the major heap packs 16 bytes
+       apart (padded.mli). On the benchmark's backlog workload that put
        fps's [slow_pending] on [tail]'s cache line and both pool-clock
        announcements on one line, and fps-pooled's latency rose by
-       about 20% on a 2-vCPU VM (EXPERIMENTS.md, "Nepotism"). *)
-    let sentinel = make_sentinel () in
-    let idle = make_idle_desc () in
-    let idle_node = make_sentinel () in
-    let blank_node () = make_node ~link:idle_node ~enq_tid:no_tid None in
+       about 20% on a 2-vCPU VM (EXPERIMENTS.md, "Nepotism"). Its
+       [next] must hold [idle_node], the empty list's nil; with that,
+       the same probe found every hot cell on the lines it had before
+       (EXPERIMENTS.md, "The placeholder node as nil"). *)
+    let idle_node = make_nil () in
+    let sentinel = make_sentinel ~nil:idle_node in
+    let idle = make_idle_desc ~nil:idle_node in
+    let blank_node () = make_node ~nil:idle_node ~enq_tid:no_tid None in
     let state = Array.init num_threads (fun _ -> P.make idle) in
     let pools =
       if not pool then None
       else begin
         let clock = Pool.Clock.create ~num_threads in
         let node_reset =
-          if fault = Some Untagged_pool_claim then N.recycle_untagged
-          else N.recycle
+          if fault = Some Untagged_pool_claim then
+            N.recycle_untagged ~nil:idle_node
+          else N.recycle ~nil:idle_node
         in
         let nodes =
           Pool.create ?segment_size:pool_segment
@@ -320,18 +327,22 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
             let descriptor_roots () =
               Array.fold_left
                 (fun acc slot ->
-                  match (P.get slot).node with
-                  | None -> acc
-                  | Some n -> n :: acc)
+                  let n = (P.get slot).node in
+                  if n == idle_node then acc else n :: acc)
                 [] state
             in
             (* A scan runs in the retiring thread and frees into that
-               thread's own pool slot. *)
+               thread's own pool slot. It has just found the node in no
+               hazard slot and no descriptor, so nobody can still read
+               its [next]: self-link it, so that a parked node keeps no
+               chain of later nodes alive. *)
+            let free ~tid n =
+              A.set n.next n;
+              Pool.release nodes ~tid n
+            in
             Some
               (Hp.create ?scan_threshold ~extra_hazards:descriptor_roots
-                 ~num_threads ~slots_per_thread:2
-                 ~free:(fun ~tid n -> Pool.release nodes ~tid n)
-                 ())
+                 ~nil:idle_node ~num_threads ~slots_per_thread:2 ~free ())
         in
         Some ({ nodes; descs }, hp)
       end
@@ -383,7 +394,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         n.N.value <- Some value;
         n.N.enq_tid <- enq_tid;
         n
-    | None -> make_node ~link:t.idle_node ~enq_tid (Some value)
+    | None -> make_node ~nil:t.idle_node ~enq_tid (Some value)
 
   (* Called by the unique winner of the head-swing CAS: at that point
      the old sentinel is unreachable from the queue, and the pool's
@@ -507,21 +518,22 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      validates it: while that node is still [head] or [tail], its
      successor is neither dequeued nor retired. *)
   let protect_next t ~self next =
-    match (t.hp, next) with
-    | Some hp, Some n -> Hp.protect hp ~tid:self ~slot:1 n
+    match t.hp with
+    | Some hp when next != t.idle_node -> Hp.protect hp ~tid:self ~slot:1 next
     | _ -> ()
 
   (* Before L74 installs [desc]'s node, publish it in slot 1 and check
      that the state slot still holds [desc]. Descriptors are not
      recycled under hazard pointers and every transition installs a new
      record, so an unchanged slot rooted the node from the read to the
-     publication: it cannot have been freed and reused in between. *)
+     publication: it cannot have been freed and reused in between. The
+     check is on the record, never on the node it names: a node, once
+     recycled, is the same object in its next life. *)
   let protect_transfer t ~self tid desc =
     match t.hp with
     | Some hp ->
-        (match desc.node with
-        | Some n -> Hp.protect hp ~tid:self ~slot:1 n
-        | None -> ());
+        if desc.node != t.idle_node then
+          Hp.protect hp ~tid:self ~slot:1 desc.node;
         P.get t.state.(tid) == desc
     | _ -> true
 
@@ -548,45 +560,49 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let help_finish_enq t ~self =
     let last = A.get t.tail in
     if protect t ~self t.tail last then begin
-      let next_o = A.get last.next in
-      protect_next t ~self next_o;
-      match next_o with
-      | None -> ()
-      | Some next ->
-          let tid = next.enq_tid in
-          if tid = no_tid then ignore (A.compare_and_set t.tail last next)
-          else begin
-            (* L89: only real enqueued nodes ever follow [tail]. *)
-            assert (tid >= 0 && tid < t.num_threads);
-            let cur_desc = P.get t.state.(tid) in
-            (* L91: verify the slot still refers to the node just appended;
-               guards against racing [help_finish_enq] calls. The jump
-               target comes from the {e fresh} descriptor read (the one the
-               guard validated against [next_o]), never from [cur_desc]: a
-               stale [cur_desc] from an older operation merely loses its
-               completion CAS, but a stale [last_node] would teleport
-               [tail]. *)
-            if last == A.get t.tail then begin
-              let slot_desc = P.get t.state.(tid) in
-              if slot_desc.node == next_o then begin
-                let target =
-                  match slot_desc.last_node with Some l -> l | None -> next
-                in
-                (* Enhancement 3 (§3.3): if helpers already flipped the
-                   flag, skip the descriptor allocation and CAS — it would
-                   fail or be a no-op — and go straight to fixing the
-                   tail. *)
-                if (not t.tuning.validate_before_cas) || cur_desc.pending
-                then
-                  ignore
-                    (transition t ~self tid cur_desc
-                       (mk_desc t ~self ~phase:cur_desc.phase ~pending:false
-                          ~enqueue:true ~last:cur_desc.last_node ~want:0
-                          ~got:0 ~taken:[] ~node:next_o));
-                ignore (A.compare_and_set t.tail last target)
-              end
+      let next = A.get last.next in
+      protect_next t ~self next;
+      if next != t.idle_node then begin
+        let tid = next.enq_tid in
+        if tid = no_tid then ignore (A.compare_and_set t.tail last next)
+        else begin
+          (* L89: only real enqueued nodes ever follow [tail]. *)
+          assert (tid >= 0 && tid < t.num_threads);
+          let cur_desc = P.get t.state.(tid) in
+          (* L91: verify the slot still refers to the node just appended;
+             guards against racing [help_finish_enq] calls. The jump
+             target comes from the {e fresh} descriptor read (the one the
+             guard validated against [next]), never from [cur_desc]: a
+             stale [cur_desc] from an older operation merely loses its
+             completion CAS, but a stale [last_node] would teleport
+             [tail]. The guard compares nodes, as the paper's does; a
+             recycled node is the same object in its next life, and
+             what keeps an earlier life from matching is the pool's
+             quarantine or the hazard slot that holds [next]
+             (docs/FASTPATH.md, "Unboxed next"). *)
+          if last == A.get t.tail then begin
+            let slot_desc = P.get t.state.(tid) in
+            if slot_desc.node == next then begin
+              let target =
+                let l = slot_desc.last_node in
+                if l == t.idle_node then next else l
+              in
+              (* Enhancement 3 (§3.3): if helpers already flipped the
+                 flag, skip the descriptor allocation and CAS — it would
+                 fail or be a no-op — and go straight to fixing the
+                 tail. *)
+              if (not t.tuning.validate_before_cas) || cur_desc.pending
+              then
+                ignore
+                  (transition t ~self tid cur_desc
+                     (mk_desc t ~self ~phase:cur_desc.phase ~pending:false
+                        ~enqueue:true ~last:cur_desc.last_node ~want:0
+                        ~got:0 ~taken:[] ~node:next));
+              ignore (A.compare_and_set t.tail last target)
             end
           end
+        end
+      end
     end
 
   (* L67-84: drive thread [tid]'s pending enqueue to completion. The outer
@@ -598,28 +614,29 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       if protect t ~self t.tail last then begin
         let next = A.get last.next in
         if last == A.get t.tail then
-          match next with
-          | None ->
-              (* L72: tail is accurate, an enqueue can be applied. The inner
-                 re-check (L73) preserves linearizability: without it a
-                 stale helper could append a node for an operation that
-                 already completed. *)
-              if is_still_pending t tid phase then begin
-                let desc = P.get t.state.(tid) in
-                if
-                  protect_transfer t ~self tid desc
-                  && A.compare_and_set last.next None desc.node
-                then begin
-                  (* L74 succeeded: the operation is linearized. *)
-                  help_finish_enq t ~self
-                end
-                else help_enq t ~self tid phase
+          if next == t.idle_node then begin
+            (* L72: tail is accurate, an enqueue can be applied. The inner
+               re-check (L73) preserves linearizability: without it a
+               stale helper could append a node for an operation that
+               already completed. *)
+            if is_still_pending t tid phase then begin
+              let desc = P.get t.state.(tid) in
+              if
+                protect_transfer t ~self tid desc
+                && A.compare_and_set last.next t.idle_node desc.node
+              then begin
+                (* L74 succeeded: the operation is linearized. *)
+                help_finish_enq t ~self
               end
               else help_enq t ~self tid phase
-          | Some _ ->
-              (* L79-81: some enqueue is mid-flight; finish it, then retry. *)
-              help_finish_enq t ~self;
-              help_enq t ~self tid phase
+            end
+            else help_enq t ~self tid phase
+          end
+          else begin
+            (* L79-81: some enqueue is mid-flight; finish it, then retry. *)
+            help_finish_enq t ~self;
+            help_enq t ~self tid phase
+          end
         else help_enq t ~self tid phase
       end
       else help_enq t ~self tid phase
@@ -634,7 +651,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      defaults. *)
   let deq_desc t ~self cur_desc ~pending ~node =
     mk_desc t ~self ~phase:cur_desc.phase ~pending ~enqueue:false
-      ~last:None ~want:cur_desc.want ~got:cur_desc.got_n
+      ~last:t.idle_node ~want:cur_desc.want ~got:cur_desc.got_n
       ~taken:cur_desc.taken ~node
 
   (* L150: step (3) — physically remove the old sentinel. The unique
@@ -664,44 +681,36 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       protect_next t ~self next;
       let tid = N.claimed_tid first in (* L144, epoch tag stripped *)
       if tid >= t.num_threads then begin
-        match next with
-        | Some next_node when first == A.get t.head ->
-            swing_head t ~self first next_node
-        | Some _ | None -> ()
+        if next != t.idle_node && first == A.get t.head then
+          swing_head t ~self first next
       end
       else if tid <> no_tid then begin
         let cur_desc = P.get t.state.(tid) in
-        match next with
-        | Some next_node when first == A.get t.head ->
-            (if cur_desc.want > 0 then begin
-               let points_to_first =
-                 match cur_desc.node with
-                 | Some n -> n == first
-                 | None -> false
+        if next != t.idle_node && first == A.get t.head then begin
+          (if cur_desc.want > 0 then begin
+             if cur_desc.pending && cur_desc.node == first then begin
+               let v =
+                 match next.value with
+                 | Some v -> v
+                 | None -> assert false
                in
-               if cur_desc.pending && points_to_first then begin
-                 let v =
-                   match next_node.value with
-                   | Some v -> v
-                   | None -> assert false
-                 in
-                 let got = cur_desc.got_n + 1 in
-                 ignore
-                   (transition t ~self tid cur_desc
-                      (mk_desc t ~self ~phase:cur_desc.phase
-                         ~pending:(got < cur_desc.want) ~enqueue:false
-                         ~last:None ~want:cur_desc.want ~got
-                         ~taken:(v :: cur_desc.taken) ~node:None))
-               end
-             end
-             else if (not t.tuning.validate_before_cas) || cur_desc.pending
-             then
+               let got = cur_desc.got_n + 1 in
                ignore
                  (transition t ~self tid cur_desc
-                    (deq_desc t ~self cur_desc ~pending:false
-                       ~node:cur_desc.node)));
-            swing_head t ~self first next_node
-        | Some _ | None -> ()
+                    (mk_desc t ~self ~phase:cur_desc.phase
+                       ~pending:(got < cur_desc.want) ~enqueue:false
+                       ~last:t.idle_node ~want:cur_desc.want ~got
+                       ~taken:(v :: cur_desc.taken) ~node:t.idle_node))
+             end
+           end
+           else if (not t.tuning.validate_before_cas) || cur_desc.pending
+           then
+             ignore
+               (transition t ~self tid cur_desc
+                  (deq_desc t ~self cur_desc ~pending:false
+                     ~node:cur_desc.node)));
+          swing_head t ~self first next
+        end
       end
     end
 
@@ -747,41 +756,39 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           end
           else if first == last then begin
             (* L115: queue might be empty *)
-            match next with
-            | None ->
-                (* L116-121: certainly empty — record the empty outcome in
-                   the owner's descriptor (it cannot raise here: this code
-                   may run in a helper's context, §3.1). A batch completes
-                   with whatever it has. *)
-                let cur_desc = P.get t.state.(tid) in
-                if last == A.get t.tail && is_still_pending t tid phase then
-                  ignore
-                    (transition t ~self tid cur_desc
-                       (deq_desc t ~self cur_desc ~pending:false ~node:None));
-                help_deq ~batch t ~self tid phase
-            | Some _ ->
-                (* L122-123: an enqueue is in progress; help it first. *)
-                help_finish_enq t ~self;
-                help_deq ~batch t ~self tid phase
+            if next == t.idle_node then begin
+              (* L116-121: certainly empty — record the empty outcome in
+                 the owner's descriptor (it cannot raise here: this code
+                 may run in a helper's context, §3.1). A batch completes
+                 with whatever it has. *)
+              let cur_desc = P.get t.state.(tid) in
+              if last == A.get t.tail && is_still_pending t tid phase then
+                ignore
+                  (transition t ~self tid cur_desc
+                     (deq_desc t ~self cur_desc ~pending:false
+                        ~node:t.idle_node));
+              help_deq ~batch t ~self tid phase
+            end
+            else begin
+              (* L122-123: an enqueue is in progress; help it first. *)
+              help_finish_enq t ~self;
+              help_deq ~batch t ~self tid phase
+            end
           end
           else begin
             (* L125-137: queue is not empty *)
             let cur_desc = P.get t.state.(tid) in
-            let node = cur_desc.node in
             (* L128: break — required for linearizability. *)
             if is_still_pending t tid phase then begin
-              let points_to_first =
-                match node with Some n -> n == first | None -> false
-              in
               (if
                  first == A.get t.head
-                 && (not points_to_first)
+                 && cur_desc.node != first
                  (* L129-133: stage (1) — record the current sentinel; a
                     lost CAS is L132's continue. *)
                  && not
                       (transition t ~self tid cur_desc
                          (deq_desc t ~self cur_desc ~pending:true
-                            ~node:(Some first)))
+                            ~node:first))
                then ()
                else begin
                  (* L135: stage (2) — lock the sentinel; the successful
@@ -866,7 +873,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   (* phase pick                                                         *)
   (* ------------------------------------------------------------------ *)
 
-  (* L62-65 for the chain [first .. last] ([last = None] for a single
+  (* L62-65 for the chain [first .. last] ([last] nil for a single
      node): publish, help, then finalize. The finalizing
      [help_finish_enq] (L65) is required for wait-freedom — without it a
      completed-but-unfinalized enqueue would block all future enqueues
@@ -875,7 +882,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let enqueue_published t ~tid ~phase first last =
     publish t ~tid
       (mk_desc t ~self:tid ~phase ~pending:true ~enqueue:true ~last
-         ~want:0 ~got:0 ~taken:[] ~node:(Some first));
+         ~want:0 ~got:0 ~taken:[] ~node:first);
     run_help t ~tid ~phase;
     help_finish_enq t ~self:tid
 
@@ -884,8 +891,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      to a node whose [deq_tid] is ours before returning. *)
   let dequeue_published t ~tid ~phase ~want =
     publish t ~tid
-      (mk_desc t ~self:tid ~phase ~pending:true ~enqueue:false ~last:None
-         ~want ~got:0 ~taken:[] ~node:None);
+      (mk_desc t ~self:tid ~phase ~pending:true ~enqueue:false
+         ~last:t.idle_node ~want ~got:0 ~taken:[] ~node:t.idle_node);
     run_help t ~tid ~phase;
     help_finish_deq t ~self:tid
 
@@ -894,8 +901,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      [node] may already be pool-released by the head winner, but
      quarantine keeps its fields intact until the caller exits.
 
-     Once the value is read, the owner self-links that sentinel, reusing
-     the descriptor's [Some node] box (no allocation). Otherwise a
+     Once the value is read, the owner self-links that sentinel (a store
+     of an existing node: no allocation). Otherwise a
      sentinel promoted before its dequeue keeps the young node behind it
      reachable, and through it every node enqueued since: the next minor
      collection promotes the whole chain (nepotism). The store is safe:
@@ -910,16 +917,16 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
        claimed sentinel; its jump CAS then fails and it delivers only
        the claimed element. *)
   let dequeued_value t ~tid =
-    match (P.get t.state.(tid)).node with
-    | None -> None (* L104-105: linearized on an empty queue *)
-    | Some node as self -> (
-        match A.get node.next with
-        | Some next ->
-            let v = next.value in
-            assert (v <> None);
-            A.set node.next self;
-            v
-        | None -> assert false)
+    let node = (P.get t.state.(tid)).node in
+    if node == t.idle_node then None (* L104-105: linearized on empty *)
+    else begin
+      let next = A.get node.next in
+      assert (next != t.idle_node);
+      let v = next.value in
+      assert (v <> None);
+      A.set node.next node;
+      v
+    end
 
   (* A batch dequeue's collected prefix, in FIFO order. *)
   let dequeued_batch t ~tid = List.rev (P.get t.state.(tid)).taken
@@ -931,19 +938,21 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let release_desc_node t ~tid ~phase ~enqueue =
     if t.tuning.gc_friendly then
       publish t ~tid
-        (mk_desc t ~self:tid ~phase ~pending:false ~enqueue ~last:None
-           ~want:0 ~got:0 ~taken:[] ~node:None)
+        (mk_desc t ~self:tid ~phase ~pending:false ~enqueue
+           ~last:t.idle_node ~want:0 ~got:0 ~taken:[] ~node:t.idle_node)
 
   (* ------------------------------------------------------------------ *)
   (* Observers (quiescent use)                                          *)
   (* ------------------------------------------------------------------ *)
 
-  let to_list t = N.to_list t.head
-  let length t = N.length t.head
-  let is_empty t = N.is_empty t.head
+  let to_list t = N.to_list ~nil:t.idle_node t.head
+  let length t = N.length ~nil:t.idle_node t.head
+  let is_empty t = N.is_empty ~nil:t.idle_node t.head
 
   let check_quiescent_invariants t =
-    match N.check_list_invariants ~head:t.head ~tail:t.tail with
+    match
+      N.check_list_invariants ~nil:t.idle_node ~head:t.head ~tail:t.tail
+    with
     | Error _ as e -> e
     | Ok () ->
         let pending =

@@ -23,17 +23,24 @@
     makes a stalled helper's claim CAS on a recycled node fail instead
     of ABA-claiming the new incarnation.
 
+    There is no [None] node. Each queue makes one node that is never on
+    the list, its {e nil} ([make_nil]): a [next] cell holding nil means
+    "no successor", a descriptor field holding nil means "no node", and
+    nil's own [next] and pool link point back at nil. Nil is cyclic, so
+    nodes are compared only with [==] and [!=]: a structural comparison
+    would never return. Append and self-link store a node that already
+    exists, so neither allocates.
+
     The pool link ([pool_next]) belongs to the pool only while a node is
     retired. In an unpooled queue no node is ever retired, so every
-    node's link holds the queue's placeholder: one node, made once per
-    queue and never put on the list (see [make_node]). Only the
-    placeholder and the queue's first sentinel link to themselves.
+    node's link holds the queue's nil (see [make_node]). Only nil and
+    the queue's first sentinel link to themselves.
 
-    In one life of a node, [next] changes at most twice: [None -> Some
-    succ] when the successor is appended, then [Some succ -> Some self]
-    when the single slow-path dequeue that took [succ]'s value
-    self-links its dequeued sentinel ([Kp_helping]'s [dequeued_value]).
-    The self-link cuts the chain from a promoted, dequeued node to the
+    In one life of a node, [next] changes at most twice: nil -> succ
+    when the successor is appended, then succ -> self when the node's
+    dequeue self-links it ([Kp_helping]'s [dequeued_value], the fast
+    paths of [Kp_queue_fps], and the hazard domain's free). The
+    self-link cuts the chain from a promoted, dequeued node to the
     young nodes behind it, which the next minor collection would
     otherwise promote with it.
 
@@ -45,13 +52,13 @@ module Epoch = Wfq_primitives.Counted_atomic.Epoch
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   type 'a node = {
     mutable value : 'a option;
-    next : 'a node option A.t;
+    next : 'a node A.t;
     mutable enq_tid : int;
     deq_tid : int A.t;
     (* Intrusive [Segment_pool] storage: the free-list/quarantine link
        and the retire-epoch stamp. Owned by the pool while the node is
        retired; dead storage while the node is live, where the link
-       holds the queue's placeholder node (see [make_node]). *)
+       holds the queue's nil (see [make_node]). *)
     mutable pool_next : 'a node;
     mutable pool_stamp : int;
   }
@@ -60,18 +67,28 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       unclaimed payload of every [deq_tid]. *)
   let no_tid = -1
 
-  (* [pool_next] has no null, so a node must point at some node from
-     birth. [make_sentinel] points it at the node itself, which takes a
-     [let rec]: OCaml allocates a dummy block, builds the record, then
-     copies the record into the dummy, so the node costs its size twice
-     (hoisting the [A.make] calls keeps the [let rec] statically
-     constructive). A queue pays that only at creation, for its first
-     sentinel and for a placeholder node it never links into the list;
-     every other node is built by [make_node ~link:placeholder]. The
-     link must not be a list node: once dequeued, that node would keep
-     the nodes after it alive. *)
-  let make_sentinel () =
-    let next = A.make None in
+  (* The queue's nil: its [next] cell and its pool link hold nil
+     itself. [A.make_cyclic] closes the [next] loop before the cell is
+     shared, so it is no step of the simulator. *)
+  let make_nil () =
+    let deq_tid = A.make no_tid in
+    A.make_cyclic (fun next ->
+        let rec n =
+          { value = None; next; enq_tid = no_tid; deq_tid; pool_next = n;
+            pool_stamp = 0 }
+        in
+        n)
+
+  (* [pool_next] has no null either. The first sentinel points it at
+     itself, which takes a [let rec]: OCaml allocates a dummy block,
+     builds the record, then copies the record into the dummy, so the
+     node costs its size twice (hoisting the [A.make] calls keeps the
+     [let rec] statically constructive). A queue pays that only once;
+     every other node is built by [make_node ~nil], whose link is nil.
+     The link must not be a list node: once dequeued, that node would
+     keep the nodes after it alive. *)
+  let make_sentinel ~nil =
+    let next = A.make nil in
     let deq_tid = A.make no_tid in
     let rec n =
       { value = None; next; enq_tid = no_tid; deq_tid; pool_next = n;
@@ -79,10 +96,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     in
     n
 
-  let make_node ~link ~enq_tid value =
-    let next = A.make None in
+  let make_node ~nil ~enq_tid value =
+    let next = A.make nil in
     let deq_tid = A.make no_tid in
-    { value; next; enq_tid; deq_tid; pool_next = link; pool_stamp = 0 }
+    { value; next; enq_tid; deq_tid; pool_next = nil; pool_stamp = 0 }
 
   let pool_ops =
     {
@@ -117,54 +134,63 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       [deq_tid] to the next incarnation's unclaimed word. Called from
       the pool's [reset] with the node quiescent (quarantine has proven
       no thread still holds a reference). *)
-  let recycle node =
+  let recycle ~nil node =
     node.value <- None;
     node.enq_tid <- no_tid;
-    A.set node.next None;
+    A.set node.next nil;
     A.set node.deq_tid (Epoch.next_incarnation (A.get node.deq_tid))
 
   (** Recycle {e without} bumping the incarnation — the seeded fault for
       the DPOR calibration scenario ([Untagged_pool_claim]): with the
       tag gone, a stalled helper's claim CAS can ABA a recycled node. *)
-  let recycle_untagged node =
+  let recycle_untagged ~nil node =
     node.value <- None;
     node.enq_tid <- no_tid;
-    A.set node.next None;
+    A.set node.next nil;
     A.set node.deq_tid no_tid
 
   (* ------------------------------------------------------------------ *)
   (* Quiescent list observers, shared verbatim by every variant.        *)
   (* ------------------------------------------------------------------ *)
 
-  let to_list head =
+  (* A node whose [next] is itself has been dequeued, so a walk from
+     [head] can meet one only in a corrupt list: a recycled node's
+     [head] CAS ABA, which [test_pool] provokes on purpose with
+     quarantine off. The walks stop there instead of looping; the
+     corruption still shows, as missing elements or as [tail] not
+     reachable from [head]. *)
+  let to_list ~nil head =
     let rec collect acc node =
-      match A.get node.next with
-      | None -> List.rev acc
-      | Some n ->
-          let v = match n.value with Some v -> v | None -> assert false in
-          collect (v :: acc) n
+      let n = A.get node.next in
+      if n == nil || n == node then List.rev acc
+      else
+        let v = match n.value with Some v -> v | None -> assert false in
+        collect (v :: acc) n
     in
     collect [] (A.get head)
 
-  let length head =
+  let length ~nil head =
     let rec count acc node =
-      match A.get node.next with None -> acc | Some n -> count (acc + 1) n
+      let n = A.get node.next in
+      if n == nil || n == node then acc else count (acc + 1) n
     in
     count 0 (A.get head)
 
-  let is_empty head = A.get (A.get head).next = None
+  let is_empty ~nil head = A.get (A.get head).next == nil
 
   (** The structural half of [check_quiescent_invariants]: [tail]
       reachable from [head] and no node dangling past [tail]. Variants
       layer their descriptor-state checks on top. *)
-  let check_list_invariants ~head ~tail =
+  let check_list_invariants ~nil ~head ~tail =
     let head = A.get head in
     let tail = A.get tail in
     let rec reaches node =
       if node == tail then true
-      else match A.get node.next with None -> false | Some n -> reaches n
+      else
+        let n = A.get node.next in
+        n != nil && n != node && reaches n
     in
     if not (reaches head) then Error "tail not reachable from head"
-    else if A.get tail.next <> None then Error "dangling node after tail"
+    else if A.get tail.next != nil then Error "dangling node after tail"
     else Ok ()
 end

@@ -60,7 +60,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     op_enter t ~tid;
     let phase = next_phase t ~tid in
     let node = alloc_node t ~self:tid ~enq_tid:tid value in
-    enqueue_published t ~tid ~phase node None;
+    enqueue_published t ~tid ~phase node t.idle_node;
     release_desc_node t ~tid ~phase ~enqueue:true;
     op_exit t ~tid
 
@@ -94,11 +94,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           List.fold_left
             (fun prev v ->
               let n = alloc_node t ~self:tid ~enq_tid:tid v in
-              A.set prev.N.next (Some n);
+              A.set prev.N.next n;
               n)
             first rest
         in
-        enqueue_published t ~tid ~phase first (Some last);
+        enqueue_published t ~tid ~phase first last;
         release_desc_node t ~tid ~phase ~enqueue:true;
         op_exit t ~tid
 
@@ -125,7 +125,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (* True while the thread's descriptor still references a list node;
      with [gc_friendly] tuning it is false between operations. *)
-  let holds_node_reference t ~tid = (P.get t.state.(tid)).node <> None
+  let holds_node_reference t ~tid =
+    (P.get t.state.(tid)).node != t.idle_node
 
   (* The uniform RUN_QUEUE registration (Queue_intf.RUN_QUEUE): the
      depth gauge every backend exposes, plus whatever always-on

@@ -115,13 +115,14 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   module Pool = H.Pool
 
   type 'a t = {
-    (* Aliases of [h]'s list ends, pools, thread count and seeded
+    (* Aliases of [h]'s list ends, nil, pools, thread count and seeded
        fault: the fast path reads them with one load, as a plain
        Michael-Scott queue would. They and [slow_pending] come ahead of
        [h]: with [h] first, fps-pooled's two-domain pairs latency on a
        2-vCPU VM measured 6-14% higher, running the same code. *)
     head : 'a N.node A.t;
     tail : 'a N.node A.t;
+    nil : 'a N.node;
     pools : 'a H.pools option;
     num_threads : int;
     fault : fault option;
@@ -158,6 +159,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       h;
       head = h.H.head;
       tail = h.H.tail;
+      nil = h.H.idle_node;
       pools = h.H.pools;
       num_threads;
       fault;
@@ -214,7 +216,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         n.N.value <- Some value;
         n.N.enq_tid <- no_tid;
         n
-    | None -> make_node ~link:t.h.H.idle_node ~enq_tid:no_tid (Some value)
+    | None -> make_node ~nil:t.nil ~enq_tid:no_tid (Some value)
 
   (* Unique head-swing winner only (both paths). *)
   let release_node t ~tid n =
@@ -253,7 +255,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let slow_exit t = ignore (A.fetch_and_add t.slow_pending (-1))
 
-  (* The chain [first .. last] ([last = None]: a single node) was
+  (* The chain [first .. last] ([last] nil: a single node) was
      already allocated by the fast path and never published (every fast
      append CAS on it failed), so the slow path adopts it — rewriting
      the first node's [enq_tid] from the fast-path marker to the real
@@ -301,27 +303,28 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let rec fast_enqueue t ~tid node failures =
     if failures >= t.max_failures then begin
       note_fast_rounds t ~tid failures;
-      slow_enqueue t ~tid node None
+      slow_enqueue t ~tid node t.nil
     end
     else
       let last = A.get t.tail in
       let next = A.get last.next in
       if last == A.get t.tail then
-        match next with
-        | None ->
-            if A.compare_and_set last.next None (Some node) then begin
-              (* Linearized; fix tail lazily, MS-style (failure means
-                 someone helped us). *)
-              ignore (A.compare_and_set t.tail last node);
-              if failures > 0 then note_fast_rounds t ~tid (failures + 1);
-              Wfq_obsv.Counter.incr t.fast_hits ~slot:tid
-            end
-            else fast_enqueue t ~tid node (failures + 1)
-        | Some _ ->
-            (* Tail lagging behind a fast or slow append: finish it
-               (either kind) and retry. *)
-            H.help_finish_enq t.h ~self:tid;
-            fast_enqueue t ~tid node (failures + 1)
+        if next == t.nil then begin
+          if A.compare_and_set last.next t.nil node then begin
+            (* Linearized; fix tail lazily, MS-style (failure means
+               someone helped us). *)
+            ignore (A.compare_and_set t.tail last node);
+            if failures > 0 then note_fast_rounds t ~tid (failures + 1);
+            Wfq_obsv.Counter.incr t.fast_hits ~slot:tid
+          end
+          else fast_enqueue t ~tid node (failures + 1)
+        end
+        else begin
+          (* Tail lagging behind a fast or slow append: finish it
+             (either kind) and retry. *)
+          H.help_finish_enq t.h ~self:tid;
+          fast_enqueue t ~tid node (failures + 1)
+        end
       else fast_enqueue t ~tid node (failures + 1)
 
   let enqueue t ~tid value =
@@ -337,59 +340,62 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       slow_dequeue t ~tid
     end
     else
-        let first = A.get t.head in
-        (* Claim word captured with the head reference (epoch ABA
-           defense; see Kp_internals.try_claim). *)
-        let claim0 = A.get first.deq_tid in
-        let last = A.get t.tail in
-        let next = A.get first.next in
-        if first == A.get t.head then
-          if first == last then
-            match next with
-            | None ->
-                (* Observed empty — linearizable and free of descriptor
-                   traffic on both paths. *)
-                if failures > 0 then note_fast_rounds t ~tid (failures + 1);
-                Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
-                None
-            | Some _ ->
-                H.help_finish_enq t.h ~self:tid;
-                fast_dequeue t ~tid (failures + 1)
-          else
-            match next with
-            | None -> fast_dequeue t ~tid (failures + 1) (* transient view *)
-            | Some n ->
-                if t.fault = Some Fast_deq_no_claim then
-                  (* Seeded bug: pure MS dequeue, no deq_tid claim — can
-                     deliver an element a slow dequeue already owns. *)
-                  if A.compare_and_set t.head first n then begin
-                    Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
-                    n.value
-                  end
-                  else fast_dequeue t ~tid (failures + 1)
-                else if
-                  (* Claim the sentinel with the fast-path marker; the
-                     successful CAS is the linearization point — shared
-                     with slow-path dequeues, which claim with their
-                     tid. *)
-                  N.try_claim first ~observed:claim0
-                    ~tid:(t.num_threads + tid)
-                then begin
-                  let v = n.value in
-                  if A.compare_and_set t.head first n then
-                    release_node t ~tid first;
-                  if failures > 0 then note_fast_rounds t ~tid (failures + 1);
-                  Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
-                  v
-                end
-                else begin
-                  (* Someone else's dequeue is mid-flight on this
-                     sentinel; finish it and retry. *)
-                  note_claim_handoff t ~tid;
-                  H.help_finish_deq t.h ~self:tid;
-                  fast_dequeue t ~tid (failures + 1)
-                end
-        else fast_dequeue t ~tid (failures + 1)
+      let first = A.get t.head in
+      (* Claim word captured with the head reference (epoch ABA
+         defense; see Kp_internals.try_claim). *)
+      let claim0 = A.get first.deq_tid in
+      let last = A.get t.tail in
+      let next = A.get first.next in
+      if first == A.get t.head then
+        if first == last then
+          if next == t.nil then begin
+            (* Observed empty — linearizable and free of descriptor
+               traffic on both paths. *)
+            if failures > 0 then note_fast_rounds t ~tid (failures + 1);
+            Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
+            None
+          end
+          else begin
+            H.help_finish_enq t.h ~self:tid;
+            fast_dequeue t ~tid (failures + 1)
+          end
+        else if next == t.nil then
+          fast_dequeue t ~tid (failures + 1) (* transient view *)
+        else if t.fault = Some Fast_deq_no_claim then
+          (* Seeded bug: pure MS dequeue, no deq_tid claim — can
+             deliver an element a slow dequeue already owns. *)
+          if A.compare_and_set t.head first next then begin
+            Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
+            next.value
+          end
+          else fast_dequeue t ~tid (failures + 1)
+        else if
+          (* Claim the sentinel with the fast-path marker; the
+             successful CAS is the linearization point — shared with
+             slow-path dequeues, which claim with their tid. *)
+          N.try_claim first ~observed:claim0 ~tid:(t.num_threads + tid)
+        then begin
+          let v = next.value in
+          (* Whether our CAS or a helper's moved it, [head] has left
+             [first] once this CAS returns: self-link it
+             (Kp_helping.dequeued_value says why that is safe) before
+             our [op_exit], which is what lets a quarantined pool hand
+             it out again. *)
+          let won = A.compare_and_set t.head first next in
+          A.set first.next first;
+          if won then release_node t ~tid first;
+          if failures > 0 then note_fast_rounds t ~tid (failures + 1);
+          Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
+          v
+        end
+        else begin
+          (* Someone else's dequeue is mid-flight on this sentinel;
+             finish it and retry. *)
+          note_claim_handoff t ~tid;
+          H.help_finish_deq t.h ~self:tid;
+          fast_dequeue t ~tid (failures + 1)
+        end
+      else fast_dequeue t ~tid (failures + 1)
 
   let dequeue t ~tid =
     op_enter t ~tid;
@@ -405,16 +411,16 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   (* Bounded tail catch-up after a failed batch jump: helpers advanced
      [tail] into the chain one fast-node step at a time, so walk it the
      rest of the way (at most [k] steps — stops early once [tail.next]
-     is [None] or someone else finishes the job). Pure helping; every
+     is nil or someone else finishes the job). Pure helping; every
      CAS target is validated like MS tail fixing. *)
   let rec catch_up_tail t k =
     if k > 0 then begin
       let l = A.get t.tail in
-      match A.get l.next with
-      | None -> ()
-      | Some nx ->
-          ignore (A.compare_and_set t.tail l nx);
-          catch_up_tail t (k - 1)
+      let nx = A.get l.next in
+      if nx != t.nil then begin
+        ignore (A.compare_and_set t.tail l nx);
+        catch_up_tail t (k - 1)
+      end
     end
 
   (* Fast-path batch enqueue: pre-link the chain (plain stores on nodes
@@ -437,7 +443,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           List.fold_left
             (fun prev v ->
               let n = alloc_node t ~tid v in
-              A.set prev.N.next (Some n);
+              A.set prev.N.next n;
               n)
             chain_first rest
         in
@@ -445,36 +451,36 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
            first node — the link CAS below then publishes one element
            while the caller believes all [k] went in. *)
         if t.fault = Some Batch_partial_publish then
-          A.set chain_first.N.next None;
+          A.set chain_first.N.next t.nil;
         let rec attempt failures cas =
           if failures >= t.max_failures then begin
             note_fast_rounds t ~tid failures;
             note_batch_cas t ~tid cas;
-            slow_enqueue t ~tid chain_first (Some chain_last)
+            slow_enqueue t ~tid chain_first chain_last
           end
           else
             let last = A.get t.tail in
             let next = A.get last.next in
             if last == A.get t.tail then
-              match next with
-              | None ->
-                  if A.compare_and_set last.next None (Some chain_first)
-                  then begin
-                    (* Linearized (all k elements at once). Jump [tail]
-                       over the chain; on failure helpers advanced it
-                       one node at a time — walk it the rest of the
-                       way so the next operation never inherits a
-                       multi-node lag. *)
-                    if not (A.compare_and_set t.tail last chain_last) then
-                      catch_up_tail t k;
-                    if failures > 0 then note_fast_rounds t ~tid (failures + 1);
-                    note_batch_cas t ~tid (cas + 2);
-                    Wfq_obsv.Counter.incr t.fast_hits ~slot:tid
-                  end
-                  else attempt (failures + 1) (cas + 1)
-              | Some _ ->
-                  H.help_finish_enq t.h ~self:tid;
-                  attempt (failures + 1) cas
+              if next == t.nil then begin
+                if A.compare_and_set last.next t.nil chain_first then begin
+                  (* Linearized (all k elements at once). Jump [tail]
+                     over the chain; on failure helpers advanced it one
+                     node at a time — walk it the rest of the way so
+                     the next operation never inherits a multi-node
+                     lag. *)
+                  if not (A.compare_and_set t.tail last chain_last) then
+                    catch_up_tail t k;
+                  if failures > 0 then note_fast_rounds t ~tid (failures + 1);
+                  note_batch_cas t ~tid (cas + 2);
+                  Wfq_obsv.Counter.incr t.fast_hits ~slot:tid
+                end
+                else attempt (failures + 1) (cas + 1)
+              end
+              else begin
+                H.help_finish_enq t.h ~self:tid;
+                attempt (failures + 1) cas
+              end
             else attempt (failures + 1) cas
         in
         attempt 0 0;
@@ -487,17 +493,17 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      [t.head]: while our claim holds and [head] still points at the
      claimed sentinel, nobody can deliver anything, and the next
      pointers of nodes still in the queue are immutable (set once,
-     None -> Some succ), so the walked chain is exactly what the jump
+     nil -> succ), so the walked chain is exactly what the jump
      publishes. A next pointer changes a second time, to a self-link,
-     only once its node has been dequeued (Kp_helping.dequeued_value),
-     so the walk can meet one only after [head] has left the claimed
-     sentinel; the jump CAS then fails and the values walked past are
-     dropped. A successful
-     jump linearizes every collected element at the jump CAS (the
-     skipped nodes are never observable as sentinels); a failed jump
-     means a helper already swung [head] one node on our behalf, so
-     only the claimed first element is delivered — the per-item path's
-     behaviour. Uncontended cost: 2 CASes per prefix vs 2 per element.
+     only once [head] has left its node, so the walk can meet one only
+     after [head] has left the claimed sentinel; the jump CAS then
+     fails and the values walked past are dropped. A successful jump
+     linearizes every collected element at the jump CAS (the skipped
+     nodes are never observable as sentinels) and self-links each of
+     them; a failed jump means a helper already swung [head] one node
+     on our behalf, so only the claimed first element is delivered —
+     the per-item path's behaviour — and only [first] is self-linked.
+     Uncontended cost: 2 CASes per prefix vs 2 per element.
      When the shared [max_failures] budget runs out, a single slow-path
      descriptor collects the remaining suffix. *)
   let dequeue_batch t ~tid ~n =
@@ -525,81 +531,80 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           let next = A.get first.next in
           if first == A.get t.head then
             if first == last then
-              match next with
-              | None ->
-                  (* Observed empty: the batch completes short. *)
-                  note_batch_cas t ~tid cas;
-                  if failures > 0 then note_fast_rounds t ~tid failures;
-                  Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
-                  List.rev acc
-              | Some _ ->
-                  H.help_finish_enq t.h ~self:tid;
-                  go acc got (failures + 1) cas
-            else
-              match next with
-              | None -> go acc got (failures + 1) cas (* transient view *)
-              | Some nx ->
-                  if
-                    N.try_claim first ~observed:claim0
-                      ~tid:(t.num_threads + tid)
-                  then begin
-                    let v1 =
-                      match nx.N.value with
+              if next == t.nil then begin
+                (* Observed empty: the batch completes short. *)
+                note_batch_cas t ~tid cas;
+                if failures > 0 then note_fast_rounds t ~tid failures;
+                Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
+                List.rev acc
+              end
+              else begin
+                H.help_finish_enq t.h ~self:tid;
+                go acc got (failures + 1) cas
+              end
+            else if next == t.nil then
+              go acc got (failures + 1) cas (* transient view *)
+            else if
+              N.try_claim first ~observed:claim0
+                ~tid:(t.num_threads + tid)
+            then begin
+              let v1 =
+                match next.N.value with
+                | Some v -> v
+                | None -> assert false
+              in
+              (* Walk up to the remaining want along the stable
+                 chain, newest first — capped at the observed
+                 [last]: jumping [head] past [tail] would strand
+                 [tail] on a grabbed (possibly released) node and
+                 break the MS head-behind-tail invariant, which
+                 enqueuers rely on. [last] was read while the
+                 sentinel was [first] (the claim's success proves
+                 the view), so it is on the chain at or after
+                 [next]; a lagging cap only shortens the grab. *)
+              let rec walk node vs m =
+                if m = n - got || node == last then (node, vs, m)
+                else
+                  let nx2 = A.get node.N.next in
+                  if nx2 == t.nil then (node, vs, m)
+                  else
+                    let v =
+                      match nx2.N.value with
                       | Some v -> v
                       | None -> assert false
                     in
-
-                    (* Walk up to the remaining want along the stable
-                       chain, newest first — capped at the observed
-                       [last]: jumping [head] past [tail] would strand
-                       [tail] on a grabbed (possibly released) node and
-                       break the MS head-behind-tail invariant, which
-                       enqueuers rely on. [last] was read while the
-                       sentinel was [first] (the claim's success proves
-                       the view), so it is on the chain at or after
-                       [nx]; a lagging cap only shortens the grab. *)
-                    let rec walk node vs m =
-                      if m = n - got || node == last then (node, vs, m)
-                      else
-                        match A.get node.N.next with
-                        | None -> (node, vs, m)
-                        | Some nx2 ->
-                            let v =
-                              match nx2.N.value with
-                              | Some v -> v
-                              | None -> assert false
-                            in
-                            walk nx2 (v :: vs) (m + 1)
-                    in
-                    let last_node, extra_rev, m = walk nx [] 1 in
-                    Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
-                    if A.compare_and_set t.head first last_node then begin
-                      (* The skipped nodes [first .. pred last_node] are
-                         unreachable from [head] and claimed/covered by
-                         us alone — read each [next] before releasing
-                         its node. *)
-                      let rec release_prefix node =
-                        if node != last_node then begin
-                          let nxt = A.get node.N.next in
-                          release_node t ~tid node;
-                          match nxt with
-                          | Some nxt -> release_prefix nxt
-                          | None -> ()
-                        end
-                      in
-                      release_prefix first;
-                      go (extra_rev @ (v1 :: acc)) (got + m) failures (cas + 2)
-                    end
-                    else
-                      (* A helper swung [head] one node for us: only the
-                         claimed first element was taken. *)
-                      go (v1 :: acc) (got + 1) failures (cas + 2)
+                    walk nx2 (v :: vs) (m + 1)
+              in
+              let last_node, extra_rev, m = walk next [] 1 in
+              Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
+              if A.compare_and_set t.head first last_node then begin
+                (* The skipped nodes [first .. pred last_node] are
+                   unreachable from [head] and claimed/covered by
+                   us alone — read each [next], then self-link the
+                   node and release it. *)
+                let rec release_prefix node =
+                  if node != last_node then begin
+                    let nxt = A.get node.N.next in
+                    A.set node.N.next node;
+                    release_node t ~tid node;
+                    release_prefix nxt
                   end
-                  else begin
-                    note_claim_handoff t ~tid;
-                    H.help_finish_deq t.h ~self:tid;
-                    go acc got (failures + 1) (cas + 1)
-                  end
+                in
+                release_prefix first;
+                go (extra_rev @ (v1 :: acc)) (got + m) failures (cas + 2)
+              end
+              else begin
+                (* A helper swung [head] one node for us: only the
+                   claimed first element was taken. *)
+                A.set first.N.next first;
+                go (v1 :: acc) (got + 1) failures (cas + 2)
+              end
+            end
+            else begin
+              note_claim_handoff t ~tid;
+              H.help_finish_deq t.h ~self:tid;
+              go acc got (failures + 1) (cas + 1)
+            end
           else go acc got (failures + 1) cas
       in
       let result = go [] 0 0 0 in
@@ -643,11 +648,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let node_id (n : 'a node) = Hashtbl.hash n in
     Printf.printf "head=%d (deq_tid=%d) tail=%d tail.next=%s\n"
       (node_id head) (N.claimed_tid head) (node_id tail)
-      (match A.get tail.next with
-      | None -> "None"
-      | Some n ->
-          Printf.sprintf "Some %d (enq_tid=%d, deq_tid=%d)" (node_id n)
-            n.enq_tid (N.claimed_tid n));
+      (let n = A.get tail.next in
+       if n == t.nil then "nil"
+       else
+         Printf.sprintf "%d (enq_tid=%d, deq_tid=%d)" (node_id n) n.enq_tid
+           (N.claimed_tid n));
     Printf.printf "head==tail: %b; slow_pending=%d\n" (head == tail)
       (A.get t.slow_pending);
     Array.iteri
@@ -656,9 +661,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         Printf.printf
           "tid %d: pending=%b enq=%b phase=%d node=%s fast=%d slow=%d\n" tid
           d.H.pending d.H.enqueue d.H.phase
-          (match d.H.node with
-          | None -> "None"
-          | Some n -> Printf.sprintf "Some %d" (node_id n))
+          (if d.H.node == t.nil then "nil"
+           else string_of_int (node_id d.H.node))
           (Wfq_obsv.Counter.slot_value t.fast_hits ~slot:tid)
           (Wfq_obsv.Counter.slot_value t.slow_entries ~slot:tid))
       t.h.H.state;
@@ -668,7 +672,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           (node_id n) n.enq_tid (N.claimed_tid n)
           (if n == head then " <-head" else "")
           (if n == tail then " <-tail" else "");
-        match A.get n.next with None -> () | Some nx -> walk (i + 1) nx
+        let nx = A.get n.next in
+        if nx != t.nil then walk (i + 1) nx
       end
     in
     walk 0 head

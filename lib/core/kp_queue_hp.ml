@@ -23,7 +23,9 @@
       inside the protected transition;
     - the old sentinel is retired by the unique winner of the [head]
       CAS (step 3 of the dequeue scheme, exactly once per Lemma 2):
-      the engine's [release_node];
+      the engine's [release_node]. A scan that frees it self-links it
+      before the pool takes it, so a parked node keeps no chain of
+      later nodes alive;
     - every [head]/[tail] read is published in slot 0 and re-validated
       once, and every [next] that is dereferenced is published in slot 1
       before the engine's head/tail re-check, following Michael's
@@ -54,7 +56,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     op_enter t ~tid;
     let phase = next_phase t ~tid in
     let node = alloc_node t ~self:tid ~enq_tid:tid value in
-    enqueue_published t ~tid ~phase node None;
+    enqueue_published t ~tid ~phase node t.idle_node;
     op_exit t ~tid
 
   let dequeue t ~tid =

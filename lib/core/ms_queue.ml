@@ -13,7 +13,10 @@
     every operation concurrent with the retirement has finished) is the
     only thing standing between a recycled node and the classic MS
     head-CAS ABA. The node's [value] is mutable for the same
-    write-before-publication discipline as {!Kp_internals}.
+    write-before-publication discipline as {!Kp_internals}, and the
+    queue's placeholder node is the list's nil, as there: [next] holds
+    a node, never an option, so neither an append nor a self-link
+    allocates.
 
     Progress: lock-free, not wait-free — an enqueuer whose CAS on
     [last.next] keeps losing can be starved forever (demonstrated by a
@@ -24,7 +27,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   type 'a node = {
     mutable value : 'a option;
-    next : 'a node option A.t;
+    next : 'a node A.t; (* [placeholder]: no successor *)
     (* Intrusive Segment_pool link + retire stamp; dead storage while
        the node is live (see Segment_pool.ops). *)
     mutable pool_next : 'a node;
@@ -36,26 +39,27 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     tail : 'a node A.t;
     pool : 'a node Pool.t option;
     placeholder : 'a node;
-        (* never on the list: the pool link of every node *)
+        (* never on the list: the list's nil and the pool link of every
+           node *)
   }
 
   let name = "ms-lock-free"
 
-  (* The pool link has no null, so a node points at some node from
-     birth. A self-link would take a [let rec], which allocates the
-     record twice; only the queue's placeholder pays that, and every
-     other node links to it. *)
+  (* Neither link has a null, so a node points at some node from
+     birth. The placeholder's [next] and pool link point back at the
+     placeholder itself; [A.make_cyclic] closes the [next] loop without
+     a store the simulator would see. Every other node links to it. *)
   let make_placeholder () =
-    let next = A.make None in
-    let rec n = { value = None; next; pool_next = n; pool_stamp = 0 } in
-    n
+    A.make_cyclic (fun next ->
+        let rec n = { value = None; next; pool_next = n; pool_stamp = 0 } in
+        n)
 
-  let make_node ~link value =
-    { value; next = A.make None; pool_next = link; pool_stamp = 0 }
+  let make_node ~nil value =
+    { value; next = A.make nil; pool_next = nil; pool_stamp = 0 }
 
-  let reset_node n =
+  let reset_node ~nil n =
     n.value <- None;
-    A.set n.next None
+    A.set n.next nil
 
   let pool_ops =
     {
@@ -67,18 +71,19 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let create ~num_threads:_ () =
     let placeholder = make_placeholder () in
-    let sentinel = make_node ~link:placeholder None in
+    let sentinel = make_node ~nil:placeholder None in
     { head = A.make sentinel; tail = A.make sentinel; pool = None;
       placeholder }
 
   let create_pooled ?segment_size ~num_threads () =
     let placeholder = make_placeholder () in
-    let fresh_node () = make_node ~link:placeholder None in
+    let fresh_node () = make_node ~nil:placeholder None in
     let sentinel = fresh_node () in
     let clock = Pool.Clock.create ~num_threads in
     let pool =
       Pool.create ?segment_size ~quarantine:true ~clock ~num_threads
-        ~ops:pool_ops ~fresh:fresh_node ~reset:reset_node ()
+        ~ops:pool_ops ~fresh:fresh_node ~reset:(reset_node ~nil:placeholder)
+        ()
     in
     { head = A.make sentinel; tail = A.make sentinel; pool = Some pool;
       placeholder }
@@ -95,7 +100,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         let n = Pool.alloc p ~tid in
         n.value <- Some value;
         n
-    | None -> make_node ~link:t.placeholder (Some value)
+    | None -> make_node ~nil:t.placeholder (Some value)
 
   (* Retry loops at functor level with explicit arguments: a nested
      [let rec loop] capturing [t]/[node] allocates its closure
@@ -105,16 +110,17 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let last = A.get t.tail in
     let next = A.get last.next in
     if last == A.get t.tail then
-      match next with
-      | None ->
-          if A.compare_and_set last.next None (Some node) then
-            (* Lazily fix tail; failure means someone helped us. *)
-            ignore (A.compare_and_set t.tail last node)
-          else enq_loop t node
-      | Some n ->
-          (* Tail is lagging: help the in-progress enqueue, then retry. *)
-          ignore (A.compare_and_set t.tail last n);
-          enq_loop t node
+      if next == t.placeholder then begin
+        if A.compare_and_set last.next t.placeholder node then
+          (* Lazily fix tail; failure means someone helped us. *)
+          ignore (A.compare_and_set t.tail last node)
+        else enq_loop t node
+      end
+      else begin
+        (* Tail is lagging: help the in-progress enqueue, then retry. *)
+        ignore (A.compare_and_set t.tail last next);
+        enq_loop t node
+      end
     else enq_loop t node
 
   let enqueue t ~tid value =
@@ -128,37 +134,34 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let next = A.get first.next in
     if first == A.get t.head then
       if first == last then
-        match next with
-        | None -> None
-        | Some n ->
-            ignore (A.compare_and_set t.tail last n);
-            deq_loop t ~tid
+        if next == t.placeholder then None
+        else begin
+          ignore (A.compare_and_set t.tail last next);
+          deq_loop t ~tid
+        end
+      else if next == t.placeholder then
+        (* head trails tail yet has no successor: transient view,
+           retry. *)
+        deq_loop t ~tid
       else
-        match next with
-        | None ->
-            (* head trails tail yet has no successor: transient view,
-               retry. *)
-            deq_loop t ~tid
-        | Some n ->
-            let v = n.value in
-            if A.compare_and_set t.head first n then begin
-              (* The unique head winner self-links the old sentinel, so
-                 that a promoted sentinel does not keep every node
-                 enqueued after it reachable (nepotism: the next minor
-                 collection would promote them all). Every other reader
-                 of [first.next] re-checks [head] or [tail] after the
-                 read and discards the self-link: [head] has left
-                 [first] for good, and [tail] passed it before [head]
-                 could. It then retires the old sentinel; the
-                 quarantine keeps it intact for every operation that
-                 started before this point. *)
-              A.set first.next (Some first);
-              (match t.pool with
-              | Some p -> Pool.release p ~tid first
-              | None -> ());
-              v
-            end
-            else deq_loop t ~tid
+        let v = next.value in
+        if A.compare_and_set t.head first next then begin
+          (* The unique head winner self-links the old sentinel, so that
+             a promoted sentinel does not keep every node enqueued after
+             it reachable (nepotism: the next minor collection would
+             promote them all). Every other reader of [first.next]
+             re-checks [head] or [tail] after the read and discards the
+             self-link: [head] has left [first] for good, and [tail]
+             passed it before [head] could. It then retires the old
+             sentinel; the quarantine keeps it intact for every
+             operation that started before this point. *)
+          A.set first.next first;
+          (match t.pool with
+          | Some p -> Pool.release p ~tid first
+          | None -> ());
+          v
+        end
+        else deq_loop t ~tid
     else deq_loop t ~tid
 
   let dequeue t ~tid =
@@ -169,31 +172,35 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let to_list t =
     let rec collect acc node =
-      match A.get node.next with
-      | None -> List.rev acc
-      | Some n ->
-          let v = match n.value with Some v -> v | None -> assert false in
-          collect (v :: acc) n
+      let n = A.get node.next in
+      if n == t.placeholder then List.rev acc
+      else
+        let v = match n.value with Some v -> v | None -> assert false in
+        collect (v :: acc) n
     in
     collect [] (A.get t.head)
 
   let length t =
     let rec count acc node =
-      match A.get node.next with None -> acc | Some n -> count (acc + 1) n
+      let n = A.get node.next in
+      if n == t.placeholder then acc else count (acc + 1) n
     in
     count 0 (A.get t.head)
 
-  let is_empty t = A.get (A.get t.head).next = None
+  let is_empty t = A.get (A.get t.head).next == t.placeholder
 
   let check_quiescent_invariants t =
     let head = A.get t.head in
     let tail = A.get t.tail in
     let rec reaches node =
       if node == tail then true
-      else match A.get node.next with None -> false | Some n -> reaches n
+      else
+        let n = A.get node.next in
+        n != t.placeholder && reaches n
     in
     if not (reaches head) then Error "tail not reachable from head"
-    else if A.get tail.next <> None then Error "dangling node after tail"
+    else if A.get tail.next != t.placeholder then
+      Error "dangling node after tail"
     else Ok ()
 
   let pool_stats t =

@@ -18,7 +18,9 @@
     identity. The technique is wait-free: [scan] is two bounded loops. *)
 
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
-  type 'a slot = 'a option A.t
+  (* A slot holds the domain's [nil] when it protects nothing, so a
+     publication stores the node itself and allocates nothing. *)
+  type 'a slot = 'a A.t
 
   type 'a per_thread = {
     slots : 'a slot array;
@@ -30,6 +32,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   type 'a t = {
     threads : 'a per_thread array;
+    nil : 'a; (* never retired: what an empty slot holds *)
     scan_threshold : int;
     free : tid:int -> 'a -> unit;
         (* Called by the scanning thread with its own [tid], so a
@@ -46,7 +49,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
        amortizes each scan over many retirements. *)
     (2 * num_threads * slots_per_thread) + 8
 
-  let create ?(scan_threshold = 0) ?(extra_hazards = fun () -> [])
+  let create ?(scan_threshold = 0) ?(extra_hazards = fun () -> []) ~nil
       ~num_threads ~slots_per_thread ~free () =
     if num_threads <= 0 then invalid_arg "Hazard.create: num_threads";
     if slots_per_thread <= 0 then
@@ -59,41 +62,43 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       threads =
         Array.init num_threads (fun _ ->
             {
-              slots = Array.init slots_per_thread (fun _ -> A.make None);
+              slots = Array.init slots_per_thread (fun _ -> A.make nil);
               retired = [];
               retired_count = 0;
               freed_total = 0;
               retired_total = 0;
             });
+      nil;
       scan_threshold = threshold;
       free;
       extra_hazards;
     }
 
-  let protect t ~tid ~slot node = A.set t.threads.(tid).slots.(slot) (Some node)
-  let clear t ~tid ~slot = A.set t.threads.(tid).slots.(slot) None
+  let protect t ~tid ~slot node = A.set t.threads.(tid).slots.(slot) node
+  let clear t ~tid ~slot = A.set t.threads.(tid).slots.(slot) t.nil
 
   let clear_all t ~tid =
-    Array.iter (fun s -> A.set s None) t.threads.(tid).slots
+    let slots = t.threads.(tid).slots in
+    for i = 0 to Array.length slots - 1 do
+      A.set slots.(i) t.nil
+    done
 
   (** [protect_read t ~tid ~slot read] reads a pointer with [read],
       publishes it, and re-reads to validate the publication happened
       before the pointer could have been retired. Loops on change; in the
       queue algorithms the loop is bounded by the surrounding validation
-      structure. Returns the protected value ([read] may yield [None] for
+      structure. Returns the protected value ([read] may yield [nil] for
       an empty link, which needs no protection). *)
   let rec protect_read t ~tid ~slot read =
-    match read () with
-    | None ->
-        clear t ~tid ~slot;
-        None
-    | Some node as v ->
-        protect t ~tid ~slot node;
-        let again = read () in
-        if
-          match again with Some node' -> node' == node | None -> false
-        then v
-        else protect_read t ~tid ~slot read
+    let node = read () in
+    if node == t.nil then begin
+      clear t ~tid ~slot;
+      node
+    end
+    else begin
+      protect t ~tid ~slot node;
+      if read () == node then node else protect_read t ~tid ~slot read
+    end
 
   (* A node is hazardous if any thread currently publishes it. Physical
      membership test; H is small (num_threads * slots_per_thread). *)
@@ -102,7 +107,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       (fun acc per ->
         Array.fold_left
           (fun acc slot ->
-            match A.get slot with None -> acc | Some n -> n :: acc)
+            let n = A.get slot in
+            if n == t.nil then acc else n :: acc)
           acc per.slots)
       [] t.threads
 

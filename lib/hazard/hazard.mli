@@ -16,13 +16,16 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
   val create :
     ?scan_threshold:int ->
     ?extra_hazards:(unit -> 'a list) ->
+    nil:'a ->
     num_threads:int ->
     slots_per_thread:int ->
     free:(tid:int -> 'a -> unit) ->
     unit ->
     'a t
-  (** [create ~num_threads ~slots_per_thread ~free ()] builds a hazard
-      domain. [free] is called by the scanning thread (with its own
+  (** [create ~nil ~num_threads ~slots_per_thread ~free ()] builds a
+      hazard domain. An empty slot holds [nil], which must never be
+      retired; a publication stores the node itself, with no box.
+      [free] is called by the scanning thread (with its own
       [tid]) for each reclaimable node. [extra_hazards] lists additional
       hazard roots, scanned {e after} the slots — the Kogan-Petrank queue
       registers its descriptor node references here so that a node
@@ -37,12 +40,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
   val clear : 'a t -> tid:int -> slot:int -> unit
   val clear_all : 'a t -> tid:int -> unit
 
-  val protect_read :
-    'a t -> tid:int -> slot:int -> (unit -> 'a option) -> 'a option
+  val protect_read : 'a t -> tid:int -> slot:int -> (unit -> 'a) -> 'a
   (** [protect_read t ~tid ~slot read] loops read → publish → re-read
-      until stable; the returned node (if any) is published and was
-      reachable at publication time. Lock-free only: it retries for as
-      long as other threads keep changing the source. *)
+      until stable; the returned node (unless [nil]) is published and
+      was reachable at publication time. Lock-free only: it retries for
+      as long as other threads keep changing the source. *)
 
   val retire : 'a t -> tid:int -> 'a -> unit
   (** Hand a node removed from the structure to deferred reclamation;

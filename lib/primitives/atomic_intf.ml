@@ -21,6 +21,13 @@ module type ATOMIC = sig
   val make : 'a -> 'a t
   (** [make v] allocates a new cell initialized to [v]. *)
 
+  val make_cyclic : ('a t -> 'a) -> 'a
+  (** [make_cyclic f] allocates a cell [c], stores [v = f c] in it and
+      returns [v]: a value holding a cell that holds the value, such as
+      a list node whose [next] is the node itself. The store happens
+      before the cell can be shared, so, like [make], it is no
+      scheduling point and no counted access. *)
+
   val get : 'a t -> 'a
   (** Atomic read. *)
 

@@ -100,6 +100,7 @@ module Make (Base : Atomic_intf.ATOMIC) = struct
     }
 
   let make = Base.make
+  let make_cyclic = Base.make_cyclic
 
   let get c =
     incr reads;

@@ -49,9 +49,12 @@ module Make (A : Atomic_intf.ATOMIC) = struct
     _p6 : int;
   }
 
-  let make v =
-    { cell = A.make v; _p0 = 0; _p1 = 0; _p2 = 0; _p3 = 0; _p4 = 0;
-      _p5 = 0; _p6 = 0 }
+  let wrap cell =
+    { cell; _p0 = 0; _p1 = 0; _p2 = 0; _p3 = 0; _p4 = 0; _p5 = 0; _p6 = 0 }
+
+  let make v = wrap (A.make v)
+
+  let make_cyclic f = A.make_cyclic (fun cell -> f (wrap cell))
 
   let get t = A.get t.cell
   let set t v = A.set t.cell v

@@ -25,6 +25,13 @@ let make v =
   incr loc_counter;
   { contents = v; loc = !loc_counter }
 
+(* The initializing store is a plain one: no scheduling point. *)
+let make_cyclic f =
+  let r = make (Obj.magic 0) in
+  let v = f r in
+  r.contents <- v;
+  v
+
 let get r =
   Scheduler.yield_access { Scheduler.loc = r.loc; kind = Scheduler.Read };
   r.contents

@@ -4,10 +4,13 @@ module Hp = Wfq_hazard.Hazard.Make (Wfq_primitives.Real_atomic)
 
 type node = { mutable tag : int }
 
+(* What an empty hazard slot holds; never retired. *)
+let nil = { tag = 0 }
+
 let test_protect_blocks_free () =
   let freed = ref [] in
   let hp =
-    Hp.create ~scan_threshold:1 ~num_threads:2 ~slots_per_thread:2
+    Hp.create ~nil ~scan_threshold:1 ~num_threads:2 ~slots_per_thread:2
       ~free:(fun ~tid:_ n -> freed := n :: !freed)
       ()
   in
@@ -24,7 +27,7 @@ let test_protect_blocks_free () =
 let test_unprotected_freed_immediately () =
   let freed = ref 0 in
   let hp =
-    Hp.create ~scan_threshold:1 ~num_threads:1 ~slots_per_thread:1
+    Hp.create ~nil ~scan_threshold:1 ~num_threads:1 ~slots_per_thread:1
       ~free:(fun ~tid:_ _ -> incr freed)
       ()
   in
@@ -36,7 +39,7 @@ let test_unprotected_freed_immediately () =
 let test_threshold_defers_scan () =
   let freed = ref 0 in
   let hp =
-    Hp.create ~scan_threshold:10 ~num_threads:1 ~slots_per_thread:1
+    Hp.create ~nil ~scan_threshold:10 ~num_threads:1 ~slots_per_thread:1
       ~free:(fun ~tid:_ _ -> incr freed)
       ()
   in
@@ -51,7 +54,7 @@ let test_extra_hazard_roots () =
   let freed = ref 0 in
   let rooted = ref None in
   let hp =
-    Hp.create ~scan_threshold:1 ~num_threads:1 ~slots_per_thread:1
+    Hp.create ~nil ~scan_threshold:1 ~num_threads:1 ~slots_per_thread:1
       ~extra_hazards:(fun () ->
         match !rooted with Some n -> [ n ] | None -> [])
       ~free:(fun ~tid:_ _ -> incr freed)
@@ -67,22 +70,20 @@ let test_extra_hazard_roots () =
 
 let test_protect_read_validates () =
   let hp =
-    Hp.create ~num_threads:1 ~slots_per_thread:1
+    Hp.create ~nil ~num_threads:1 ~slots_per_thread:1
       ~free:(fun ~tid:_ _ -> ())
       ()
   in
-  let source = Atomic.make (Some { tag = 1 }) in
+  let source = Atomic.make { tag = 1 } in
   let v = Hp.protect_read hp ~tid:0 ~slot:0 (fun () -> Atomic.get source) in
-  (match v with
-  | Some n -> Alcotest.(check int) "protected the current node" 1 n.tag
-  | None -> Alcotest.fail "expected Some");
-  Atomic.set source None;
+  Alcotest.(check int) "protected the current node" 1 v.tag;
+  Atomic.set source nil;
   let v2 = Hp.protect_read hp ~tid:0 ~slot:0 (fun () -> Atomic.get source) in
-  Alcotest.(check bool) "None source yields None" true (v2 = None)
+  Alcotest.(check bool) "nil source yields nil" true (v2 == nil)
 
 let test_stats_and_flush () =
   let hp =
-    Hp.create ~scan_threshold:100 ~num_threads:2 ~slots_per_thread:1
+    Hp.create ~nil ~scan_threshold:100 ~num_threads:2 ~slots_per_thread:1
       ~free:(fun ~tid:_ _ -> ())
       ()
   in
@@ -102,7 +103,7 @@ let test_create_validation () =
   Alcotest.check_raises "num_threads"
     (Invalid_argument "Hazard.create: num_threads") (fun () ->
       ignore
-        (Hp.create ~num_threads:0 ~slots_per_thread:1
+        (Hp.create ~nil ~num_threads:0 ~slots_per_thread:1
            ~free:(fun ~tid:_ (_ : node) -> ())
            ()))
 
@@ -116,27 +117,24 @@ let test_hazard_cross_domain_stress () =
   let corruption = Atomic.make 0 in
   let num_threads = 4 in
   let hp =
-    Hp.create ~scan_threshold:4 ~num_threads ~slots_per_thread:1
+    Hp.create ~nil ~scan_threshold:4 ~num_threads ~slots_per_thread:1
       ~free:(fun ~tid:_ n ->
         n.tag <- -1;
         (* poison: any reader still holding it would see -1 *)
         Atomic.incr pool_hits)
       ()
   in
-  let cell = Atomic.make (Some { tag = 0 }) in
+  let cell = Atomic.make { tag = 1 } in
   let writer tid () =
     for i = 1 to 3_000 do
       let fresh = { tag = (tid * 100_000) + i } in
-      match Atomic.exchange cell (Some fresh) with
-      | Some old -> Hp.retire hp ~tid old
-      | None -> ()
+      Hp.retire hp ~tid (Atomic.exchange cell fresh)
     done
   in
   let reader tid () =
     for _ = 1 to 3_000 do
-      (match Hp.protect_read hp ~tid ~slot:0 (fun () -> Atomic.get cell) with
-      | Some n -> if n.tag < 0 then Atomic.incr corruption
-      | None -> ());
+      let n = Hp.protect_read hp ~tid ~slot:0 (fun () -> Atomic.get cell) in
+      if n.tag < 0 then Atomic.incr corruption;
       Hp.clear hp ~tid ~slot:0
     done
   in

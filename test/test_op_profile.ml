@@ -189,31 +189,73 @@ let check_promoted name a =
     (a.promoted_per_pair < 0.1)
 
 let test_kp_opt12_alloc () =
-  (* Enqueue: node 13 words (record 7, two atomics 2 each, value box 2),
-     two descriptors of 11 and the [Some node] box. Dequeue: three
-     descriptors and the [Some sentinel] box. A per-node or
+  (* Enqueue: node 13 words (record 7, two atomics 2 each, value box 2)
+     and two descriptors of 11. Dequeue: three descriptors. [next] and a
+     descriptor's node hold nodes, never option boxes: a box per append
+     or per stage-1 descriptor would add 2 words to each. A per-node or
      per-descriptor [let rec] would add a second copy of each record; a
      dequeued sentinel that is not self-linked would promote every
      node. *)
   let a = backend_probe "kp-opt12" in
-  Alcotest.(check int) "enqueue words" 37 a.enq_words;
-  Alcotest.(check int) "dequeue words" 35 a.deq_words;
+  Alcotest.(check int) "enqueue words" 35 a.enq_words;
+  Alcotest.(check int) "dequeue words" 33 a.deq_words;
   check_promoted "kp-opt12" a
 
+let test_kp_opt12_live_words () =
+  (* A queued element costs its node and nothing else: 13 words (see
+     above), where a boxed [next] cost 15. The queue's last descriptor
+     (11 words) rounds away. *)
+  let module Q = Wfq_core.Kp_queue.Make (Wfq_primitives.Real_atomic) in
+  let n = 10_000 in
+  let q =
+    Q.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
+      ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads:1 ()
+  in
+  let empty = Obj.reachable_words (Obj.repr q) in
+  for i = 1 to n do
+    Q.enqueue q ~tid:0 i
+  done;
+  let full = Obj.reachable_words (Obj.repr q) in
+  Alcotest.(check int) "live words per element" 13 ((full - empty) / n)
+
 let test_fps_alloc () =
-  (* The fast-path enqueue allocates just the node. Its fast-path
-     dequeues do not self-link, so unpooled fps still promotes: that is
-     not pinned here. *)
+  (* The fast-path enqueue allocates just the node; the fast-path
+     dequeue allocates nothing and self-links its sentinel, so no node
+     is promoted. *)
   let a = backend_probe "fps" in
-  Alcotest.(check int) "enqueue words" 15 a.enq_words
+  Alcotest.(check int) "enqueue words" 13 a.enq_words;
+  Alcotest.(check int) "dequeue words" 0 a.deq_words;
+  check_promoted "fps" a
+
+let test_kp_hp_alloc () =
+  (* Nodes come from the pool, and a hazard publication stores the node
+     itself, so neither allocates. Enqueue: two 11-word descriptors
+     (the hazard-pointer queue does not recycle them) and the value box.
+     Dequeue: its descriptors (it runs as a one-element batch), the
+     [taken] list and the result box, and the hazard domain's retire
+     list and scans. With a [Some node] box per publication these were
+     40 and 68. *)
+  let module Q = Wfq_core.Kp_queue_hp.Make (Wfq_primitives.Real_atomic) in
+  let q = Q.create ~num_threads:1 () in
+  let a =
+    alloc_probe ~enq:(fun v -> Q.enqueue q ~tid:0 v)
+      ~deq:(fun () -> Q.dequeue q ~tid:0)
+  in
+  Alcotest.(check int) "enqueue words" 24 a.enq_words;
+  Alcotest.(check int) "dequeue words" 54 a.deq_words;
+  check_promoted "kp-hp" a
 
 let test_ms_alloc () =
+  (* Enqueue: the node, 9 words (record 5, [next] 2, value box 2).
+     Dequeue: nothing, since the self-link stores the node itself. A
+     [Some] box per append and per self-link made this 13. *)
   let module Q = Wfq_core.Ms_queue.Make (Wfq_primitives.Real_atomic) in
   let q = Q.create ~num_threads:1 () in
   let a =
     alloc_probe ~enq:(fun v -> Q.enqueue q ~tid:0 v)
       ~deq:(fun () -> Q.dequeue q ~tid:0)
   in
+  Alcotest.(check int) "words per pair" 9 (a.enq_words + a.deq_words);
   check_promoted "LF (Ms_queue)" a
 
 let test_counters_reset_and_total () =
@@ -261,7 +303,11 @@ let () =
         [
           Alcotest.test_case "kp-opt12 words and promotion" `Quick
             test_kp_opt12_alloc;
+          Alcotest.test_case "kp-opt12 live words per element" `Quick
+            test_kp_opt12_live_words;
           Alcotest.test_case "fps enqueue words" `Quick test_fps_alloc;
+          Alcotest.test_case "kp-hp words and promotion" `Quick
+            test_kp_hp_alloc;
           Alcotest.test_case "LF promotion" `Quick test_ms_alloc;
         ] );
     ]
