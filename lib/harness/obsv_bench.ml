@@ -166,6 +166,8 @@ type overhead = {
 }
 
 let overhead_budget = 1.02
+let overhead_backends = [ ("kp_opt12", "kp-opt12"); ("fps", "fps") ]
+let overhead_queues = List.map fst overhead_backends
 
 (* Minimum over chunks: external noise (timer interrupts, co-tenants,
    GC pauses) is strictly additive, so the per-side minimum estimates
@@ -241,4 +243,4 @@ let measure_overhead ~iters ~runs () =
       enabled_ns_per_op = best !don_ /. ops;
       ratio = median !ratios }
   in
-  [ guard "kp_opt12" (queue "kp-opt12"); guard "fps" (queue "fps") ]
+  List.map (fun (name, id) -> guard name (queue id)) overhead_backends

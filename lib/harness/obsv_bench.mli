@@ -36,6 +36,10 @@ val overhead_budget : float
 (** 1.02: instrumentation may cost at most 2% throughput on the pairs
     workload (the CI bench-smoke gate). *)
 
+val overhead_queues : string list
+(** The queues {!measure_overhead} guards, by [oh_queue] name:
+    [kp_opt12] and [fps]. *)
+
 val measure_overhead : iters:int -> runs:int -> unit -> overhead list
 (** Disabled-vs-enabled chunks for opt WF (1+2) and WF fps: the
     identical [iters]-pair loop over a plain queue and over one built

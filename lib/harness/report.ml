@@ -7,9 +7,8 @@ type series = { label : string; points : (float * float) list }
 let find_y s x =
   List.assoc_opt x s.points
 
-let print_table ~title ~x_label ~y_label series =
+let print_table ~title ~x_label series =
   Printf.printf "\n== %s ==\n" title;
-  Printf.printf "(y = %s)\n" y_label;
   let xs =
     List.concat_map (fun s -> List.map fst s.points) series
     |> List.sort_uniq compare
@@ -33,58 +32,6 @@ let print_table ~title ~x_label ~y_label series =
       print_newline ())
     xs;
   flush stdout
-
-(* Minimal JSON emission (no dependency): labels are the only strings
-   and contain no control characters, but escape defensively anyway. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string ~title ?(meta = []) series =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"title\": \"%s\",\n" (json_escape title));
-  Buffer.add_string buf "  \"meta\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v)))
-    meta;
-  Buffer.add_string buf "},\n";
-  Buffer.add_string buf "  \"series\": [\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"label\": \"%s\", \"points\": ["
-           (json_escape s.label));
-      List.iteri
-        (fun j (x, y) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Printf.sprintf "[%g, %.6f]" x y))
-        s.points;
-      Buffer.add_string buf "]}")
-    series;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
-
-let write_json ~path ~title ?meta series =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (json_string ~title ?meta series))
 
 let print_csv ~title series =
   Printf.printf "\n# csv: %s\n" title;

@@ -4,21 +4,6 @@
 
 type series = { label : string; points : (float * float) list }
 
-val print_table :
-  title:string -> x_label:string -> y_label:string -> series list -> unit
+val print_table : title:string -> x_label:string -> series list -> unit
 
 val print_csv : title:string -> series list -> unit
-
-val json_string :
-  title:string -> ?meta:(string * string) list -> series list -> string
-(** Machine-readable rendering:
-    [{"title", "meta": {...}, "series": [{"label", "points": [[x, y]]}]}].
-    [meta] carries run parameters (iters, runs, …) as string pairs. *)
-
-val write_json :
-  path:string ->
-  title:string ->
-  ?meta:(string * string) list ->
-  series list ->
-  unit
-(** {!json_string} written to [path] (overwriting). *)

@@ -74,6 +74,3 @@ let profile_of_result (r : Workload.run_result) =
     major_collections = r.Workload.gc.Workload.major_collections;
     total_ops = r.Workload.total_ops;
   }
-
-let alloc_profile impl ~threads ~iters =
-  profile_of_result (Workload.pairs impl ~threads ~iters ())

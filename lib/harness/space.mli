@@ -29,7 +29,3 @@ type alloc_profile = {
 
 val profile_of_result : Workload.run_result -> alloc_profile
 (** Derive the profile from any workload's result. *)
-
-val alloc_profile : Impls.impl -> threads:int -> iters:int -> alloc_profile
-(** {!profile_of_result} over one run of the enqueue-dequeue-pairs
-    workload (conservation-checked, as always). *)

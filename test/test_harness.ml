@@ -126,12 +126,23 @@ let test_footprint_active () =
     true
     (ratio > 0.5 && ratio < 2.0)
 
+module S = Wfq_harness.Suite
+module Json = Wfq_benchmark.Json
+
+let suite name = List.find (fun (t : S.t) -> t.name = name) S.table
+let run_suite name scale = (S.run scale (suite name)).S.series
+
 let test_figures_shapes () =
-  (* Tiny-scale smoke of the figure generators: well-formed series with
+  (* Tiny-scale smoke of the figure suites: well-formed series with
      consistent x axes and positive measurements. *)
   let scale =
-    { Wfq_harness.Figures.threads = [ 1; 2 ]; iters = 300; runs = 1;
-      sizes = [ 1; 100 ] }
+    {
+      S.quick with
+      threads = [ 1; 2 ];
+      iters = 300;
+      runs = 1;
+      sizes = [ 1; 100 ];
+    }
   in
   let well_formed series =
     Alcotest.(check bool) "non-empty" true (series <> []);
@@ -147,17 +158,18 @@ let test_figures_shapes () =
           s.points)
       series
   in
-  well_formed (Wfq_harness.Figures.fig7 ~scale ());
-  well_formed (Wfq_harness.Figures.fig8 ~scale ());
-  well_formed (Wfq_harness.Figures.fig9 ~scale ());
-  well_formed (Wfq_harness.Figures.fig10 ~scale ());
+  well_formed (run_suite "fig7" scale);
+  well_formed (run_suite "fig8" scale);
+  well_formed (run_suite "fig9" scale);
+  let fig10 = run_suite "fig10" scale in
+  well_formed fig10;
   (* the space ratio must exceed 1: WF nodes are strictly larger *)
   List.iter
     (fun (s : R.series) ->
       List.iter
         (fun (_, y) -> Alcotest.(check bool) "ratio > 1" true (y > 1.0))
         s.points)
-    (Wfq_harness.Figures.fig10 ~scale ())
+    fig10
 
 let test_latency_summary () =
   let s = Wfq_harness.Latency.measure ~threads:2 ~iters:500 I.mutex in
@@ -195,15 +207,16 @@ let test_series_labels () =
   in
   let paper = [ "LF"; "base WF"; "opt WF (1+2)" ] in
   let scale =
-    { Wfq_harness.Figures.threads = [ 1 ]; iters = 50; runs = 1;
-      sizes = [ 1 ] }
+    { S.quick with threads = [ 1 ]; iters = 50; runs = 1; sizes = [ 1 ] }
   in
-  let labels = List.map (fun (s : R.series) -> s.R.label) in
-  check "fig7 rows" paper (labels (Wfq_harness.Figures.fig7 ~scale ()));
-  check "fig8 rows" paper (labels (Wfq_harness.Figures.fig8 ~scale ()));
+  let labels fig =
+    List.map (fun (s : R.series) -> s.R.label) (run_suite fig scale)
+  in
+  check "fig7 rows" paper (labels "fig7");
+  check "fig8 rows" paper (labels "fig8");
   check "fig9 rows"
     [ "base WF"; "opt WF (1+2)"; "opt WF (1)"; "opt WF (2)" ]
-    (labels (Wfq_harness.Figures.fig9 ~scale ()));
+    (labels "fig9");
   check "fps_bench_series"
     (paper
     @ [ "WF fps"; "WF fps pooled"; "WF fps mf=1"; "WF fps mf=8";
@@ -237,30 +250,224 @@ let test_series_labels () =
       "WF universal"; "flat-combining"; "two-lock"; "mutex" ]
     (names I.all)
 
-let test_chart_renders () =
-  let series =
-    [
-      { R.label = "a"; points = [ (1.0, 1.0); (2.0, 2.0); (4.0, 4.0) ] };
-      { R.label = "b"; points = [ (1.0, 2.0); (2.0, 4.0); (4.0, 8.0) ] };
-    ]
-  in
-  let out = Wfq_harness.Chart.render ~width:32 ~height:8 series in
-  Alcotest.(check bool) "mentions both series" true
-    (String.length out > 0
-    && String.index_opt out '*' <> None
-    && String.index_opt out '+' <> None);
-  Alcotest.(check string) "empty data" "(no data)\n"
-    (Wfq_harness.Chart.render [])
-
 let test_report_table_renders () =
   (* Smoke: the printer must not raise and must align missing points. *)
-  R.print_table ~title:"test" ~x_label:"threads" ~y_label:"sec"
+  R.print_table ~title:"test" ~x_label:"threads"
     [
       { R.label = "a"; points = [ (1.0, 0.5); (2.0, 0.7) ] };
       { R.label = "b"; points = [ (1.0, 0.6) ] };
     ];
   R.print_csv ~title:"test"
     [ { R.label = "a"; points = [ (1.0, 0.5) ] } ]
+
+(* ------------------------------------------------------------------ *)
+(* The validator: committed files and guard fixtures                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every committed BENCH file has its suite's shape. (The guards are not
+   asserted on them: some hold only on the host that wrote them.) *)
+let test_committed_files_valid () =
+  let files =
+    Sys.readdir ".." |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f
+           && Filename.check_suffix f ".json")
+    |> List.sort compare
+  in
+  Alcotest.(check int) "nine committed files" 9 (List.length files);
+  List.iter
+    (fun f ->
+      match S.find f with
+      | None -> Alcotest.failf "no suite writes %s" f
+      | Some t ->
+          Alcotest.(check (list string))
+            (f ^ " valid") []
+            (S.validate t
+               (S.of_json (Json.read_file (Filename.concat ".." f)))))
+    files
+
+let cert_ps = [ 2.; 4.; 8.; 16.; 32.; 64.; 128. ]
+
+(* A valid file of [file]'s suite: every expected label over its axis
+   (the meta's [axis_key] by default), y from [y label x]. *)
+let fixture ?(axis_key = "threads") ?(members = []) file meta y =
+  let t = Option.get (S.find file) in
+  let axis k =
+    List.map float_of_string (String.split_on_char ',' (List.assoc k meta))
+  in
+  let xs l =
+    if String.starts_with ~prefix:"cert_steps:" l then cert_ps
+    else if String.starts_with ~prefix:"fig10:" l then axis "sizes"
+    else axis axis_key
+  in
+  ( t,
+    {
+      S.series =
+        List.map
+          (fun label ->
+            { R.label; points = List.map (fun x -> (x, y label x)) (xs label) })
+          (S.labels t meta);
+      meta;
+      members;
+    } )
+
+let contains needle s =
+  let n = String.length needle in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = needle || at (i + 1))
+  in
+  at 0
+
+(* [good] passes validate and guard; each doctored variant fails with a
+   message containing the given text. *)
+let guard_cases what (t, good) doctored =
+  Alcotest.(check (list string)) (what ^ " valid") [] (S.validate t good);
+  Alcotest.(check (list string)) (what ^ " passes") [] (S.guard t good);
+  List.iter
+    (fun (needle, (t, b)) ->
+      Alcotest.(check (list string))
+        (what ^ " doctored still valid")
+        [] (S.validate t b);
+      let v = S.guard t b in
+      if not (List.exists (contains needle) v) then
+        Alcotest.failf "%s: expected a violation naming %S, got [%s]" what
+          needle
+          (String.concat "; " v))
+    doctored
+
+let prefixed p l = String.starts_with ~prefix:p l
+
+let test_alloc_guards () =
+  let meta = [ ("threads", "1,2") ] in
+  let alloc ~pooled ~kp =
+    fixture "BENCH_alloc.json" meta (fun l _ ->
+        if not (prefixed "words_per_op:" l) then 1.0
+        else if l = "words_per_op:opt WF (1+2)" then kp
+        else if Filename.check_suffix l "pooled" then pooled
+        else 34.0)
+  in
+  guard_cases "alloc" (alloc ~pooled:10.0 ~kp:34.0)
+    [
+      ("LF pooled allocates 34.00", alloc ~pooled:34.0 ~kp:34.0);
+      ("40.00 words/op at 1 threads (limit 40)", alloc ~pooled:10.0 ~kp:40.0);
+    ]
+
+let test_batch_guard () =
+  let meta = [ ("threads", "1,2"); ("sizes", "1,100"); ("batch", "64") ] in
+  let figures per_item =
+    fixture "BENCH_figures.json" meta (fun l x ->
+        if l = "batch:WF fps per-item" && x = 1.0 then per_item
+        else if prefixed "fig10:" l then 1.5
+        else 1.0)
+  in
+  guard_cases "figures" (figures 2.0)
+    [ ("batch speedup 1.90x < 2x at 1 domain", figures 1.9) ];
+  (* without a batch size there are no batch series and nothing to guard *)
+  let t, b =
+    fixture "BENCH_figures.json"
+      [ ("threads", "1,2"); ("sizes", "1,100"); ("batch", "none") ]
+      (fun _ _ -> 1.0)
+  in
+  Alcotest.(check (list string)) "no batch" [] (S.validate t b @ S.guard t b)
+
+let test_ring_guard () =
+  let ring ys =
+    fixture "BENCH_ring.json" [ ("threads", "1,2,4") ] (fun l x ->
+        if l = "words_per_op:WF ring" then List.assoc x ys else 1.0)
+  in
+  guard_cases "ring"
+    (ring [ (1.0, 3.5); (2.0, 3.6); (4.0, 3.69) ])
+    [
+      ("spread 0.210", ring [ (1.0, 3.5); (2.0, 3.6); (4.0, 3.71) ]);
+      ( "3.530 words/op on 1 domain",
+        ring [ (1.0, 3.53); (2.0, 3.6); (4.0, 3.6) ] );
+    ]
+
+let test_stats_guards () =
+  let metric (name, total) =
+    Json.Obj [ ("name", Json.Str name); ("total", Json.Num total) ]
+  in
+  let metrics ~slow ~steals =
+    [
+      ( "metrics",
+        Json.Arr
+          (List.map metric
+             ([ ("kp_opt12.phase_lag", 0.0); ("fps_slow.slow_entries", slow);
+                ("fps_pooled.nodes.reused", 5.0);
+                ("registry.acquisitions", 4.0) ]
+             @ List.init 4 (fun i ->
+                   (Printf.sprintf "shard_rr4.shard%d.steals" i, steals)))) );
+    ]
+  in
+  let stats ?(ratio = 1.0) ?(slow = 3.0) ?(steals = 1.0) () =
+    fixture "BENCH_stats.json" ~axis_key:"x1"
+      ~members:(metrics ~slow ~steals)
+      [ ("x1", "1"); ("overhead_budget", "1.02") ]
+      (fun l _ -> if prefixed "overhead_ratio:" l then ratio else 100.0)
+  in
+  guard_cases "stats" (stats ())
+    [
+      ("overhead ratio 1.0300 exceeds budget 1.02", stats ~ratio:1.03 ());
+      ("slow-path metrics empty", stats ~slow:0.0 ());
+      ("no shard steals recorded", stats ~steals:0.0 ());
+    ]
+
+let test_sched_guard () =
+  let sched zero =
+    fixture "BENCH_sched.json" ~axis_key:"domains" [ ("domains", "1,2") ]
+      (fun l _ ->
+        if l = zero then 0.0 else 5.0)
+  in
+  guard_cases "sched" (sched "")
+    [ ("throughput:ring at 2: 0", sched "throughput:ring") ]
+
+let test_open_loop_guards () =
+  let open_loop ?(p999 = 3.0) ?(knee = "none") () =
+    fixture "BENCH_latency_openloop.json" ~axis_key:"rates"
+      [ ("rates", "2000.,5000."); ("knee", "kp-opt12=none; ring=" ^ knee) ]
+      (fun l _ ->
+        if l = "sojourn_p999:ring" then p999
+        else if contains "_p50:" l then 1.0
+        else if contains "_p99:" l then 2.0
+        else 3.0)
+  in
+  guard_cases "open-loop" (open_loop ~knee:"12000" ())
+    [
+      ("sojourn:ring at 2000: 1/2/1.5", open_loop ~p999:1.5 ());
+      ( "ring saturates at 5000 events/s (floor 8000)",
+        open_loop ~knee:"5000" () );
+    ]
+
+let test_polylog_guard () =
+  let polylog growth =
+    fixture "BENCH_polylog.json" [ ("threads", "1,2") ] (fun l x ->
+        if l = "cert_steps:kp-base" then 43.0 +. (4.0 *. x)
+        else if l = "cert_steps:polylog" then 100.0 +. (growth *. Float.log2 x)
+        else 1.0)
+  in
+  guard_cases "polylog" (polylog 71.0)
+    [
+      ( "polylog's certified bound grows +504 steps, kp-base's +504",
+        polylog 84.0 );
+    ]
+
+let test_validate_names_shape () =
+  let t, good =
+    fixture "BENCH_ring.json" [ ("threads", "1,2") ] (fun _ _ -> 1.0)
+  in
+  let doctor f = S.validate t { good with S.series = f good.S.series } in
+  let hd = List.hd good.S.series in
+  Alcotest.(check (list string)) "missing" [ "missing series " ^ hd.R.label ]
+    (doctor List.tl);
+  Alcotest.(check (list string)) "empty" [ "empty series " ^ hd.R.label ]
+    (doctor (fun l -> { hd with R.points = [] } :: List.tl l));
+  Alcotest.(check (list string)) "duplicate and unexpected"
+    [ "duplicate series x"; "unexpected series x"; "unexpected series x" ]
+    (doctor (fun l ->
+         l @ [ { hd with R.label = "x" }; { hd with R.label = "x" } ]));
+  Alcotest.(check (list string)) "axis"
+    [ hd.R.label ^ ": x axis 1 is not the meta's threads" ]
+    (doctor (fun l -> { hd with R.points = [ (1.0, 1.0) ] } :: List.tl l))
 
 let () =
   Alcotest.run "harness"
@@ -292,7 +499,6 @@ let () =
         [
           Alcotest.test_case "tables render" `Quick
             test_report_table_renders;
-          Alcotest.test_case "charts render" `Quick test_chart_renders;
         ] );
       ( "figures",
         [
@@ -301,5 +507,19 @@ let () =
           Alcotest.test_case "by_name lookup" `Quick test_by_name;
           Alcotest.test_case "series labels pinned" `Quick
             test_series_labels;
+        ] );
+      ( "validator",
+        [
+          Alcotest.test_case "committed files valid" `Quick
+            test_committed_files_valid;
+          Alcotest.test_case "shape violations named" `Quick
+            test_validate_names_shape;
+          Alcotest.test_case "alloc guards" `Quick test_alloc_guards;
+          Alcotest.test_case "batch guard" `Quick test_batch_guard;
+          Alcotest.test_case "ring guard" `Quick test_ring_guard;
+          Alcotest.test_case "stats guards" `Quick test_stats_guards;
+          Alcotest.test_case "sched guard" `Quick test_sched_guard;
+          Alcotest.test_case "open-loop guards" `Quick test_open_loop_guards;
+          Alcotest.test_case "polylog guard" `Quick test_polylog_guard;
         ] );
     ]
