@@ -213,10 +213,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     match t.pools with
     | Some p ->
         let n = Pool.alloc p.nodes ~tid in
-        n.N.value <- Some value;
+        n.N.value <- value;
         n.N.enq_tid <- no_tid;
         n
-    | None -> make_node ~nil:t.nil ~enq_tid:no_tid (Some value)
+    | None -> make_node ~nil:t.nil ~enq_tid:no_tid value
 
   (* Unique head-swing winner only (both paths). *)
   let release_node t ~tid n =
@@ -366,7 +366,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
              deliver an element a slow dequeue already owns. *)
           if A.compare_and_set t.head first next then begin
             Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
-            next.value
+            Some next.value
           end
           else fast_dequeue t ~tid (failures + 1)
         else if
@@ -386,7 +386,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           if won then release_node t ~tid first;
           if failures > 0 then note_fast_rounds t ~tid (failures + 1);
           Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
-          v
+          Some v
         end
         else begin
           (* Someone else's dequeue is mid-flight on this sentinel;
@@ -548,11 +548,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
               N.try_claim first ~observed:claim0
                 ~tid:(t.num_threads + tid)
             then begin
-              let v1 =
-                match next.N.value with
-                | Some v -> v
-                | None -> assert false
-              in
+              let v1 = next.N.value in
               (* Walk up to the remaining want along the stable
                  chain, newest first — capped at the observed
                  [last]: jumping [head] past [tail] would strand
@@ -568,12 +564,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                   let nx2 = A.get node.N.next in
                   if nx2 == t.nil then (node, vs, m)
                   else
-                    let v =
-                      match nx2.N.value with
-                      | Some v -> v
-                      | None -> assert false
-                    in
-                    walk nx2 (v :: vs) (m + 1)
+                    walk nx2 (nx2.N.value :: vs) (m + 1)
               in
               let last_node, extra_rev, m = walk next [] 1 in
               Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;

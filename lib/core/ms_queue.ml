@@ -13,10 +13,12 @@
     every operation concurrent with the retirement has finished) is the
     only thing standing between a recycled node and the classic MS
     head-CAS ABA. The node's [value] is mutable for the same
-    write-before-publication discipline as {!Kp_internals}, and the
-    queue's placeholder node is the list's nil, as there: [next] holds
-    a node, never an option, so neither an append nor a self-link
-    allocates.
+    write-before-publication discipline as {!Kp_internals}, and unboxed
+    as there: a node without an element holds
+    [Kp_internals.no_value]. The queue's placeholder node is the list's
+    nil: [next] holds a node, never an option, so neither an append nor
+    a self-link allocates. A node is 5 words (the record and its [next]
+    cell) and carries nothing for the pool.
 
     Progress: lock-free, not wait-free — an enqueuer whose CAS on
     [last.next] keeps losing can be starved forever (demonstrated by a
@@ -25,13 +27,11 @@
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   module Pool = Wfq_primitives.Segment_pool.Make (A)
 
+  let no_value = Kp_internals.no_value
+
   type 'a node = {
-    mutable value : 'a option;
+    mutable value : 'a; (* [no_value] when the node holds no element *)
     next : 'a node A.t; (* [placeholder]: no successor *)
-    (* Intrusive Segment_pool link + retire stamp; dead storage while
-       the node is live (see Segment_pool.ops). *)
-    mutable pool_next : 'a node;
-    mutable pool_stamp : int;
   }
 
   type 'a t = {
@@ -39,50 +39,38 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     tail : 'a node A.t;
     pool : 'a node Pool.t option;
     placeholder : 'a node;
-        (* never on the list: the list's nil and the pool link of every
-           node *)
+        (* never on the list: the list's nil *)
   }
 
   let name = "ms-lock-free"
 
-  (* Neither link has a null, so a node points at some node from
-     birth. The placeholder's [next] and pool link point back at the
-     placeholder itself; [A.make_cyclic] closes the [next] loop without
-     a store the simulator would see. Every other node links to it. *)
+  (* [next] has no null, so a node points at some node from birth. The
+     placeholder's [next] points back at the placeholder itself;
+     [A.make_cyclic] closes the loop without a store the simulator would
+     see. Every other node links to it. *)
   let make_placeholder () =
-    A.make_cyclic (fun next ->
-        let rec n = { value = None; next; pool_next = n; pool_stamp = 0 } in
-        n)
+    A.make_cyclic (fun next -> { value = no_value; next })
 
-  let make_node ~nil value =
-    { value; next = A.make nil; pool_next = nil; pool_stamp = 0 }
+  let make_node ~nil value = { value; next = A.make nil }
 
   let reset_node ~nil n =
-    n.value <- None;
+    n.value <- no_value;
     A.set n.next nil
-
-  let pool_ops =
-    {
-      Wfq_primitives.Segment_pool.get_next = (fun n -> n.pool_next);
-      set_next = (fun n m -> n.pool_next <- m);
-      get_stamp = (fun n -> n.pool_stamp);
-      set_stamp = (fun n s -> n.pool_stamp <- s);
-    }
 
   let create ~num_threads:_ () =
     let placeholder = make_placeholder () in
-    let sentinel = make_node ~nil:placeholder None in
+    let sentinel = make_node ~nil:placeholder no_value in
     { head = A.make sentinel; tail = A.make sentinel; pool = None;
       placeholder }
 
   let create_pooled ?segment_size ~num_threads () =
     let placeholder = make_placeholder () in
-    let fresh_node () = make_node ~nil:placeholder None in
+    let fresh_node () = make_node ~nil:placeholder no_value in
     let sentinel = fresh_node () in
     let clock = Pool.Clock.create ~num_threads in
     let pool =
       Pool.create ?segment_size ~quarantine:true ~clock ~num_threads
-        ~ops:pool_ops ~fresh:fresh_node ~reset:(reset_node ~nil:placeholder)
+        ~fresh:fresh_node ~reset:(reset_node ~nil:placeholder)
         ()
     in
     { head = A.make sentinel; tail = A.make sentinel; pool = Some pool;
@@ -98,9 +86,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     match t.pool with
     | Some p ->
         let n = Pool.alloc p ~tid in
-        n.value <- Some value;
+        n.value <- value;
         n
-    | None -> make_node ~nil:t.placeholder (Some value)
+    | None -> make_node ~nil:t.placeholder value
 
   (* Retry loops at functor level with explicit arguments: a nested
      [let rec loop] capturing [t]/[node] allocates its closure
@@ -159,7 +147,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           (match t.pool with
           | Some p -> Pool.release p ~tid first
           | None -> ());
-          v
+          Some v
         end
         else deq_loop t ~tid
     else deq_loop t ~tid
@@ -174,9 +162,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let rec collect acc node =
       let n = A.get node.next in
       if n == t.placeholder then List.rev acc
-      else
-        let v = match n.value with Some v -> v | None -> assert false in
-        collect (v :: acc) n
+      else collect (n.value :: acc) n
     in
     collect [] (A.get t.head)
 

@@ -513,19 +513,21 @@ let pooled_below b =
         (points b ("words_per_op:" ^ impl)))
     [ "opt WF (1+2)"; "WF fps"; "LF" ]
 
-(* Unpooled opt WF (1+2) allocates 34 words/op (35 per enqueue, 33 per
-   dequeue). Building a node or descriptor with a self-referential
-   [let rec] costs a second copy of the record and put it at 67, and an
-   option box around [next] or a descriptor's node put it at 36, so 40
-   or more at any width means one of them has come back. *)
+(* Unpooled opt WF (1+2) allocates 28 words/op on one domain (27 per
+   enqueue: the 9-word node and two 9-word descriptors; 29 per dequeue:
+   three descriptors and the returned [Some]). The pool's link and
+   stamp back in every node and descriptor would put it at 34, and a
+   self-referential [let rec] per record, which costs a second copy of
+   it, at over 50, so 32 or more at any width means one of them has
+   come back. *)
 let kp_words b =
   List.filter_map
     (fun (x, w) ->
-      if w < 40.0 then None
+      if w < 32.0 then None
       else
         Some
           (Printf.sprintf
-             "opt WF (1+2) allocates %.2f words/op at %g threads (limit 40)" w
+             "opt WF (1+2) allocates %.2f words/op at %g threads (limit 32)" w
              x))
     (points b "words_per_op:opt WF (1+2)")
 

@@ -3,7 +3,7 @@
     Removes the one-node-plus-one-descriptor-per-operation allocation
     rate of the KP queue family: objects are carved from Jiffy-style
     segments (batches of [segment_size]) and recycled through strictly
-    tid-local free lists. Two mechanisms make reuse safe under helping:
+    tid-local free stacks. Two mechanisms make reuse safe under helping:
 
     - the {e claim CAS} on a recycled node is protected by an epoch tag
       in the claim word itself ([Counted_atomic.Epoch]) — maintained by
@@ -15,31 +15,18 @@
       epochs). A stalled thread delays reuse, never safety; [alloc]
       falls back to fresh segments, preserving wait-freedom.
 
-    Both containers are {e intrusive} — objects chain through a
-    client-provided link field and carry their retire epoch in a
-    client-provided int field ({!ops}) — so release, promotion and
-    reuse allocate nothing. A non-intrusive cons cell per release would
-    hand back a third of the words the recycled object saves, which is
-    measurable: the whole module exists to lower words/op.
-
     Each tid parks at most {!Make.max_parked} objects, free and
     quarantined together; [release] leaves any further object to the
     GC, so a tid that only releases cannot grow its pool without
     limit.
 
+    The pool's bookkeeping lives in per-tid arrays, not in the objects:
+    a pooled object carries no link or stamp field. The arrays start at
+    one segment and double up to [max_parked], so after warm-up
+    release, promotion and reuse allocate nothing.
+
     Functorized over [ATOMIC] so the pool runs under
     [Wfq_sim.Sim_atomic] and is DPOR-checkable with its client queues. *)
-
-type 'a ops = {
-  get_next : 'a -> 'a;
-  set_next : 'a -> 'a -> unit;
-  get_stamp : 'a -> int;
-  set_stamp : 'a -> int -> unit;
-}
-(** Accessors for the intrusive link and stamp fields. The pool owns
-    both fields from [release] until the object's next [alloc]; while
-    the object is live with the client they are dead storage and may
-    hold anything. *)
 
 module Make (A : Atomic_intf.ATOMIC) : sig
   (** Global epoch + per-thread announcements (EBR-style). One clock is
@@ -77,13 +64,11 @@ module Make (A : Atomic_intf.ATOMIC) : sig
     ?quarantine:bool ->
     clock:Clock.t ->
     num_threads:int ->
-    ops:'a ops ->
     fresh:(unit -> 'a) ->
     reset:('a -> unit) ->
     unit ->
     'a t
-  (** [fresh] mints a blank object (one extra is consumed at creation as
-      the pool's internal end-of-chain marker); [reset] re-blanks a
+  (** [fresh] mints a blank object; [reset] re-blanks a
       recycled one before it is handed out, and must bump the object's
       epoch tag if it has one. [quarantine:false] makes released
       objects immediately reusable — only safe when something else
@@ -98,18 +83,19 @@ module Make (A : Atomic_intf.ATOMIC) : sig
   val exit : 'a t -> tid:int -> unit
 
   val alloc : 'a t -> tid:int -> 'a
-  (** Pop a recycled object (after [reset]) or carve a fresh segment.
+  (** Pop a recycled object or carve a fresh segment, then [reset] it.
       Tid-local: at most one concurrent call per [tid]. *)
 
   val release : 'a t -> tid:int -> 'a -> unit
   (** Retire an object into [tid]'s quarantine (or straight onto the
-      free list when [quarantine:false]); dropped for the GC when [tid]
+      free stack when [quarantine:false]); dropped for the GC when [tid]
       already parks [max_parked] objects. The caller must hold the only
       live reference paths' retirement right — for queue nodes, be the
       unique winner of the head-swing CAS. *)
 
-  (** {2 Statistics} (read quiescently; exact — the pool distinguishes
-      first-life objects from recycled ones by a carve-time stamp) *)
+  (** {2 Statistics} (read quiescently; exact — a carve fills only an
+      empty free stack, so its first-life objects are the stack's
+      bottom entries) *)
 
   val reused : 'a t -> int
   val allocated_fresh : 'a t -> int

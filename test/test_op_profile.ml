@@ -189,26 +189,28 @@ let check_promoted name a =
     (a.promoted_per_pair < 0.1)
 
 let test_kp_opt12_alloc () =
-  (* Enqueue: node 13 words (record 7, two atomics 2 each, value box 2)
-     and two descriptors of 11. Dequeue: three descriptors. [next] and a
-     descriptor's node hold nodes, never option boxes: a box per append
-     or per stage-1 descriptor would add 2 words to each. A per-node or
+  (* Enqueue: node 9 words (record 5, two atomics 2 each; the element
+     is unboxed) and two descriptors of 9. Dequeue: three descriptors
+     and the [Some] it returns. [next] and a descriptor's node hold
+     nodes, never option boxes: a box per append or per stage-1
+     descriptor would add 2 words to each. Pool fields in the node and
+     the descriptor would add 2 words to each record. A per-node or
      per-descriptor [let rec] would add a second copy of each record; a
      dequeued sentinel that is not self-linked would promote every
      node. *)
   let a = backend_probe "kp-opt12" in
-  Alcotest.(check int) "enqueue words" 35 a.enq_words;
-  Alcotest.(check int) "dequeue words" 33 a.deq_words;
+  Alcotest.(check int) "enqueue words" 27 a.enq_words;
+  Alcotest.(check int) "dequeue words" 29 a.deq_words;
   check_promoted "kp-opt12" a
 
-let test_kp_opt12_live_words () =
-  (* A queued element costs its node and nothing else: 13 words (see
-     above), where a boxed [next] cost 15. The queue's last descriptor
-     (11 words) rounds away. *)
+(* Words reachable from a queue holding [n] elements, less those of the
+   empty queue, per element. The queue's last descriptor (9 words)
+   rounds away. *)
+let live_words_per_element ~pool =
   let module Q = Wfq_core.Kp_queue.Make (Wfq_primitives.Real_atomic) in
   let n = 10_000 in
   let q =
-    Q.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
+    Q.create_with ~pool ~help:Wfq_core.Kp_queue.Help_one_cyclic
       ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads:1 ()
   in
   let empty = Obj.reachable_words (Obj.repr q) in
@@ -216,46 +218,63 @@ let test_kp_opt12_live_words () =
     Q.enqueue q ~tid:0 i
   done;
   let full = Obj.reachable_words (Obj.repr q) in
-  Alcotest.(check int) "live words per element" 13 ((full - empty) / n)
+  (full - empty) / n
+
+let test_kp_opt12_live_words () =
+  (* A queued element costs its node and nothing else: 9 words (see
+     above), the lock-free node's 5 plus [enq_tid] and the [deq_tid]
+     cell. A boxed element made it 11, pool fields 13, a boxed [next]
+     15. *)
+  Alcotest.(check int) "live words per element" 9
+    (live_words_per_element ~pool:false)
+
+let test_kp_opt12_pooled_live_words () =
+  (* A pooled node is the same 9 words: the pool's free stacks and
+     quarantines are arrays of its own, so the node carries nothing for
+     it. The segments carved and the arrays' capacity round away. *)
+  Alcotest.(check int) "live words per element" 9
+    (live_words_per_element ~pool:true)
 
 let test_fps_alloc () =
-  (* The fast-path enqueue allocates just the node; the fast-path
-     dequeue allocates nothing and self-links its sentinel, so no node
-     is promoted. *)
+  (* The fast-path enqueue allocates just the 9-word node; the
+     fast-path dequeue allocates only the [Some] it returns and
+     self-links its sentinel, so no node is promoted. *)
   let a = backend_probe "fps" in
-  Alcotest.(check int) "enqueue words" 13 a.enq_words;
-  Alcotest.(check int) "dequeue words" 0 a.deq_words;
+  Alcotest.(check int) "enqueue words" 9 a.enq_words;
+  Alcotest.(check int) "dequeue words" 2 a.deq_words;
   check_promoted "fps" a
 
 let test_kp_hp_alloc () =
   (* Nodes come from the pool, and a hazard publication stores the node
-     itself, so neither allocates. Enqueue: two 11-word descriptors
-     (the hazard-pointer queue does not recycle them) and the value box.
-     Dequeue: its descriptors (it runs as a one-element batch), the
-     [taken] list and the result box, and the hazard domain's retire
-     list and scans. With a [Some node] box per publication these were
-     40 and 68. *)
+     itself, so neither allocates. Enqueue: two 9-word descriptors (the
+     hazard-pointer queue does not recycle them); the element is
+     unboxed. Dequeue: its three descriptors (it runs as a one-element
+     batch), the [taken] list and the result box, and the hazard
+     domain's retire list and scans. With pool fields in each
+     descriptor and a boxed element these were 24 and 54; with a
+     [Some node] box per publication too, 40 and 68. *)
   let module Q = Wfq_core.Kp_queue_hp.Make (Wfq_primitives.Real_atomic) in
   let q = Q.create ~num_threads:1 () in
   let a =
     alloc_probe ~enq:(fun v -> Q.enqueue q ~tid:0 v)
       ~deq:(fun () -> Q.dequeue q ~tid:0)
   in
-  Alcotest.(check int) "enqueue words" 24 a.enq_words;
-  Alcotest.(check int) "dequeue words" 54 a.deq_words;
+  Alcotest.(check int) "enqueue words" 18 a.enq_words;
+  Alcotest.(check int) "dequeue words" 48 a.deq_words;
   check_promoted "kp-hp" a
 
 let test_ms_alloc () =
-  (* Enqueue: the node, 9 words (record 5, [next] 2, value box 2).
-     Dequeue: nothing, since the self-link stores the node itself. A
-     [Some] box per append and per self-link made this 13. *)
+  (* Enqueue: the node, 5 words (record 3, [next] 2; the element is
+     unboxed). Dequeue: the [Some] it returns, since the self-link
+     stores the node itself. Pool fields and a boxed element made this
+     9; a [Some] box per append and per self-link, 13. *)
   let module Q = Wfq_core.Ms_queue.Make (Wfq_primitives.Real_atomic) in
   let q = Q.create ~num_threads:1 () in
   let a =
     alloc_probe ~enq:(fun v -> Q.enqueue q ~tid:0 v)
       ~deq:(fun () -> Q.dequeue q ~tid:0)
   in
-  Alcotest.(check int) "words per pair" 9 (a.enq_words + a.deq_words);
+  Alcotest.(check int) "words per pair" 7 (a.enq_words + a.deq_words);
   check_promoted "LF (Ms_queue)" a
 
 let test_counters_reset_and_total () =
@@ -305,6 +324,8 @@ let () =
             test_kp_opt12_alloc;
           Alcotest.test_case "kp-opt12 live words per element" `Quick
             test_kp_opt12_live_words;
+          Alcotest.test_case "kp-opt12-pooled live words per element"
+            `Quick test_kp_opt12_pooled_live_words;
           Alcotest.test_case "fps enqueue words" `Quick test_fps_alloc;
           Alcotest.test_case "kp-hp words and promotion" `Quick
             test_kp_hp_alloc;
