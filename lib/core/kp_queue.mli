@@ -173,7 +173,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
       [(reused, fresh, parked)] for the node pool, then the same for the
       descriptor pool when descriptor recycling is active ([None] under
       [pool_quarantine:false]). [parked] counts objects currently
-      sitting in free lists or quarantine. *)
+      sitting in free stacks or quarantine. *)
 
   val register_pool_metrics :
     'a t -> Wfq_obsv.Metrics.t -> prefix:string -> unit

@@ -46,7 +46,7 @@ val lf : impl
 val lf_pooled : impl
 (** Michael-Scott with segment-pool node recycling ("LF pooled"):
     retired nodes are reused through per-domain
-    {!Wfq_primitives.Segment_pool} free lists (epoch quarantine always
+    {!Wfq_primitives.Segment_pool} free stacks (epoch quarantine always
     on — the MS head CAS has no claim word to tag). *)
 
 val lms : impl
