@@ -47,11 +47,10 @@
       whose scans free into the node pool; [op_exit] clears the slots;
     - the descriptors' [node] fields are extra hazard roots.
 
-    The [state] slots are [Wfq_primitives.Padded] cells: they are
-    per-thread and CASed under contention. The padding keeps the slot
-    records apart, but not the atomic blocks they point to once those
-    are promoted (see padded.mli), so helpers CASing adjacent slots can
-    still false-share a line.
+    [head], [tail], the phase counter and the [state] slots are made
+    with [A.make_padded]: every domain CASes them, and on the real
+    plane each sits on a cache line of its own, so a CAS on one does
+    not invalidate the line that holds another.
 
     Internal to the Kogan-Petrank family: the public interfaces are
     {!Kp_queue}, {!Kp_queue_fps} and {!Kp_queue_hp}. *)
@@ -166,10 +165,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   module N = Kp_internals.Make (A)
   open N
 
-  (* Per-thread descriptor slots in padded records; the atomic blocks
-     themselves are not padded (see lib/primitives/padded.mli). *)
-  module P = Wfq_primitives.Padded.Make (A)
-
   module Pool = Wfq_primitives.Segment_pool.Make (A)
   module Hp = Wfq_hazard.Hazard.Make (A)
 
@@ -231,7 +226,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     hp : 'a N.node Hp.t option;
         (* §3.4 hazard domain; only with unquarantined node recycling
            and so no descriptor pool ({!Kp_queue_hp}) *)
-    state : 'a op_desc P.t array; (* L26 *)
+    state : 'a op_desc A.t array; (* L26 *)
     phase_counter : int A.t; (* optimization 2 (§3.3) *)
     help_policy : help_policy;
     phase_policy : phase_policy;
@@ -267,20 +262,14 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         invalid_arg (who ^ ".create: pool_segment must be positive")
     | _ -> ());
     (* The first sentinel is a blank node like every other, its [next]
-       holding [idle_node], the empty list's nil. The order of these
-       allocations decides where the major heap, which packs atomics 16
-       bytes apart (padded.mli), puts the queue's hot cells once a minor
-       collection promotes them: a layout change once put fps's
-       [slow_pending] on [tail]'s cache line and moved fps-pooled's
-       backlog latency by about 20% on a 2-vCPU VM (EXPERIMENTS.md,
-       "Nepotism" and "Nine-word nodes"). *)
+       holding [idle_node], the empty list's nil. *)
     let idle_node = make_nil () in
     let blank_node () =
       make_node ~nil:idle_node ~enq_tid:no_tid Kp_internals.no_value
     in
     let sentinel = blank_node () in
     let idle = make_idle_desc ~nil:idle_node in
-    let state = Array.init num_threads (fun _ -> P.make idle) in
+    let state = Array.init num_threads (fun _ -> A.make_padded idle) in
     let pools =
       if not pool then None
       else begin
@@ -304,47 +293,39 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                  ~reset:(fun _ -> ()) ())
           else None
         in
-        let hp =
-          if not hazards then None
-          else
-            let descriptor_roots () =
-              Array.fold_left
-                (fun acc slot ->
-                  let n = (P.get slot).node in
-                  if n == idle_node then acc else n :: acc)
-                [] state
-            in
-            (* A scan runs in the retiring thread and frees into that
-               thread's own pool slot. It has just found the node in no
-               hazard slot and no descriptor, so nobody can still read
-               its [next]: self-link it, so that a parked node keeps no
-               chain of later nodes alive. *)
-            let free ~tid n =
-              A.set n.next n;
-              Pool.release nodes ~tid n
-            in
-            Some
-              (Hp.create ?scan_threshold ~extra_hazards:descriptor_roots
-                 ~nil:idle_node ~num_threads ~slots_per_thread:2 ~free ())
-        in
-        Some ({ nodes; descs }, hp)
+        Some { nodes; descs }
       end
     in
-    (* Built together and split here, not apart: this sequence of
-       allocations is the one whose heap layout read fps-pooled's
-       backlog latency as before the hazard hooks. The others tried,
-       with the same code paths, read it about 15% slower
-       (EXPERIMENTS.md, "The hazard-pointer queue on the shared
-       engine"). *)
-    let pools, hp =
-      match pools with None -> (None, None) | Some (p, hp) -> (Some p, hp)
+    let hp =
+      match pools with
+      | Some { nodes; _ } when hazards ->
+          let descriptor_roots () =
+            Array.fold_left
+              (fun acc slot ->
+                let n = (A.get slot).node in
+                if n == idle_node then acc else n :: acc)
+              [] state
+          in
+          (* A scan runs in the retiring thread and frees into that
+             thread's own pool slot. It has just found the node in no
+             hazard slot and no descriptor, so nobody can still read its
+             [next]: self-link it, so that a parked node keeps no chain
+             of later nodes alive. *)
+          let free ~tid n =
+            A.set n.next n;
+            Pool.release nodes ~tid n
+          in
+          Some
+            (Hp.create ?scan_threshold ~extra_hazards:descriptor_roots
+               ~nil:idle_node ~num_threads ~slots_per_thread:2 ~free ())
+      | _ -> None
     in
     {
-      head = A.make sentinel;
-      tail = A.make sentinel;
+      head = A.make_padded sentinel;
+      tail = A.make_padded sentinel;
       hp;
       state;
-      phase_counter = A.make (-1);
+      phase_counter = A.make_padded (-1);
       help_policy = help;
       phase_policy = phase;
       tuning;
@@ -438,21 +419,21 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let publish t ~tid d =
     match t.pools with
     | Some { descs = Some _; _ } ->
-        retire_desc t ~self:tid (P.exchange t.state.(tid) d)
-    | _ -> P.set t.state.(tid) d
+        retire_desc t ~self:tid (A.exchange t.state.(tid) d)
+    | _ -> A.set t.state.(tid) d
 
   (* One descriptor-record transition: install [new_desc] over
      [cur_desc] in [tid]'s slot, retiring the displaced record on
      success and dropping the unpublished one on failure. *)
   let transition t ~self tid cur_desc new_desc =
-    let won = P.compare_and_set t.state.(tid) cur_desc new_desc in
+    let won = A.compare_and_set t.state.(tid) cur_desc new_desc in
     if won then retire_desc t ~self cur_desc else drop_desc t ~self new_desc;
     won
 
   (* L48-57 *)
   let max_phase t =
     Array.fold_left
-      (fun acc slot -> max acc (P.get slot).phase)
+      (fun acc slot -> max acc (A.get slot).phase)
       (-1) t.state
 
   let next_phase t ~tid =
@@ -474,7 +455,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (* L58-60 *)
   let is_still_pending t tid phase =
-    let desc = P.get t.state.(tid) in
+    let desc = A.get t.state.(tid) in
     desc.pending && desc.phase <= phase
 
   (* ------------------------------------------------------------------ *)
@@ -517,7 +498,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     | Some hp ->
         if desc.node != t.idle_node then
           Hp.protect hp ~tid:self ~slot:1 desc.node;
-        P.get t.state.(tid) == desc
+        A.get t.state.(tid) == desc
     | _ -> true
 
   (* ------------------------------------------------------------------ *)
@@ -551,7 +532,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         else begin
           (* L89: only real enqueued nodes ever follow [tail]. *)
           assert (tid >= 0 && tid < t.num_threads);
-          let cur_desc = P.get t.state.(tid) in
+          let cur_desc = A.get t.state.(tid) in
           (* L91: verify the slot still refers to the node just appended;
              guards against racing [help_finish_enq] calls. The jump
              target comes from the {e fresh} descriptor read (the one the
@@ -564,7 +545,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
              quarantine or the hazard slot that holds [next]
              (docs/FASTPATH.md, "Unboxed next"). *)
           if last == A.get t.tail then begin
-            let slot_desc = P.get t.state.(tid) in
+            let slot_desc = A.get t.state.(tid) in
             if slot_desc.node == next then begin
               let target =
                 let l = slot_desc.last_node in
@@ -603,7 +584,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                stale helper could append a node for an operation that
                already completed. *)
             if is_still_pending t tid phase then begin
-              let desc = P.get t.state.(tid) in
+              let desc = A.get t.state.(tid) in
               if
                 protect_transfer t ~self tid desc
                 && A.compare_and_set last.next t.idle_node desc.node
@@ -668,7 +649,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           swing_head t ~self first next
       end
       else if tid <> no_tid then begin
-        let cur_desc = P.get t.state.(tid) in
+        let cur_desc = A.get t.state.(tid) in
         if next != t.idle_node && first == A.get t.head then begin
           (if cur_desc.want > 0 then begin
              if cur_desc.pending && cur_desc.node == first then begin
@@ -740,7 +721,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                  the owner's descriptor (it cannot raise here: this code
                  may run in a helper's context, §3.1). A batch completes
                  with whatever it has. *)
-              let cur_desc = P.get t.state.(tid) in
+              let cur_desc = A.get t.state.(tid) in
               if last == A.get t.tail && is_still_pending t tid phase then
                 ignore
                   (transition t ~self tid cur_desc
@@ -756,7 +737,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           end
           else begin
             (* L125-137: queue is not empty *)
-            let cur_desc = P.get t.state.(tid) in
+            let cur_desc = A.get t.state.(tid) in
             (* L128: break — required for linearizability. *)
             if is_still_pending t tid phase then begin
               (if
@@ -800,7 +781,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      picks a phase above the caller's. The fast path's [maybe_help]
      helps at bound [max_int], which is only safe because of this. *)
   let help_slot t ~self i phase =
-    let desc = P.get t.state.(i) in
+    let desc = A.get t.state.(i) in
     if desc.pending && desc.phase <= phase then begin
       (* Peer helps only: dispatching your own freshly-published op is
          the common uncontended path (lag 0 by construction), so
@@ -896,7 +877,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
        claimed sentinel; its jump CAS then fails and it delivers only
        the claimed element. *)
   let dequeued_value t ~tid =
-    let node = (P.get t.state.(tid)).node in
+    let node = (A.get t.state.(tid)).node in
     if node == t.idle_node then None (* L104-105: linearized on empty *)
     else begin
       let next = A.get node.next in
@@ -907,7 +888,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     end
 
   (* A batch dequeue's collected prefix, in FIFO order. *)
-  let dequeued_batch t ~tid = List.rev (P.get t.state.(tid)).taken
+  let dequeued_batch t ~tid = List.rev (A.get t.state.(tid)).taken
 
   (* Enhancement 2 (§3.3): drop the node reference so the descriptor
      cannot keep the node alive once it is dequeued. Safe: the operation
@@ -935,7 +916,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     | Ok () ->
         let pending =
           Array.fold_left
-            (fun n slot -> if (P.get slot).pending then n + 1 else n)
+            (fun n slot -> if (A.get slot).pending then n + 1 else n)
             0 t.state
         in
         if pending > 0 then
@@ -944,8 +925,12 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                pending)
         else Ok ()
 
-  let phase_of t ~tid = (P.get t.state.(tid)).phase
-  let pending_of t ~tid = (P.get t.state.(tid)).pending
+  let hot_cells t =
+    Obj.repr t.head :: Obj.repr t.tail :: Obj.repr t.phase_counter
+    :: List.map Obj.repr (Array.to_list t.state)
+
+  let phase_of t ~tid = (A.get t.state.(tid)).phase
+  let pending_of t ~tid = (A.get t.state.(tid)).pending
 
   (* Pool telemetry (quiescent use): (reused, fresh, parked) for the
      node pool, and the same for the descriptor pool when recycling

@@ -126,7 +126,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   (* True while the thread's descriptor still references a list node;
      with [gc_friendly] tuning it is false between operations. *)
   let holds_node_reference t ~tid =
-    (P.get t.state.(tid)).node != t.idle_node
+    (A.get t.state.(tid)).node != t.idle_node
 
   (* The uniform RUN_QUEUE registration (Queue_intf.RUN_QUEUE): the
      depth gauge every backend exposes, plus whatever always-on

@@ -157,6 +157,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
 
   (** {2 White-box probes (tests)} *)
 
+  val hot_cells : 'a t -> Obj.t list
+  (** [head], [tail], the phase counter and the state slots: the cells
+      every domain CASes, for tests of where they land in the heap. *)
+
   val phase_of : 'a t -> tid:int -> int
   (** Phase of the thread's latest operation. *)
 

@@ -163,7 +163,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       pools = h.H.pools;
       num_threads;
       fault;
-      slow_pending = A.make 0;
+      slow_pending = A.make_padded 0;
       max_failures;
       fast_hits = Wfq_obsv.Counter.create ~slots:num_threads ();
       slow_entries = Wfq_obsv.Counter.create ~slots:num_threads ();
@@ -648,7 +648,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       (A.get t.slow_pending);
     Array.iteri
       (fun tid slot ->
-        let d = H.P.get slot in
+        let d = A.get slot in
         Printf.printf
           "tid %d: pending=%b enq=%b phase=%d node=%s fast=%d slow=%d\n" tid
           d.H.pending d.H.enqueue d.H.phase

@@ -102,12 +102,6 @@ let default_capacity = 1024
 let default_max_failures = 64
 
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
-  (* Slots and per-thread descriptor cells are [Padded] cells: both are
-     CASed under contention. The padding keeps their records apart, but
-     not the atomic blocks once those are promoted
-     (lib/primitives/padded.mli). *)
-  module P = Wfq_primitives.Padded.Make (A)
-
   (* One atomic cell per slot. The [int] is a packed (position, tid)
      word — see [pack] — giving every constructor lap validation and
      the installer/claimant identity in a single CAS-able value. Slot
@@ -166,10 +160,13 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     capacity : int;
     num_threads : int;
     max_failures : int;
-    slots : 'a cell P.t array;
-    head : int P.t;  (* next position to dequeue; lags truth by <= 1 *)
-    tail : int P.t;  (* next position to enqueue; lags truth by <= 1 *)
-    state : 'a desc P.t array;  (* per-thread descriptors *)
+    (* Every atomic cell below is made with [A.make_padded]: each is
+       CASed or bumped by both ends under contention, and on the real
+       plane a padded cell has a cache line to itself. *)
+    slots : 'a cell A.t array;
+    head : int A.t;  (* next position to dequeue; lags truth by <= 1 *)
+    tail : int A.t;  (* next position to enqueue; lags truth by <= 1 *)
+    state : 'a desc A.t array;  (* per-thread descriptors *)
     slow_pending : int A.t;  (* raised while any descriptor is pending *)
     phase_counter : int A.t;  (* FAD doorway (KP footnote 3) *)
     help_cursor : int array;  (* per-tid cyclic helping cursor, plain *)
@@ -210,12 +207,12 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       capacity;
       num_threads;
       max_failures;
-      slots = Array.init capacity (fun j -> P.make (Free j));
-      head = P.make 0;
-      tail = P.make 0;
-      state = Array.init num_threads (fun _ -> P.make idle);
-      slow_pending = A.make 0;
-      phase_counter = A.make 0;
+      slots = Array.init capacity (fun j -> A.make_padded (Free j));
+      head = A.make_padded 0;
+      tail = A.make_padded 0;
+      state = Array.init num_threads (fun _ -> A.make_padded idle);
+      slow_pending = A.make_padded 0;
+      phase_counter = A.make_padded 0;
       help_cursor = Array.make num_threads 0;
       fault;
       obsv;
@@ -233,8 +230,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      is never ahead of the truth; and because installs/claims validate
      the position against the slot, not the hint, a lagging hint is
      only a progress problem, never a correctness one. *)
-  let advance_tail t p = ignore (P.compare_and_set t.tail p (p + 1))
-  let advance_head t p = ignore (P.compare_and_set t.head p (p + 1))
+  let advance_tail t p = ignore (A.compare_and_set t.tail p (p + 1))
+  let advance_head t p = ignore (A.compare_and_set t.head p (p + 1))
 
   let sample_occupancy t ~tid =
     match t.obsv with
@@ -281,11 +278,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      be confused with this one). *)
   let finish_slow_enq t p etid =
     (if etid >= 0 then
-       let cur = P.get t.state.(etid) in
+       let cur = A.get t.state.(etid) in
        match cur.kind with
        | Kenq _ when cur.pending && cur.target = p ->
            ignore
-             (P.compare_and_set t.state.(etid) cur
+             (A.compare_and_set t.state.(etid) cur
                 { cur with pending = false; accepted = true })
        | Kenq_batch vs when cur.pending && cur.target = p ->
            (* element [bdone] landed at p: record progress and release
@@ -294,7 +291,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
               the last element's install is published. *)
            let done_ = cur.bdone + 1 in
            ignore
-             (P.compare_and_set t.state.(etid) cur
+             (A.compare_and_set t.state.(etid) cur
                 {
                   cur with
                   target = -1;
@@ -314,11 +311,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     | Taken (w, v) ->
         let p = pos_of t w and dtid = tid_of t w in
         (if dtid >= 0 then
-           let cur = P.get t.state.(dtid) in
+           let cur = A.get t.state.(dtid) in
            match cur.kind with
            | Kdeq when cur.pending && cur.target = p ->
                ignore
-                 (P.compare_and_set t.state.(dtid) cur
+                 (A.compare_and_set t.state.(dtid) cur
                     { cur with pending = false; result = Some v })
            | Kdeq_batch want when cur.pending && cur.target = p ->
                (* publish element [bdone]'s value into the batch before
@@ -326,7 +323,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                   single dequeue, per element *)
                let got = cur.bdone + 1 in
                ignore
-                 (P.compare_and_set t.state.(dtid) cur
+                 (A.compare_and_set t.state.(dtid) cur
                     {
                       cur with
                       target = -1;
@@ -335,7 +332,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                       pending = got < want;
                     })
            | Kdeq | Kdeq_batch _ | Kenq _ | Kenq_batch _ -> ());
-        if P.compare_and_set c s (Free (p + t.capacity)) then
+        if A.compare_and_set c s (Free (p + t.capacity)) then
           t.head_cache <- p + 1;
         advance_head t p
     | Free _ | Full _ -> ()
@@ -345,7 +342,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   (* ------------------------------------------------------------------ *)
 
   let is_still_pending t tid phase =
-    let desc = P.get t.state.(tid) in
+    let desc = A.get t.state.(tid) in
     desc.pending && desc.phase <= phase
 
   (* Drive tid's pending enqueue to completion. Two modes, switched by
@@ -377,7 +374,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      [Rollback_skipped] fault.) *)
   let rec help_enq t ~self tid phase =
     if is_still_pending t tid phase then begin
-      let cur = P.get t.state.(tid) in
+      let cur = A.get t.state.(tid) in
       if cur.pending && cur.phase <= phase then
         match cur.kind with
         | Kdeq | Kdeq_batch _ | Kenq_batch _ -> ()
@@ -385,16 +382,16 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
             (if cur.target >= 0 then begin
                let q = cur.target in
                let c = slot t q in
-               let s = P.get c in
+               let s = A.get c in
                match s with
                | Free p when p = q ->
-                   ignore (P.compare_and_set c s (Full (pack t q tid, v)))
+                   ignore (A.compare_and_set c s (Full (pack t q tid, v)))
                | Full (w, _)
                  when pos_of t w = q && tid_of t w = tid
                       && t.fault <> Some Rollback_skipped ->
                    (* our install landed: publish, then advance *)
                    if
-                     P.compare_and_set t.state.(tid) cur
+                     A.compare_and_set t.state.(tid) cur
                        { cur with pending = false; accepted = true }
                    then t.tail_cache <- q + 1;
                    advance_tail t q
@@ -408,25 +405,25 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                       the seeded fault, shows any install at q
                       including our own): dead claim, roll it back *)
                    ignore
-                     (P.compare_and_set t.state.(tid) cur
+                     (A.compare_and_set t.state.(tid) cur
                         { cur with target = -1 })
              end
              else begin
-               let t0 = P.get t.tail in
+               let t0 = A.get t.tail in
                let c = slot t t0 in
-               let s = P.get c in
+               let s = A.get c in
                match s with
                | Free p when p = t0 ->
                    (* stage 1: claim position t0 for this operation *)
                    ignore
-                     (P.compare_and_set t.state.(tid) cur
+                     (A.compare_and_set t.state.(tid) cur
                         { cur with target = t0 })
                | Full (w, _) when pos_of t w = t0 ->
                    finish_slow_enq t t0 (tid_of t w)
                | Full (w, _) when pos_of t w = t0 - t.capacity ->
                    (* ring full at the instant of the slot read *)
                    ignore
-                     (P.compare_and_set t.state.(tid) cur
+                     (A.compare_and_set t.state.(tid) cur
                         { cur with pending = false; accepted = false })
                | Taken (w, _) when pos_of t w = t0 - t.capacity ->
                    finish_slow_deq t c s
@@ -451,7 +448,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      answer. *)
   and help_deq t ~self tid phase =
     if is_still_pending t tid phase then begin
-      let cur = P.get t.state.(tid) in
+      let cur = A.get t.state.(tid) in
       if cur.pending && cur.phase <= phase then
         match cur.kind with
         | Kenq _ | Kenq_batch _ | Kdeq_batch _ -> ()
@@ -459,14 +456,14 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
             (if cur.target >= 0 then begin
                let q = cur.target in
                let c = slot t q in
-               let s = P.get c in
+               let s = A.get c in
                match s with
                | Full (w, v) when pos_of t w = q ->
                    (* a slow install must be published done before its
                       evidence leaves the slot *)
                    let etid = tid_of t w in
                    if etid >= 0 then finish_slow_enq t q etid;
-                   ignore (P.compare_and_set c s (Taken (pack t q tid, v)))
+                   ignore (A.compare_and_set c s (Taken (pack t q tid, v)))
                | Taken (w, _) when pos_of t w = q ->
                    (* ours: publishes our result, frees, advances;
                       another's: helps it, and our dead claim rolls
@@ -477,23 +474,23 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                       claim of ours would still be visible as [Taken]
                       until we were published done: roll the claim back *)
                    ignore
-                     (P.compare_and_set t.state.(tid) cur
+                     (A.compare_and_set t.state.(tid) cur
                         { cur with target = -1 })
              end
              else begin
-               let h = P.get t.head in
+               let h = A.get t.head in
                let c = slot t h in
-               let s = P.get c in
+               let s = A.get c in
                match s with
                | Free p when p = h ->
                    (* empty at the instant of the slot read *)
                    ignore
-                     (P.compare_and_set t.state.(tid) cur
+                     (A.compare_and_set t.state.(tid) cur
                         { cur with pending = false; result = None })
                | Full (w, _) when pos_of t w = h ->
                    (* stage 1: claim position h *)
                    ignore
-                     (P.compare_and_set t.state.(tid) cur
+                     (A.compare_and_set t.state.(tid) cur
                         { cur with target = h })
                | Taken (w, _) when pos_of t w = h -> finish_slow_deq t c s
                | _ ->
@@ -519,7 +516,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      record, which makes the stale rollback CAS fail. *)
   and help_enq_batch t ~self tid phase =
     if is_still_pending t tid phase then begin
-      let cur = P.get t.state.(tid) in
+      let cur = A.get t.state.(tid) in
       if cur.pending && cur.phase <= phase then
         match cur.kind with
         | Kdeq | Kdeq_batch _ | Kenq _ -> ()
@@ -527,11 +524,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
             (if cur.target >= 0 then begin
                let q = cur.target in
                let c = slot t q in
-               let s = P.get c in
+               let s = A.get c in
                match s with
                | Free p when p = q ->
                    let v = vs.(cur.bdone) in
-                   ignore (P.compare_and_set c s (Full (pack t q tid, v)))
+                   ignore (A.compare_and_set c s (Full (pack t q tid, v)))
                | Full (w, _) when pos_of t w = q && tid_of t w = tid ->
                    (* our element landed: publish its progress (the
                       batch arm of finish_slow_enq), then advance *)
@@ -543,17 +540,17 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                | _ ->
                    (* position q went to another operation: dead claim *)
                    ignore
-                     (P.compare_and_set t.state.(tid) cur
+                     (A.compare_and_set t.state.(tid) cur
                         { cur with target = -1 })
              end
              else begin
-               let t0 = P.get t.tail in
+               let t0 = A.get t.tail in
                let c = slot t t0 in
-               let s = P.get c in
+               let s = A.get c in
                match s with
                | Free p when p = t0 ->
                    ignore
-                     (P.compare_and_set t.state.(tid) cur
+                     (A.compare_and_set t.state.(tid) cur
                         { cur with target = t0 })
                | Full (w, _) when pos_of t w = t0 ->
                    finish_slow_enq t t0 (tid_of t w)
@@ -561,7 +558,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                    (* ring full mid-batch: terminal partial outcome,
                       [bdone] elements in, suffix rejected *)
                    ignore
-                     (P.compare_and_set t.state.(tid) cur
+                     (A.compare_and_set t.state.(tid) cur
                         { cur with pending = false; accepted = false })
                | Taken (w, _) when pos_of t w = t0 - t.capacity ->
                    finish_slow_deq t c s
@@ -580,7 +577,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      queue was observed empty at that element's linearization point. *)
   and help_deq_batch t ~self tid phase =
     if is_still_pending t tid phase then begin
-      let cur = P.get t.state.(tid) in
+      let cur = A.get t.state.(tid) in
       if cur.pending && cur.phase <= phase then
         match cur.kind with
         | Kenq _ | Kenq_batch _ | Kdeq -> ()
@@ -588,31 +585,31 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
             (if cur.target >= 0 then begin
                let q = cur.target in
                let c = slot t q in
-               let s = P.get c in
+               let s = A.get c in
                match s with
                | Full (w, v) when pos_of t w = q ->
                    let etid = tid_of t w in
                    if etid >= 0 then finish_slow_enq t q etid;
-                   ignore (P.compare_and_set c s (Taken (pack t q tid, v)))
+                   ignore (A.compare_and_set c s (Taken (pack t q tid, v)))
                | Taken (w, _) when pos_of t w = q -> finish_slow_deq t c s
                | _ ->
                    ignore
-                     (P.compare_and_set t.state.(tid) cur
+                     (A.compare_and_set t.state.(tid) cur
                         { cur with target = -1 })
              end
              else begin
-               let h = P.get t.head in
+               let h = A.get t.head in
                let c = slot t h in
-               let s = P.get c in
+               let s = A.get c in
                match s with
                | Free p when p = h ->
                    (* empty mid-batch: terminal partial outcome *)
                    ignore
-                     (P.compare_and_set t.state.(tid) cur
+                     (A.compare_and_set t.state.(tid) cur
                         { cur with pending = false })
                | Full (w, _) when pos_of t w = h ->
                    ignore
-                     (P.compare_and_set t.state.(tid) cur
+                     (A.compare_and_set t.state.(tid) cur
                         { cur with target = h })
                | Taken (w, _) when pos_of t w = h -> finish_slow_deq t c s
                | _ -> advance_head t h
@@ -625,7 +622,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      otherwise keep a completed-and-republished operation alive — the
      {!Kp_queue_fps} stale-helper livelock, pinned there by DPOR. *)
   let help_slot t ~self i phase =
-    let desc = P.get t.state.(i) in
+    let desc = A.get t.state.(i) in
     if desc.pending && desc.phase <= phase then begin
       (match t.obsv with
       | Some m when i <> self -> Wfq_obsv.Counter.incr m.m_help ~slot:self
@@ -663,7 +660,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
        descriptor also sees the flag *)
     ignore (A.fetch_and_add t.slow_pending 1);
     let phase = next_phase t in
-    P.set t.state.(tid)
+    A.set t.state.(tid)
       {
         phase;
         pending = true;
@@ -676,7 +673,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       };
     run_help t ~tid ~phase;
     ignore (A.fetch_and_add t.slow_pending (-1));
-    P.get t.state.(tid)
+    A.get t.state.(tid)
 
   let slow_enqueue t ~tid v =
     let d = slow_op t ~tid (Kenq v) in
@@ -692,12 +689,12 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let rec fast_enqueue t ~tid v failures =
     if failures >= t.max_failures then slow_enqueue t ~tid v
     else begin
-      let t0 = P.get t.tail in
+      let t0 = A.get t.tail in
       let c = slot t t0 in
-      let s = P.get c in
+      let s = A.get c in
       match s with
       | Free p when p = t0 ->
-          if P.compare_and_set c s (Full (pack t t0 (-1), v)) then begin
+          if A.compare_and_set c s (Full (pack t t0 (-1), v)) then begin
             advance_tail t t0;
             t.tail_cache <- t0 + 1;
             sample_occupancy t ~tid;
@@ -734,9 +731,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let rec fast_dequeue t ~tid failures =
     if failures >= t.max_failures then slow_dequeue t ~tid
     else begin
-      let h = P.get t.head in
+      let h = A.get t.head in
       let c = slot t h in
-      let s = P.get c in
+      let s = A.get c in
       match s with
       | Free p when p = h ->
           (* empty at the instant of the slot read (see help_deq):
@@ -747,7 +744,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           if etid >= 0 then finish_slow_enq t h etid;
           (* claim and free are one CAS on the fast path: the dequeuer
              itself holds the value, no helper needs to learn it *)
-          if P.compare_and_set c s (Free (h + t.capacity)) then begin
+          if A.compare_and_set c s (Free (h + t.capacity)) then begin
             t.head_cache <- h + 1;
             advance_head t h;
             Some v
@@ -824,12 +821,12 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
             accepted
           end
           else begin
-            let t0 = P.get t.tail in
+            let t0 = A.get t.tail in
             let c = slot t t0 in
-            let s = P.get c in
+            let s = A.get c in
             match s with
             | Free p when p = t0 ->
-                if P.compare_and_set c s (Full (pack t t0 (-1), arr.(i)))
+                if A.compare_and_set c s (Full (pack t t0 (-1), arr.(i)))
                 then begin
                   advance_tail t t0;
                   t.tail_cache <- t0 + 1;
@@ -887,9 +884,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           List.rev_append acc (List.rev d.bgot)
         end
         else begin
-          let h = P.get t.head in
+          let h = A.get t.head in
           let c = slot t h in
-          let s = P.get c in
+          let s = A.get c in
           match s with
           | Free p when p = h ->
               (* empty at this element's validated slot read: short *)
@@ -898,7 +895,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           | Full (w, v) when pos_of t w = h ->
               let etid = tid_of t w in
               if etid >= 0 then finish_slow_enq t h etid;
-              if P.compare_and_set c s (Free (h + t.capacity)) then begin
+              if A.compare_and_set c s (Free (h + t.capacity)) then begin
                 t.head_cache <- h + 1;
                 advance_head t h;
                 go (v :: acc) (got + 1) failures (cas + 2)
@@ -925,22 +922,22 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      concurrent operations)                                             *)
   (* ------------------------------------------------------------------ *)
 
-  let length t = max 0 (P.get t.tail - P.get t.head)
+  let length t = max 0 (A.get t.tail - A.get t.head)
   let is_empty t = length t = 0
 
   let to_list t =
-    let h = P.get t.head and tl = P.get t.tail in
+    let h = A.get t.head and tl = A.get t.tail in
     let rec go p acc =
       if p >= tl then List.rev acc
       else
-        match P.get (slot t p) with
+        match A.get (slot t p) with
         | Full (w, v) when pos_of t w = p -> go (p + 1) (v :: acc)
         | _ -> go (p + 1) acc
     in
     go h []
 
   let check_quiescent_invariants t =
-    let h = P.get t.head and tl = P.get t.tail in
+    let h = A.get t.head and tl = A.get t.tail in
     let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
     if h > tl then err "head %d ahead of tail %d" h tl
     else if tl - h > t.capacity then
@@ -949,7 +946,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       err "slow_pending = %d at quiescence" (A.get t.slow_pending)
     else begin
       let pending = ref 0 in
-      Array.iter (fun s -> if (P.get s).pending then incr pending) t.state;
+      Array.iter (fun s -> if (A.get s).pending then incr pending) t.state;
       if !pending <> 0 then
         err "%d descriptors still pending at quiescence" !pending
       else begin
@@ -961,7 +958,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
               h + ((((j - h) mod t.capacity) + t.capacity) mod t.capacity)
             in
             let expected = if p < tl then "Full" else "Free" in
-            match P.get t.slots.(j) with
+            match A.get t.slots.(j) with
             | Full (w, _) when p < tl && pos_of t w = p -> ()
             | Free p' when p >= tl && p' = p -> ()
             | Full (w, _) ->
@@ -1003,16 +1000,22 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   (* ------------------------------------------------------------------ *)
 
   module Probe = struct
-    let head t = P.get t.head
-    let tail t = P.get t.tail
+    let head t = A.get t.head
+    let tail t = A.get t.tail
 
     let slot_state t j =
-      match P.get t.slots.(j) with
+      match A.get t.slots.(j) with
       | Free p -> `Free p
       | Full (w, _) -> `Full (pos_of t w, tid_of t w)
       | Taken (w, _) -> `Taken (pos_of t w, tid_of t w)
 
-    let desc_pending t tid = (P.get t.state.(tid)).pending
-    let desc_target t tid = (P.get t.state.(tid)).target
+    let desc_pending t tid = (A.get t.state.(tid)).pending
+    let desc_target t tid = (A.get t.state.(tid)).target
+
+    let hot_cells t =
+      [ Obj.repr t.head; Obj.repr t.tail; Obj.repr t.slow_pending;
+        Obj.repr t.phase_counter; Obj.repr t.slots.(0);
+        Obj.repr t.slots.(1) ]
+      @ List.map Obj.repr (Array.to_list t.state)
   end
 end

@@ -159,5 +159,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
 
     val desc_pending : 'a t -> int -> bool
     val desc_target : 'a t -> int -> int
+
+    val hot_cells : 'a t -> Obj.t list
+    (** [head], [tail], [slow_pending], the phase counter, the state
+        slots and slots 0 and 1, for tests of where they land in the
+        heap. *)
   end
 end

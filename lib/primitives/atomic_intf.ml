@@ -21,6 +21,12 @@ module type ATOMIC = sig
   val make : 'a -> 'a t
   (** [make v] allocates a new cell initialized to [v]. *)
 
+  val make_padded : 'a -> 'a t
+  (** [make_padded v] is [make v] in a cell that keeps other heap
+      objects off its cache line, for a cell that more than one domain
+      writes on a hot path. Only the real plane pads; the others
+      delegate, so no simulator step or counted access changes. *)
+
   val make_cyclic : ('a t -> 'a) -> 'a
   (** [make_cyclic f] allocates a cell [c], stores [v = f c] in it and
       returns [v]: a value holding a cell that holds the value, such as

@@ -5,6 +5,30 @@ type 'a t = 'a Atomic.t
 
 let make = Atomic.make
 
+(* An [Atomic.t] is a one-field block, and every atomic primitive
+   touches field 0 only, so a wider tag-0 block with the value in field
+   0 is a valid cell. Eight fields and the header make 72 bytes, so the
+   value words of two padded cells are always more than a 64-byte line
+   apart, and a promoted cell lives in the major heap's 9-word size
+   class, away from the 2-word atomics [make] packs 16 bytes apart.
+   This is multicore-magic's [copy_as_padded], allocated inline: an
+   [Obj.new_block] is a C call per cell. The fields are mutable so the
+   compiler never shares a literal between calls. *)
+type 'a padded = {
+  mutable v : 'a;
+  mutable _p1 : int;
+  mutable _p2 : int;
+  mutable _p3 : int;
+  mutable _p4 : int;
+  mutable _p5 : int;
+  mutable _p6 : int;
+  mutable _p7 : int;
+}
+
+let make_padded (v : 'a) : 'a t =
+  Obj.magic
+    { v; _p1 = 0; _p2 = 0; _p3 = 0; _p4 = 0; _p5 = 0; _p6 = 0; _p7 = 0 }
+
 (* The cell holds an immediate, which the GC skips, until [f] has
    built the value it points back from. *)
 let make_cyclic f =

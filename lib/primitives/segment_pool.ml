@@ -52,8 +52,6 @@
     references exactly the objects it parks. *)
 
 module Make (A : Atomic_intf.ATOMIC) = struct
-  module P = Padded.Make (A)
-
   (* ------------------------------------------------------------------ *)
   (* Clock: global epoch + per-domain announcements (EBR-style)         *)
   (* ------------------------------------------------------------------ *)
@@ -62,11 +60,13 @@ module Make (A : Atomic_intf.ATOMIC) = struct
     let idle = max_int
 
     type t = {
+      (* [global] and the announced epoch per tid ([idle] when outside
+         any operation) are padded cells: each announcement is written
+         by its own domain twice per operation, [global] by whichever
+         domain advances it, and all of them are read by every
+         advancement scan. *)
       global : int A.t;
-      (* Announced epoch per tid ([idle] when outside any operation).
-         Padded: each slot is written by exactly one domain per
-         operation and read by all during advancement scans. *)
-      local : int P.t array;
+      local : int A.t array;
       num_threads : int;
     }
 
@@ -74,16 +74,16 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       if num_threads <= 0 then
         invalid_arg "Segment_pool.Clock.create: num_threads";
       {
-        global = A.make 0;
-        local = Array.init num_threads (fun _ -> P.make idle);
+        global = A.make_padded 0;
+        local = Array.init num_threads (fun _ -> A.make_padded idle);
         num_threads;
       }
 
     (* Announce the current global epoch for the duration of one queue
        operation. One atomic load + one store to an uncontended padded
        slot — the whole per-operation cost of quarantine safety. *)
-    let enter t ~tid = P.set t.local.(tid) (A.get t.global)
-    let exit t ~tid = P.set t.local.(tid) idle
+    let enter t ~tid = A.set t.local.(tid) (A.get t.global)
+    let exit t ~tid = A.set t.local.(tid) idle
 
     let current t = A.get t.global
 
@@ -95,9 +95,12 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       let e = A.get t.global in
       let rec all_caught_up i =
         i >= t.num_threads
-        || (P.get t.local.(i) >= e && all_caught_up (i + 1))
+        || (A.get t.local.(i) >= e && all_caught_up (i + 1))
       in
       if all_caught_up 0 then ignore (A.compare_and_set t.global e (e + 1))
+
+    let cells t =
+      Obj.repr t.global :: List.map Obj.repr (Array.to_list t.local)
   end
 
   (* ------------------------------------------------------------------ *)
@@ -128,7 +131,6 @@ module Make (A : Atomic_intf.ATOMIC) = struct
     slots : 'a slot array;
     segment_size : int;
     quarantine : bool;
-    num_threads : int;
     fresh_obj : unit -> 'a;
     reset : 'a -> unit;
     (* Hit/miss accounting through the stack-wide observability layer
@@ -172,7 +174,6 @@ module Make (A : Atomic_intf.ATOMIC) = struct
             });
       segment_size;
       quarantine;
-      num_threads;
       fresh_obj = fresh;
       reset;
       c_reused = Wfq_obsv.Counter.create ~slots:num_threads ();

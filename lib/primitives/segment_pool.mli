@@ -49,6 +49,10 @@ module Make (A : Atomic_intf.ATOMIC) : sig
     (** Bump the global epoch if every announced thread has caught up
         to it. Called internally on the alloc slow path; exposed for
         tests. *)
+
+    val cells : t -> Obj.t list
+    (** The global epoch and the announcements, for tests of where they
+        land in the heap. *)
   end
 
   type 'a t

@@ -112,8 +112,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       n = shards;
       policy;
       backend;
-      enq_ticket = A.make 0;
-      deq_ticket = A.make 0;
+      enq_ticket = A.make_padded 0;
+      deq_ticket = A.make_padded 0;
       track_sizes = policy = Length_aware;
       sizes = Array.init shards (fun _ -> Atomic.make 0);
       s_enq = per_shard_tids ();

@@ -25,6 +25,10 @@ let make v =
   incr loc_counter;
   { contents = v; loc = !loc_counter }
 
+(* Padding is a layout matter for real domains; a simulated cell is
+   one location either way. *)
+let make_padded = make
+
 (* The initializing store is a plain one: no scheduling point. *)
 let make_cyclic f =
   let r = make (Obj.magic 0) in
