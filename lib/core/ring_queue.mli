@@ -1,9 +1,13 @@
-(** Bounded-memory wait-free MPMC ring (ROADMAP item 1, the wCQ
-    recipe: arXiv:2201.02179 and "Memory-Optimal Non-Blocking Queues").
+(** Bounded-memory wait-free MPMC ring (the wCQ direction:
+    arXiv:2201.02179 and "Memory-Optimal Non-Blocking Queues").
 
     A fixed-capacity slot array replaces the KP family's linked list:
-    zero steady-state allocation (no node per element — elements live
-    in pre-allocated padded slots) and array locality on the hot path.
+    no node per element (elements live in pre-allocated padded slots)
+    and array locality on the hot path. It is not allocation-free: a
+    fast operation allocates the fresh slot record its CAS installs,
+    and a dequeue the [Some] it returns — 7 words per
+    enqueue/dequeue pair, 3.50 words/op on one domain (docs/RING.md
+    §6).
     Each slot is one atomic cell carrying its absolute position, so a
     single physical-equality CAS installs or removes a value {e and}
     validates the lap; [head]/[tail] are position hints (lagging their
@@ -79,8 +83,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
     num_threads:int ->
     unit ->
     'a t
-  (** [capacity] is the fixed slot count (allocation happens only
-      here). [max_failures] bounds the fast path; [0] goes straight to
+  (** [capacity] is the fixed slot count (the slots are allocated
+      only here). [max_failures] bounds the fast path; [0] goes straight to
       the helping slow path (the all-slow configuration the DPOR
       litmuses check). Raises [Invalid_argument] for
       [num_threads <= 0], [capacity <= 0] or negative [max_failures]. *)
@@ -105,9 +109,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
       Per-element validated slot rounds under one shared fast-path
       budget and a single helping check; exhausting the budget
       publishes {e one} slow-path descriptor covering the whole
-      remaining run, driven element-by-element by helpers (the
-      contiguous-run claim — the segment hand-off deferred from PR 7,
-      docs/BATCHING.md). Each element linearizes at its own slot CAS
+      remaining run, driven element-by-element by helpers. It is the
+      same descriptor and the same helper a single operation's slow
+      path uses, since a single operation is a run of one
+      (docs/BATCHING.md). Each element linearizes at its own slot CAS
       (the batch is {e not} atomic), so batches compose with single
       operations and with each other. Wait-free with the per-operation
       step bound scaled by the batch size. *)
@@ -158,7 +163,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
     (** Slot [j]'s cell as [(position, tid)]; tid [-1] = fast path. *)
 
     val desc_pending : 'a t -> int -> bool
-    val desc_target : 'a t -> int -> int
 
     val hot_cells : 'a t -> Obj.t list
     (** [head], [tail], [slow_pending], the phase counter, the state

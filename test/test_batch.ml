@@ -215,8 +215,10 @@ let test_batch_interleaved_rounds (Q (name, b)) () =
 (* Ring-specific bounded behaviour                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_ring_partial_batch () =
-  let q = Ring.create_with ~capacity:4 ~max_failures:1 ~num_threads:1 () in
+(* [~max_failures:0] sends every batch down the slow path, so the
+   accepted counts and the short dequeue come from published runs. *)
+let test_ring_partial_batch ~max_failures () =
+  let q = Ring.create_with ~capacity:4 ~max_failures ~num_threads:1 () in
   Ring.enqueue_batch q ~tid:0 [ 1; 2 ];
   (* Two free slots left: a four-element batch accepts exactly two. *)
   Alcotest.(check int) "accepted = free slots" 2
@@ -569,7 +571,10 @@ let () =
       ( "ring bounded",
         [
           Alcotest.test_case "partial acceptance and Ring_full" `Quick
-            test_ring_partial_batch;
+            (test_ring_partial_batch ~max_failures:1);
+          Alcotest.test_case
+            "partial acceptance and Ring_full (all slow path)" `Quick
+            (test_ring_partial_batch ~max_failures:0);
           Alcotest.test_case "batches across wraparound" `Quick
             test_ring_batch_wraparound;
           Alcotest.test_case "all-slow batches across wraparound" `Quick

@@ -71,8 +71,10 @@ let test_sequential_fifo () =
   Alcotest.(check bool) "is_empty" true (Ring.is_empty q);
   check_audit "after drain" q
 
-let test_capacity_one () =
-  let q = Ring.create_with ~capacity:1 ~num_threads:1 () in
+(* With [~max_failures:0] every answer, full and empty included, comes
+   from a published descriptor driven by the helpers. *)
+let test_capacity_one ?max_failures () =
+  let q = Ring.create_with ~capacity:1 ?max_failures ~num_threads:1 () in
   Alcotest.(check bool) "accepts first" true (Ring.try_enqueue q ~tid:0 7);
   Alcotest.(check bool) "rejects second" false (Ring.try_enqueue q ~tid:0 8);
   Alcotest.check_raises "enqueue raises on full" Rq.Ring_full (fun () ->
@@ -340,6 +342,9 @@ let () =
             test_sequential_fifo;
           Alcotest.test_case "capacity-1: full / Ring_full / reuse" `Quick
             test_capacity_one;
+          Alcotest.test_case
+            "capacity-1: full / Ring_full / reuse (all slow path)" `Quick
+            (test_capacity_one ~max_failures:0);
           Alcotest.test_case "wraparound past 2*capacity (fast path)" `Quick
             test_wraparound_fast;
           Alcotest.test_case "wraparound past 2*capacity (all slow path)"
