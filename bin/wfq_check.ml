@@ -370,7 +370,7 @@ let ring_batch_scenarios :
       0,
       [ 9 ],
       [ [ `Try_enq_batch [ 1; 2 ] ]; [ `Deq ] ],
-      Some 60,
+      Some 58,
       Some 2_100_000 );
     (* a slow batch dequeue draining a pre-filled capacity-1 ring
        against a racing bounded enqueue *)
