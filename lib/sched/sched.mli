@@ -170,7 +170,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) (Q : RUN_QUEUE) : S
 
 module Rq_ring (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE
 (** The bounded-memory {!Wfq_core.Ring_queue}, 4096 slots per worker:
-    zero allocation per task hand-off. A worker exceeding 4096 queued
+    no node per task hand-off, only the ring's slot records
+    (docs/RING.md §6). A worker exceeding 4096 queued
     slices sees [Wfq_core.Ring_queue.Ring_full]. The bound is not
     remote: at [wfq_bench sched]'s committed scale (200 requests ×
     fanout 8) the scheduler's [runq_depth] histogram peaks at 1,600
