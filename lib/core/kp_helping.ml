@@ -312,7 +312,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
              [next]: self-link it, so that a parked node keeps no chain
              of later nodes alive. *)
           let free ~tid n =
-            A.set n.next n;
+            A.set (link n) n;
             Pool.release nodes ~tid n
           in
           Some
@@ -524,7 +524,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let help_finish_enq t ~self =
     let last = A.get t.tail in
     if protect t ~self t.tail last then begin
-      let next = A.get last.next in
+      let next = A.get (link last) in
       protect_next t ~self next;
       if next != t.idle_node then begin
         let tid = next.enq_tid in
@@ -576,7 +576,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     if is_still_pending t tid phase then begin
       let last = A.get t.tail in
       if protect t ~self t.tail last then begin
-        let next = A.get last.next in
+        let next = A.get (link last) in
         if last == A.get t.tail then
           if next == t.idle_node then begin
             (* L72: tail is accurate, an enqueue can be applied. The inner
@@ -587,7 +587,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
               let desc = A.get t.state.(tid) in
               if
                 protect_transfer t ~self tid desc
-                && A.compare_and_set last.next t.idle_node desc.node
+                && A.compare_and_set (link last) t.idle_node desc.node
               then begin
                 (* L74 succeeded: the operation is linearized. *)
                 help_finish_enq t ~self
@@ -641,7 +641,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let help_finish_deq t ~self =
     let first = A.get t.head in
     if protect t ~self t.head first then begin
-      let next = A.get first.next in
+      let next = A.get (link first) in
       protect_next t ~self next;
       let tid = N.claimed_tid first in (* L144, epoch tag stripped *)
       if tid >= t.num_threads then begin
@@ -708,7 +708,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
            the word is literally the historical [-1]/tid value. *)
         let claim0 = A.get first.deq_tid in
         let last = A.get t.tail in
-        let next = A.get first.next in
+        let next = A.get (link first) in
         if first == A.get t.head then
           if batch && N.claimed_tid first = tid then begin
             help_finish_deq t ~self;
@@ -880,10 +880,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let node = (A.get t.state.(tid)).node in
     if node == t.idle_node then None (* L104-105: linearized on empty *)
     else begin
-      let next = A.get node.next in
+      let next = A.get (link node) in
       assert (next != t.idle_node);
       let v = next.value in
-      A.set node.next node;
+      A.set (link node) node;
       Some v
     end
 

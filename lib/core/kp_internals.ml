@@ -3,10 +3,15 @@
 
     Paper Figure 1, lines 1-12: a singly-linked list of nodes behind a
     sentinel. A node is the paper's four fields and nothing else:
-    [value], [next], [enq_tid], and [deq_tid], which is contended,
-    hence atomic (L5). With the two atomic cells it is 9 words; the
-    lock-free baseline's node ([Ms_queue]) is 5, and the difference is
-    [enq_tid] and the [deq_tid] cell, the paper's "two extra fields"
+    [next], [value], [enq_tid], and [deq_tid], which is contended,
+    hence atomic (L5). The node is its own [next] cell: [next] is field
+    0, an [A.embedded], and every access to it goes through [link]
+    ([A.first]); it is never read as a plain field. Only [deq_tid]
+    keeps a cell of its own (embedding it too would need a CAS on a
+    field other than 0, which OCaml 5.1 lacks), so a node is 7 words:
+    the 5-word record and the 2-word [deq_tid] cell. The lock-free
+    baseline's node ([Ms_queue]) is 3, and the difference is [enq_tid]
+    and the [deq_tid] pointer and cell, the paper's "two extra fields"
     (Fig. 10).
 
     [value] is unboxed. A node that never held an element (nil, the
@@ -34,7 +39,7 @@
     field for it.
 
     There is no [None] node. Each queue makes one node that is never on
-    the list, its {e nil} ([make_nil]): a [next] cell holding nil means
+    the list, its {e nil} ([make_nil]): a [next] holding nil means
     "no successor", a descriptor field holding nil means "no node", and
     nil's own [next] points back at nil. Nil is cyclic, so nodes are
     compared only with [==] and [!=]: a structural comparison would
@@ -56,7 +61,7 @@ module Epoch = Wfq_primitives.Counted_atomic.Epoch
 
 (** The [value] of a node that holds no element: nil, the first
     sentinel, a recycled node. It is the immediate [()] at every type,
-    the idiom of [Real_atomic.make_cyclic]'s initial cell: the GC does
+    the idiom of [Real_atomic.embed_cyclic]'s initial field: the GC does
     not follow it, and nothing reads it back as an element, since
     elements are read only from nodes past a sentinel, and each of
     those was enqueued with one. Shared by [Ms_queue]. *)
@@ -64,30 +69,33 @@ let no_value = Obj.magic ()
 
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   type 'a node = {
+    mutable next : 'a node A.embedded; (* field 0, only through [link] *)
     mutable value : 'a; (* [no_value] when the node holds no element *)
-    next : 'a node A.t;
     mutable enq_tid : int;
     deq_tid : int A.t;
   }
+
+  (** The node's [next] cell: the node itself, read as a cell. *)
+  let link : 'a node -> 'a node A.t = A.first
 
   (** [enq_tid] of the sentinel and of fast-path nodes; also the
       unclaimed payload of every [deq_tid]. *)
   let no_tid = -1
 
-  (* The queue's nil: its [next] cell holds nil itself. [A.make_cyclic]
-     closes the loop before the cell is shared, so it is no step of the
-     simulator. *)
+  (* The queue's nil: its [next] cell holds nil itself.
+     [A.embed_cyclic] closes the loop before the node is shared, so it
+     is no step of the simulator. *)
   let make_nil () =
     let deq_tid = A.make no_tid in
-    A.make_cyclic (fun next ->
-        { value = no_value; next; enq_tid = no_tid; deq_tid })
+    A.embed_cyclic (fun next ->
+        { next; value = no_value; enq_tid = no_tid; deq_tid })
 
   (* A fresh node whose [next] is [nil]; the first sentinel is one with
      [no_value]. *)
   let make_node ~nil ~enq_tid value =
-    let next = A.make nil in
+    let next = A.embed nil in
     let deq_tid = A.make no_tid in
-    { value; next; enq_tid; deq_tid }
+    { next; value; enq_tid; deq_tid }
 
   (* ------------------------------------------------------------------ *)
   (* Epoch-tagged claim protocol                                        *)
@@ -117,7 +125,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let recycle ~nil node =
     node.value <- no_value;
     node.enq_tid <- no_tid;
-    A.set node.next nil;
+    A.set (link node) nil;
     A.set node.deq_tid (Epoch.next_incarnation (A.get node.deq_tid))
 
   (** Recycle {e without} bumping the incarnation — the seeded fault for
@@ -126,7 +134,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let recycle_untagged ~nil node =
     node.value <- no_value;
     node.enq_tid <- no_tid;
-    A.set node.next nil;
+    A.set (link node) nil;
     A.set node.deq_tid no_tid
 
   (* ------------------------------------------------------------------ *)
@@ -141,7 +149,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      reachable from [head]. *)
   let to_list ~nil head =
     let rec collect acc node =
-      let n = A.get node.next in
+      let n = A.get (link node) in
       if n == nil || n == node then List.rev acc
       else collect (n.value :: acc) n
     in
@@ -149,12 +157,12 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let length ~nil head =
     let rec count acc node =
-      let n = A.get node.next in
+      let n = A.get (link node) in
       if n == nil || n == node then acc else count (acc + 1) n
     in
     count 0 (A.get head)
 
-  let is_empty ~nil head = A.get (A.get head).next == nil
+  let is_empty ~nil head = A.get (link (A.get head)) == nil
 
   (** The structural half of [check_quiescent_invariants]: [tail]
       reachable from [head] and no node dangling past [tail]. Variants
@@ -165,10 +173,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let rec reaches node =
       if node == tail then true
       else
-        let n = A.get node.next in
+        let n = A.get (link node) in
         n != nil && n != node && reaches n
     in
     if not (reaches head) then Error "tail not reachable from head"
-    else if A.get tail.next != nil then Error "dangling node after tail"
+    else if A.get (link tail) != nil then Error "dangling node after tail"
     else Ok ()
 end

@@ -94,7 +94,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           List.fold_left
             (fun prev v ->
               let n = alloc_node t ~self:tid ~enq_tid:tid v in
-              A.set prev.N.next n;
+              A.set (N.link prev) n;
               n)
             first rest
         in

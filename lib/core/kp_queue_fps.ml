@@ -307,10 +307,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     end
     else
       let last = A.get t.tail in
-      let next = A.get last.next in
+      let next = A.get (link last) in
       if last == A.get t.tail then
         if next == t.nil then begin
-          if A.compare_and_set last.next t.nil node then begin
+          if A.compare_and_set (link last) t.nil node then begin
             (* Linearized; fix tail lazily, MS-style (failure means
                someone helped us). *)
             ignore (A.compare_and_set t.tail last node);
@@ -345,7 +345,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
          defense; see Kp_internals.try_claim). *)
       let claim0 = A.get first.deq_tid in
       let last = A.get t.tail in
-      let next = A.get first.next in
+      let next = A.get (link first) in
       if first == A.get t.head then
         if first == last then
           if next == t.nil then begin
@@ -382,7 +382,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
              our [op_exit], which is what lets a quarantined pool hand
              it out again. *)
           let won = A.compare_and_set t.head first next in
-          A.set first.next first;
+          A.set (link first) first;
           if won then release_node t ~tid first;
           if failures > 0 then note_fast_rounds t ~tid (failures + 1);
           Wfq_obsv.Counter.incr t.fast_hits ~slot:tid;
@@ -416,7 +416,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let rec catch_up_tail t k =
     if k > 0 then begin
       let l = A.get t.tail in
-      let nx = A.get l.next in
+      let nx = A.get (link l) in
       if nx != t.nil then begin
         ignore (A.compare_and_set t.tail l nx);
         catch_up_tail t (k - 1)
@@ -443,7 +443,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           List.fold_left
             (fun prev v ->
               let n = alloc_node t ~tid v in
-              A.set prev.N.next n;
+              A.set (link prev) n;
               n)
             chain_first rest
         in
@@ -451,7 +451,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
            first node — the link CAS below then publishes one element
            while the caller believes all [k] went in. *)
         if t.fault = Some Batch_partial_publish then
-          A.set chain_first.N.next t.nil;
+          A.set (link chain_first) t.nil;
         let rec attempt failures cas =
           if failures >= t.max_failures then begin
             note_fast_rounds t ~tid failures;
@@ -460,10 +460,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           end
           else
             let last = A.get t.tail in
-            let next = A.get last.next in
+            let next = A.get (link last) in
             if last == A.get t.tail then
               if next == t.nil then begin
-                if A.compare_and_set last.next t.nil chain_first then begin
+                if A.compare_and_set (link last) t.nil chain_first then begin
                   (* Linearized (all k elements at once). Jump [tail]
                      over the chain; on failure helpers advanced it one
                      node at a time — walk it the rest of the way so
@@ -528,7 +528,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           let first = A.get t.head in
           let claim0 = A.get first.deq_tid in
           let last = A.get t.tail in
-          let next = A.get first.next in
+          let next = A.get (link first) in
           if first == A.get t.head then
             if first == last then
               if next == t.nil then begin
@@ -561,7 +561,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
               let rec walk node vs m =
                 if m = n - got || node == last then (node, vs, m)
                 else
-                  let nx2 = A.get node.N.next in
+                  let nx2 = A.get (link node) in
                   if nx2 == t.nil then (node, vs, m)
                   else
                     walk nx2 (nx2.N.value :: vs) (m + 1)
@@ -575,8 +575,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                    node and release it. *)
                 let rec release_prefix node =
                   if node != last_node then begin
-                    let nxt = A.get node.N.next in
-                    A.set node.N.next node;
+                    let nxt = A.get (link node) in
+                    A.set (link node) node;
                     release_node t ~tid node;
                     release_prefix nxt
                   end
@@ -587,7 +587,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
               else begin
                 (* A helper swung [head] one node for us: only the
                    claimed first element was taken. *)
-                A.set first.N.next first;
+                A.set (link first) first;
                 go (v1 :: acc) (got + 1) failures (cas + 2)
               end
             end
@@ -639,7 +639,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let node_id (n : 'a node) = Hashtbl.hash n in
     Printf.printf "head=%d (deq_tid=%d) tail=%d tail.next=%s\n"
       (node_id head) (N.claimed_tid head) (node_id tail)
-      (let n = A.get tail.next in
+      (let n = A.get (link tail) in
        if n == t.nil then "nil"
        else
          Printf.sprintf "%d (enq_tid=%d, deq_tid=%d)" (node_id n) n.enq_tid
@@ -663,7 +663,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           (node_id n) n.enq_tid (N.claimed_tid n)
           (if n == head then " <-head" else "")
           (if n == tail then " <-tail" else "");
-        let nx = A.get n.next in
+        let nx = A.get (link n) in
         if nx != t.nil then walk (i + 1) nx
       end
     in

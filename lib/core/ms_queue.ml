@@ -17,8 +17,10 @@
     as there: a node without an element holds
     [Kp_internals.no_value]. The queue's placeholder node is the list's
     nil: [next] holds a node, never an option, so neither an append nor
-    a self-link allocates. A node is 5 words (the record and its [next]
-    cell) and carries nothing for the pool.
+    a self-link allocates. The node is its own [next] cell, as in
+    {!Kp_internals}: [next] is field 0, reached only through [link]
+    ([A.first]). A node is 3 words (header, [next], [value]) and
+    carries nothing for the pool.
 
     Progress: lock-free, not wait-free — an enqueuer whose CAS on
     [last.next] keeps losing can be starved forever (demonstrated by a
@@ -30,9 +32,14 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let no_value = Kp_internals.no_value
 
   type 'a node = {
+    mutable next : 'a node A.embedded;
+        (* field 0, accessed only through [link]; [placeholder]: no
+           successor *)
     mutable value : 'a; (* [no_value] when the node holds no element *)
-    next : 'a node A.t; (* [placeholder]: no successor *)
   }
+
+  (* The node's [next] cell: the node itself, read as a cell. *)
+  let link : 'a node -> 'a node A.t = A.first
 
   type 'a t = {
     head : 'a node A.t;
@@ -46,16 +53,16 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (* [next] has no null, so a node points at some node from birth. The
      placeholder's [next] points back at the placeholder itself;
-     [A.make_cyclic] closes the loop without a store the simulator would
-     see. Every other node links to it. *)
+     [A.embed_cyclic] closes the loop without a store the simulator
+     would see. Every other node links to it. *)
   let make_placeholder () =
-    A.make_cyclic (fun next -> { value = no_value; next })
+    A.embed_cyclic (fun next -> { next; value = no_value })
 
-  let make_node ~nil value = { value; next = A.make nil }
+  let make_node ~nil value = { next = A.embed nil; value }
 
   let reset_node ~nil n =
     n.value <- no_value;
-    A.set n.next nil
+    A.set (link n) nil
 
   let create ~num_threads:_ () =
     let placeholder = make_placeholder () in
@@ -96,10 +103,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      workload — see EXPERIMENTS.md, fps words/op decomposition). *)
   let rec enq_loop t node =
     let last = A.get t.tail in
-    let next = A.get last.next in
+    let next = A.get (link last) in
     if last == A.get t.tail then
       if next == t.placeholder then begin
-        if A.compare_and_set last.next t.placeholder node then
+        if A.compare_and_set (link last) t.placeholder node then
           (* Lazily fix tail; failure means someone helped us. *)
           ignore (A.compare_and_set t.tail last node)
         else enq_loop t node
@@ -119,7 +126,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let rec deq_loop t ~tid =
     let first = A.get t.head in
     let last = A.get t.tail in
-    let next = A.get first.next in
+    let next = A.get (link first) in
     if first == A.get t.head then
       if first == last then
         if next == t.placeholder then None
@@ -143,7 +150,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
              passed it before [head] could. It then retires the old
              sentinel; the quarantine keeps it intact for every
              operation that started before this point. *)
-          A.set first.next first;
+          A.set (link first) first;
           (match t.pool with
           | Some p -> Pool.release p ~tid first
           | None -> ());
@@ -160,7 +167,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let to_list t =
     let rec collect acc node =
-      let n = A.get node.next in
+      let n = A.get (link node) in
       if n == t.placeholder then List.rev acc
       else collect (n.value :: acc) n
     in
@@ -168,12 +175,12 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let length t =
     let rec count acc node =
-      let n = A.get node.next in
+      let n = A.get (link node) in
       if n == t.placeholder then acc else count (acc + 1) n
     in
     count 0 (A.get t.head)
 
-  let is_empty t = A.get (A.get t.head).next == t.placeholder
+  let is_empty t = A.get (link (A.get t.head)) == t.placeholder
 
   let check_quiescent_invariants t =
     let head = A.get t.head in
@@ -181,11 +188,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let rec reaches node =
       if node == tail then true
       else
-        let n = A.get node.next in
+        let n = A.get (link node) in
         n != t.placeholder && reaches n
     in
     if not (reaches head) then Error "tail not reachable from head"
-    else if A.get tail.next != t.placeholder then
+    else if A.get (link tail) != t.placeholder then
       Error "dangling node after tail"
     else Ok ()
 

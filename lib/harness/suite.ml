@@ -513,22 +513,25 @@ let pooled_below b =
         (points b ("words_per_op:" ^ impl)))
     [ "opt WF (1+2)"; "WF fps"; "LF" ]
 
-(* Unpooled opt WF (1+2) allocates 28 words/op on one domain (27 per
-   enqueue: the 9-word node and two 9-word descriptors; 29 per dequeue:
-   three descriptors and the returned [Some]). The pool's link and
-   stamp back in every node and descriptor would put it at 34, and a
+(* Unpooled opt WF (1+2) allocates 27 words/op on one domain (25 per
+   enqueue: the 7-word node and two 9-word descriptors; 29 per dequeue:
+   three descriptors and the returned [Some]) and at most 28 at any
+   width. The limit is that maximum plus a word. The pool's link and
+   stamp back in every node and descriptor would put it at 33, and a
    self-referential [let rec] per record, which costs a second copy of
-   it, at over 50, so 32 or more at any width means one of them has
+   it, at over 50, so 29 or more at any width means one of them has
    come back. *)
+let kp_words_limit = 29.0
+
 let kp_words b =
   List.filter_map
     (fun (x, w) ->
-      if w < 32.0 then None
+      if w < kp_words_limit then None
       else
         Some
           (Printf.sprintf
-             "opt WF (1+2) allocates %.2f words/op at %g threads (limit 32)" w
-             x))
+             "opt WF (1+2) allocates %.2f words/op at %g threads (limit %g)" w
+             x kp_words_limit))
     (points b "words_per_op:opt WF (1+2)")
 
 (* One descriptor publication covering a whole 64-element batch must

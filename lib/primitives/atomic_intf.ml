@@ -27,12 +27,32 @@ module type ATOMIC = sig
       writes on a hot path. Only the real plane pads; the others
       delegate, so no simulator step or counted access changes. *)
 
-  val make_cyclic : ('a t -> 'a) -> 'a
-  (** [make_cyclic f] allocates a cell [c], stores [v = f c] in it and
-      returns [v]: a value holding a cell that holds the value, such as
-      a list node whose [next] is the node itself. The store happens
-      before the cell can be shared, so, like [make], it is no
+  type 'a embedded
+  (** The type of a record's first field when that field is a cell:
+      a record whose field 0 is an ['a embedded] is itself a cell
+      holding an ['a], reached with {!first}. On the real plane the
+      field is the value itself, so the record needs no cell block of
+      its own; under the simulator it holds a separate cell. *)
+
+  val embed : 'a -> 'a embedded
+  (** [embed v] is the initial field-0 value of a record that is a
+      cell holding [v]. Like [make], building the record is no
       scheduling point and no counted access. *)
+
+  val first : 'r -> 'a t
+  (** [first r] is the cell in field 0 of the record [r], which must
+      have been built with an ['a embedded] from {!embed} or
+      {!embed_cyclic} in that field. Every read and write of the field
+      goes through [first]; the field is never read as a plain record
+      field. Each access through [first] is one access to one cell, as
+      on a [make] cell. *)
+
+  val embed_cyclic : ('a embedded -> 'a) -> 'a
+  (** [embed_cyclic f] is the record [r = f e], where [f] puts [e] in
+      [r]'s field 0, and the cell [first r] holds [r] itself: a list
+      node whose [next] is the node. The store happens before the
+      record can be shared, so, like [make], it is no scheduling point
+      and no counted access. *)
 
   val get : 'a t -> 'a
   (** Atomic read. *)

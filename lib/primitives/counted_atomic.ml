@@ -101,7 +101,12 @@ module Make (Base : Atomic_intf.ATOMIC) = struct
 
   let make = Base.make
   let make_padded = Base.make_padded
-  let make_cyclic = Base.make_cyclic
+
+  type 'a embedded = 'a Base.embedded
+
+  let embed = Base.embed
+  let first = Base.first
+  let embed_cyclic = Base.embed_cyclic
 
   let get c =
     incr reads;

@@ -29,13 +29,20 @@ let make_padded (v : 'a) : 'a t =
   Obj.magic
     { v; _p1 = 0; _p2 = 0; _p3 = 0; _p4 = 0; _p5 = 0; _p6 = 0; _p7 = 0 }
 
-(* The cell holds an immediate, which the GC skips, until [f] has
-   built the value it points back from. *)
-let make_cyclic f =
-  let cell = Atomic.make (Obj.magic 0) in
-  let v = f cell in
-  Atomic.set cell v;
-  v
+(* The same cast as [make_padded]: a record whose field 0 holds the
+   value is a cell, so an embedded field is the value itself and
+   [first] is the identity. This is Saturn's [as_atomic]. *)
+type 'a embedded = 'a
+
+let embed v = v
+let first r = Obj.magic r
+
+(* Field 0 holds an immediate, which the GC skips, until [f] has built
+   the record it points back at. *)
+let embed_cyclic f =
+  let r = f (Obj.magic 0) in
+  Atomic.set (first r) r;
+  r
 
 let get = Atomic.get
 let set = Atomic.set

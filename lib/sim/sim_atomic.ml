@@ -29,12 +29,19 @@ let make v =
    one location either way. *)
 let make_padded = make
 
+(* A record's field 0 holds a cell of its own, so an access through
+   [first] is one step at that cell's location, as on a [make] cell. *)
+type 'a embedded = 'a t
+
+let embed = make
+let first r = Obj.obj (Obj.field (Obj.repr r) 0)
+
 (* The initializing store is a plain one: no scheduling point. *)
-let make_cyclic f =
-  let r = make (Obj.magic 0) in
-  let v = f r in
-  r.contents <- v;
-  v
+let embed_cyclic f =
+  let c = make (Obj.magic 0) in
+  let r = f c in
+  c.contents <- r;
+  r
 
 let get r =
   Scheduler.yield_access { Scheduler.loc = r.loc; kind = Scheduler.Read };

@@ -346,10 +346,10 @@ let test_alloc_guards () =
         else if Filename.check_suffix l "pooled" then pooled
         else 34.0)
   in
-  guard_cases "alloc" (alloc ~pooled:10.0 ~kp:28.0)
+  guard_cases "alloc" (alloc ~pooled:10.0 ~kp:28.9)
     [
-      ("LF pooled allocates 34.00", alloc ~pooled:34.0 ~kp:28.0);
-      ("32.00 words/op at 1 threads (limit 32)", alloc ~pooled:10.0 ~kp:32.0);
+      ("LF pooled allocates 34.00", alloc ~pooled:34.0 ~kp:28.9);
+      ("29.00 words/op at 1 threads (limit 29)", alloc ~pooled:10.0 ~kp:29.0);
     ]
 
 let test_batch_guard () =

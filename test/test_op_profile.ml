@@ -189,68 +189,97 @@ let check_promoted name a =
     (a.promoted_per_pair < 0.1)
 
 let test_kp_opt12_alloc () =
-  (* Enqueue: node 9 words (record 5, two atomics 2 each; the element
-     is unboxed) and two descriptors of 9. Dequeue: three descriptors
-     and the [Some] it returns. [next] and a descriptor's node hold
-     nodes, never option boxes: a box per append or per stage-1
-     descriptor would add 2 words to each. Pool fields in the node and
-     the descriptor would add 2 words to each record. A per-node or
+  (* Enqueue: the node, 7 words (header, [next] in field 0, [value],
+     [enq_tid], the [deq_tid] pointer, and the 2-word [deq_tid] cell;
+     the element is unboxed), and two descriptors of 9. Dequeue: three
+     descriptors (27) and the [Some] it returns (2). [next] and a
+     descriptor's node hold nodes, never option boxes: a box per
+     append or per stage-1 descriptor would add 2 words to each. Pool
+     fields in the node and the descriptor would add 2 words to each
+     record. A per-node or
      per-descriptor [let rec] would add a second copy of each record; a
      dequeued sentinel that is not self-linked would promote every
      node. *)
   let a = backend_probe "kp-opt12" in
-  Alcotest.(check int) "enqueue words" 27 a.enq_words;
+  Alcotest.(check int) "enqueue words" 25 a.enq_words;
   Alcotest.(check int) "dequeue words" 29 a.deq_words;
   check_promoted "kp-opt12" a
 
 (* Words reachable from a queue holding [n] elements, less those of the
    empty queue, per element. The queue's last descriptor (9 words)
    rounds away. *)
-let live_words_per_element ~pool =
-  let module Q = Wfq_core.Kp_queue.Make (Wfq_primitives.Real_atomic) in
+let live_words_per_element (type q) ~(create : unit -> q)
+    ~(enqueue : q -> int -> unit) =
   let n = 10_000 in
-  let q =
-    Q.create_with ~pool ~help:Wfq_core.Kp_queue.Help_one_cyclic
-      ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads:1 ()
-  in
+  let q = create () in
   let empty = Obj.reachable_words (Obj.repr q) in
   for i = 1 to n do
-    Q.enqueue q ~tid:0 i
+    enqueue q i
   done;
   let full = Obj.reachable_words (Obj.repr q) in
   (full - empty) / n
 
+module Kp_real = Wfq_core.Kp_queue.Make (Wfq_primitives.Real_atomic)
+module Fps_real = Wfq_core.Kp_queue_fps.Make (Wfq_primitives.Real_atomic)
+module Ms_real = Wfq_core.Ms_queue.Make (Wfq_primitives.Real_atomic)
+
+let kp_live_words ~pool =
+  live_words_per_element
+    ~create:(fun () ->
+      Kp_real.create_with ~pool ~help:Wfq_core.Kp_queue.Help_one_cyclic
+        ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads:1 ())
+    ~enqueue:(fun q v -> Kp_real.enqueue q ~tid:0 v)
+
 let test_kp_opt12_live_words () =
-  (* A queued element costs its node and nothing else: 9 words (see
-     above), the lock-free node's 5 plus [enq_tid] and the [deq_tid]
-     cell. A boxed element made it 11, pool fields 13, a boxed [next]
-     15. *)
-  Alcotest.(check int) "live words per element" 9
-    (live_words_per_element ~pool:false)
+  (* A queued element costs its node and nothing else: 7 words (see
+     above), the lock-free node's 3 plus [enq_tid], the [deq_tid]
+     pointer and the [deq_tid] cell. With [next] in a cell of its own
+     it was 9; a boxed element made that 11, pool fields 13, a boxed
+     [next] 15. *)
+  Alcotest.(check int) "live words per element" 7 (kp_live_words ~pool:false)
 
 let test_kp_opt12_pooled_live_words () =
-  (* A pooled node is the same 9 words: the pool's free stacks and
+  (* A pooled node is the same 7 words: the pool's free stacks and
      quarantines are arrays of its own, so the node carries nothing for
      it. The segments carved and the arrays' capacity round away. *)
-  Alcotest.(check int) "live words per element" 9
-    (live_words_per_element ~pool:true)
+  Alcotest.(check int) "live words per element" 7 (kp_live_words ~pool:true)
+
+let test_fps_pooled_live_words () =
+  (* The fast-path queue shares the KP node: 7 words a queued element,
+     pooled or not, and a fast-path enqueue publishes no descriptor. *)
+  Alcotest.(check int) "live words per element" 7
+    (live_words_per_element
+       ~create:(fun () ->
+         Fps_real.create_with ~pool:true
+           ~help:Wfq_core.Kp_queue.Help_one_cyclic
+           ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads:1 ())
+       ~enqueue:(fun q v -> Fps_real.enqueue q ~tid:0 v))
+
+let test_ms_live_words () =
+  (* The lock-free node is a header, [next] in field 0 and [value]:
+     3 words, the baseline of Fig. 10's space comparison. *)
+  Alcotest.(check int) "live words per element" 3
+    (live_words_per_element
+       ~create:(fun () -> Ms_real.create ~num_threads:1 ())
+       ~enqueue:(fun q v -> Ms_real.enqueue q ~tid:0 v))
 
 let test_fps_alloc () =
-  (* The fast-path enqueue allocates just the 9-word node; the
+  (* The fast-path enqueue allocates just the 7-word node; the
      fast-path dequeue allocates only the [Some] it returns and
      self-links its sentinel, so no node is promoted. *)
   let a = backend_probe "fps" in
-  Alcotest.(check int) "enqueue words" 9 a.enq_words;
+  Alcotest.(check int) "enqueue words" 7 a.enq_words;
   Alcotest.(check int) "dequeue words" 2 a.deq_words;
   check_promoted "fps" a
 
 let test_kp_hp_alloc () =
   (* Nodes come from the pool, and a hazard publication stores the node
-     itself, so neither allocates. Enqueue: two 9-word descriptors (the
-     hazard-pointer queue does not recycle them); the element is
-     unboxed. Dequeue: its three descriptors (it runs as a one-element
-     batch), the [taken] list and the result box, and the hazard
-     domain's retire list and scans. With pool fields in each
+     itself, so neither allocates, and the node's size moves neither
+     figure. Enqueue: two 9-word descriptors (the hazard-pointer queue
+     does not recycle them); the element is unboxed. Dequeue: its three
+     descriptors (it runs as a one-element batch), the [taken] list and
+     the result box, and the hazard domain's retire list and scans.
+     With pool fields in each
      descriptor and a boxed element these were 24 and 54; with a
      [Some node] box per publication too, 40 and 68. *)
   let module Q = Wfq_core.Kp_queue_hp.Make (Wfq_primitives.Real_atomic) in
@@ -264,17 +293,18 @@ let test_kp_hp_alloc () =
   check_promoted "kp-hp" a
 
 let test_ms_alloc () =
-  (* Enqueue: the node, 5 words (record 3, [next] 2; the element is
-     unboxed). Dequeue: the [Some] it returns, since the self-link
-     stores the node itself. Pool fields and a boxed element made this
-     9; a [Some] box per append and per self-link, 13. *)
+  (* Enqueue: the node, 3 words (header, [next] in field 0, [value];
+     the element is unboxed). Dequeue: the [Some] it returns (2), since
+     the self-link stores the node itself. With [next] in a cell of its
+     own this was 7; pool fields and a boxed element made that 9, and a
+     [Some] box per append and per self-link 13. *)
   let module Q = Wfq_core.Ms_queue.Make (Wfq_primitives.Real_atomic) in
   let q = Q.create ~num_threads:1 () in
   let a =
     alloc_probe ~enq:(fun v -> Q.enqueue q ~tid:0 v)
       ~deq:(fun () -> Q.dequeue q ~tid:0)
   in
-  Alcotest.(check int) "words per pair" 7 (a.enq_words + a.deq_words);
+  Alcotest.(check int) "words per pair" 5 (a.enq_words + a.deq_words);
   check_promoted "LF (Ms_queue)" a
 
 let test_counters_reset_and_total () =
@@ -326,6 +356,10 @@ let () =
             test_kp_opt12_live_words;
           Alcotest.test_case "kp-opt12-pooled live words per element"
             `Quick test_kp_opt12_pooled_live_words;
+          Alcotest.test_case "fps-pooled live words per element" `Quick
+            test_fps_pooled_live_words;
+          Alcotest.test_case "ms live words per element" `Quick
+            test_ms_live_words;
           Alcotest.test_case "fps enqueue words" `Quick test_fps_alloc;
           Alcotest.test_case "kp-hp words and promotion" `Quick
             test_kp_hp_alloc;

@@ -1,6 +1,7 @@
 (* Unit and property tests for the primitives layer: RNG, backoff,
-   statistics, padded atomics and the Real_atomic wrapper, and where
-   the queues' hot cells land in the heap. *)
+   statistics, padded atomics, records that are their own cell
+   ([embed]/[first]) on every plane, and the Real_atomic wrapper, and
+   where the queues' hot cells land in the heap. *)
 
 module Rng = Wfq_primitives.Rng
 module Backoff = Wfq_primitives.Backoff
@@ -274,6 +275,158 @@ let test_hot_cells_apart () =
   check_apart "pool clock"
     (List.combine [ "global"; "local 0"; "local 1" ] (Pool.Clock.cells clock))
 
+(* ------------------------ embed / first ------------------------- *)
+
+(* A record that is its own cell: [c], an embedded cell of any plane,
+   in field 0, and plain fields after it that no access through [first]
+   may touch. *)
+type 'e self_cell = {
+  mutable c : 'e;
+  tag : int;
+  mutable name : string;
+  mutable more : int list;
+}
+
+(* A record whose cell holds a record of its own type, such as a list
+   node whose [next] is itself. *)
+type knot = { mutable k : knot A.embedded; ktag : int }
+
+let check_fields r =
+  Alcotest.(check int) "field 1 kept" 7 r.tag;
+  Alcotest.(check string) "field 2 kept" "seven" r.name;
+  Alcotest.(check (list int)) "field 3 kept" [ 7; 8 ] r.more
+
+let test_first_ops () =
+  let r = { c = A.embed 10; tag = 7; name = "seven"; more = [ 7; 8 ] } in
+  let cell = A.first r in
+  Alcotest.(check int) "get" 10 (A.get cell);
+  A.set cell 20;
+  Alcotest.(check int) "set" 20 (A.get (A.first r));
+  Alcotest.(check bool) "cas ok" true (A.compare_and_set cell 20 30);
+  Alcotest.(check bool) "cas stale fails" false (A.compare_and_set cell 20 40);
+  Alcotest.(check int) "exchange returns old" 30 (A.exchange cell 5);
+  Alcotest.(check int) "faa returns old" 5 (A.fetch_and_add cell 2);
+  Alcotest.(check int) "faa applied" 7 (A.get cell);
+  check_fields r;
+  (* The cyclic constructor: field 0 holds the record itself. *)
+  let knot = A.embed_cyclic (fun k -> { k; ktag = 7 }) in
+  Alcotest.(check bool) "cyclic: the cell holds its record" true
+    (A.get (A.first knot) == knot);
+  Alcotest.(check int) "cyclic: field 1 kept" 7 knot.ktag
+
+(* A young value written into a promoted record through [first] must
+   be seen by the minor collection (the write barrier's remembered
+   set), and must survive the major collector and compaction. *)
+let test_first_gc () =
+  let young i = [ Sys.opaque_identity i; i + 1 ] in
+  let r = { c = A.embed (young 0); tag = 7; name = "seven"; more = [ 7; 8 ] } in
+  Gc.full_major ();
+  let cell = A.first r in
+  A.set cell (young 1);
+  Gc.minor ();
+  (* Reuse the minor heap, so a value the collection missed is gone. *)
+  ignore (Sys.opaque_identity (List.init 10_000 young));
+  Alcotest.(check (list int)) "set survives a minor GC" [ 1; 2 ] (A.get cell);
+  Gc.full_major ();
+  let seen = A.get cell in
+  Alcotest.(check bool) "cas of a young value" true
+    (A.compare_and_set cell seen (young 2));
+  Gc.minor ();
+  Gc.full_major ();
+  Gc.compact ();
+  Alcotest.(check (list int)) "cas survives full_major and compact" [ 2; 3 ]
+    (A.get (A.first r));
+  Alcotest.(check (list int)) "exchange returns the old value" [ 2; 3 ]
+    (A.exchange (A.first r) (young 3));
+  Gc.full_major ();
+  Gc.compact ();
+  Alcotest.(check (list int)) "exchange survives full_major and compact"
+    [ 3; 4 ] (A.get (A.first r));
+  check_fields r
+
+module SA = Wfq_sim.Sim_atomic
+
+type sim_knot = { mutable sc : sim_knot SA.embedded; stag : int }
+
+(* The shared accesses [f] announces to the scheduler, in order. *)
+let accesses f =
+  let log = ref [] in
+  Effect.Deep.try_with f ()
+    {
+      effc =
+        (fun (type b) (e : b Effect.t) ->
+          match e with
+          | Wfq_sim.Scheduler.Yield_access a ->
+              Some
+                (fun (k : (b, _) Effect.Deep.continuation) ->
+                  log := a :: !log;
+                  Effect.Deep.continue k ())
+          | _ -> None);
+    };
+  List.rev !log
+
+let test_first_sim () =
+  let r = { c = SA.embed 1; tag = 7; name = "seven"; more = [ 7; 8 ] } in
+  let loc = SA.loc_id (SA.first r) in
+  Alcotest.(check int) "loc_id stable across [first] calls" loc
+    (SA.loc_id (SA.first r));
+  let log =
+    accesses (fun () ->
+        ignore (SA.get (SA.first r));
+        SA.set (SA.first r) 2;
+        ignore (SA.compare_and_set (SA.first r) 2 3);
+        ignore (SA.compare_and_set (SA.first r) 2 4);
+        ignore (SA.exchange (SA.first r) 5);
+        ignore (SA.fetch_and_add (SA.first r) 1))
+  in
+  let module S = Wfq_sim.Scheduler in
+  Alcotest.(check (list string))
+    "one step per access, each at the cell's location"
+    (List.map
+       (fun kind -> Format.asprintf "%a" S.pp_access { S.loc; kind })
+       [ S.Read; S.Write; S.Rmw; S.Rmw; S.Rmw; S.Rmw ])
+    (List.map (Format.asprintf "%a" S.pp_access) log);
+  Alcotest.(check int) "value" 6 (SA.peek (SA.first r));
+  check_fields r;
+  (* Building a record, cyclic or not, is no step. *)
+  let log =
+    accesses (fun () ->
+        ignore { c = SA.embed 0; tag = 0; name = ""; more = [] };
+        ignore (SA.embed_cyclic (fun sc -> { sc; stag = 0 })))
+  in
+  Alcotest.(check int) "construction takes no step" 0 (List.length log);
+  let cyc = SA.embed_cyclic (fun sc -> { sc; stag = 7 }) in
+  Alcotest.(check bool) "cyclic: the cell holds its record" true
+    (SA.peek (SA.first cyc) == cyc)
+
+module CA = Wfq_primitives.Counted_atomic.Make (A)
+
+type counted_knot = { mutable cc : counted_knot CA.embedded; ctag : int }
+
+let test_first_counted () =
+  let ops cell =
+    CA.reset ();
+    ignore (CA.get cell);
+    CA.set cell 2;
+    ignore (CA.compare_and_set cell 2 3);
+    ignore (CA.compare_and_set cell 2 4);
+    ignore (CA.exchange cell 5);
+    ignore (CA.fetch_and_add cell 1);
+    CA.snapshot ()
+  in
+  let of_make = ops (CA.make 1) in
+  CA.reset ();
+  let r = { c = CA.embed 1; tag = 7; name = "seven"; more = [ 7; 8 ] } in
+  ignore (CA.embed_cyclic (fun cc -> { cc; ctag = 0 }));
+  Alcotest.(check int) "construction is not counted" 0
+    (Wfq_primitives.Counted_atomic.total (CA.snapshot ()));
+  let of_first = ops (CA.first r) in
+  Alcotest.(check string) "counted as a [make] cell"
+    (Format.asprintf "%a" Wfq_primitives.Counted_atomic.pp of_make)
+    (Format.asprintf "%a" Wfq_primitives.Counted_atomic.pp of_first);
+  Alcotest.(check int) "value" 6 (CA.get (CA.first r));
+  check_fields r
+
 (* ------------------------- Real_atomic -------------------------- *)
 
 let test_real_atomic_physical_cas () =
@@ -348,6 +501,17 @@ let () =
           Alcotest.test_case "a cache line apart" `Quick test_padded_apart;
           Alcotest.test_case "hot queue cells a cache line apart" `Quick
             test_hot_cells_apart;
+        ] );
+      ( "embed/first",
+        [
+          Alcotest.test_case "every operation, other fields kept" `Quick
+            test_first_ops;
+          Alcotest.test_case "young value in a promoted record survives GC"
+            `Quick test_first_gc;
+          Alcotest.test_case "simulator: one step per access, one location"
+            `Quick test_first_sim;
+          Alcotest.test_case "counted like a make cell" `Quick
+            test_first_counted;
         ] );
       ( "real_atomic",
         [
