@@ -285,7 +285,7 @@ let batch_scenarios : (string * script list * int option * int option) list =
       None );
     (* an over-asking batch dequeue draining a batch enqueue: the
        unserved suffix must answer Empty at one observed-empty point *)
-    ("b-deq", [ [ `Enq_batch [ 1; 2 ] ]; [ `Deq_batch 3 ] ], Some 82, None);
+    ("b-deq", [ [ `Enq_batch [ 1; 2 ] ]; [ `Deq_batch 3 ] ], Some 80, None);
   ]
 
 (* The fast-path/slow-path queue's batch litmuses: the batch enqueue

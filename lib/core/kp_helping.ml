@@ -695,8 +695,14 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      claimed by [tid], its head swing has not landed yet (the previous
      element's step 3). Finish it before seeking — recording a sentinel
      this batch already claimed would append its successor's value
-     twice. Fast-path claims ([num_threads + tid]) never collide with
-     this check: slow batch claims use the plain tid. *)
+     twice. The guard reads the claim after [cur_desc]: a descriptor
+     that has recorded the sentinel's element is installed after the
+     claim, so the guard sees any claim that descriptor records. Read
+     before [cur_desc], the claim could still be unclaimed, and a
+     post-record descriptor would be pointed back at the sentinel and
+     record its element again. Fast-path claims ([num_threads + tid])
+     never collide with this check: slow batch claims use the plain
+     tid. *)
   let rec help_deq ~batch t ~self tid phase =
     if is_still_pending t tid phase then begin
       let first = A.get t.head in
@@ -710,11 +716,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         let last = A.get t.tail in
         let next = A.get (link first) in
         if first == A.get t.head then
-          if batch && N.claimed_tid first = tid then begin
-            help_finish_deq t ~self;
-            help_deq ~batch t ~self tid phase
-          end
-          else if first == last then begin
+          if first == last then begin
             (* L115: queue might be empty *)
             if next == t.idle_node then begin
               (* L116-121: certainly empty — record the empty outcome in
@@ -738,8 +740,12 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           else begin
             (* L125-137: queue is not empty *)
             let cur_desc = A.get t.state.(tid) in
+            if batch && N.claimed_tid first = tid then begin
+              help_finish_deq t ~self;
+              help_deq ~batch t ~self tid phase
+            end
             (* L128: break — required for linearizability. *)
-            if is_still_pending t tid phase then begin
+            else if is_still_pending t tid phase then begin
               (if
                  first == A.get t.head
                  && cur_desc.node != first

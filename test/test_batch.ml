@@ -18,7 +18,9 @@
       returned in body order.
    5. Four-domain stress on every backend: concurrent mixed single and
       batch producers/consumers, checking conservation (exactly-once)
-      and per-producer order. *)
+      and per-producer order.
+   6. A simulator-plane PCT run of the KP batch dequeue against its
+      helpers: each element is recorded exactly once. *)
 
 module A = Wfq_primitives.Real_atomic
 module Kp = Wfq_core.Kp_queue.Make (A)
@@ -564,6 +566,43 @@ let stress_cases =
         (test_domains_batch_stress q))
     (backends @ [ shard_affine ])
 
+(* ------------------------------------------------------------------ *)
+(* Simulator: a helper must not record a batch element twice           *)
+(* ------------------------------------------------------------------ *)
+
+module Ck = Wfq_sim.Check
+module Kp_sim = Wfq_core.Kp_queue.Make (Wfq_sim.Sim_atomic)
+
+(* A helper running the batch's [help_deq] reads [head] while the
+   sentinel is still unclaimed; the batch then claims it and records
+   its successor's value. If the helper's already-claimed guard ran
+   before its descriptor read, the helper re-points the post-record
+   descriptor at that sentinel, and its [help_finish_deq] records the
+   same value a second time ([deq_batch -> [1; 1]], first at PCT seed
+   2990). Seeds 0-4000 are deterministic and take about a second. *)
+let test_kp_batch_records_once () =
+  let r =
+    Ck.run
+      ~mode:(Ck.Pct { count = 4001; change_points = 3 })
+      ~shrink:false
+      ~queue:
+        {
+          Ck.create =
+            (fun ~num_threads ->
+              Kp_sim.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
+                ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ());
+          enqueue = (fun q ~tid v -> Kp_sim.enqueue q ~tid v);
+          dequeue = (fun q ~tid -> Kp_sim.dequeue q ~tid);
+          contents = Kp_sim.to_list;
+        }
+      ~dequeue_batch:(fun q ~tid ~n -> Kp_sim.dequeue_batch q ~tid ~n)
+      ~scripts:[ [ `Enq 1; `Enq 2 ]; [ `Deq_batch 2 ] ]
+      ()
+  in
+  match r.Ck.failure with
+  | None -> Alcotest.(check int) "seeds run" 4001 r.Ck.schedules
+  | Some f -> Alcotest.failf "%a" Ck.pp_failure f
+
 let () =
   Alcotest.run "batch"
     [
@@ -602,4 +641,9 @@ let () =
             test_sched_spawn_many_parallel;
         ] );
       ("domains", stress_cases);
+      ( "simulator",
+        [
+          Alcotest.test_case "kp-opt12 batch records each element once (pct)"
+            `Quick test_kp_batch_records_once;
+        ] );
     ]
