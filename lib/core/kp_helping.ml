@@ -712,7 +712,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
            a node recycled in between (its incarnation epoch bumped)
            cannot be ABA-claimed. Unpooled queues stay at epoch 0, where
            the word is literally the historical [-1]/tid value. *)
-        let claim0 = A.get first.deq_tid in
+        let claim0 = N.claim_word first in
         let last = A.get t.tail in
         let next = A.get (link first) in
         if first == A.get t.head then

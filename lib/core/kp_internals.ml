@@ -4,15 +4,15 @@
     Paper Figure 1, lines 1-12: a singly-linked list of nodes behind a
     sentinel. A node is the paper's four fields and nothing else:
     [next], [value], [enq_tid], and [deq_tid], which is contended,
-    hence atomic (L5). The node is its own [next] cell: [next] is field
-    0, an [A.embedded], and every access to it goes through [link]
-    ([A.first]); it is never read as a plain field. Only [deq_tid]
-    keeps a cell of its own (embedding it too would need a CAS on a
-    field other than 0, which OCaml 5.1 lacks), so a node is 7 words:
-    the 5-word record and the 2-word [deq_tid] cell. The lock-free
-    baseline's node ([Ms_queue]) is 3, and the difference is [enq_tid]
-    and the [deq_tid] pointer and cell, the paper's "two extra fields"
-    (Fig. 10).
+    hence atomic (L5). Both atomic fields are embedded ([A.embedded]),
+    so a node is one 5-word block. The node is its own [next] cell:
+    [next] is field 0, and every access to it goes through [link]
+    ([A.first]). [deq_tid] is the int field 3, and every access to it
+    goes through [claim_word], [try_claim] and [recycle]
+    ([A.get_int_field] and its kin). Neither is ever read as a plain
+    field. The lock-free baseline's node ([Ms_queue]) is 3 words, and
+    the difference is [enq_tid] and [deq_tid], the paper's "two extra
+    fields" (Fig. 10).
 
     [value] is unboxed. A node that never held an element (nil, the
     first sentinel) or was recycled holds {!no_value} instead, so an
@@ -72,8 +72,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     mutable next : 'a node A.embedded; (* field 0, only through [link] *)
     mutable value : 'a; (* [no_value] when the node holds no element *)
     mutable enq_tid : int;
-    deq_tid : int A.t;
+    mutable deq_tid : int A.embedded; (* field 3, only through the claim *)
   }
+
+  (* [deq_tid]'s position in the record, for the int-field atomics. *)
+  let deq_tid_field = 3
 
   (** The node's [next] cell: the node itself, read as a cell. *)
   let link : 'a node -> 'a node A.t = A.first
@@ -86,7 +89,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      [A.embed_cyclic] closes the loop before the node is shared, so it
      is no step of the simulator. *)
   let make_nil () =
-    let deq_tid = A.make no_tid in
+    let deq_tid = A.embed no_tid in
     A.embed_cyclic (fun next ->
         { next; value = no_value; enq_tid = no_tid; deq_tid })
 
@@ -94,15 +97,19 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      [no_value]. *)
   let make_node ~nil ~enq_tid value =
     let next = A.embed nil in
-    let deq_tid = A.make no_tid in
+    let deq_tid = A.embed no_tid in
     { next; value; enq_tid; deq_tid }
 
   (* ------------------------------------------------------------------ *)
   (* Epoch-tagged claim protocol                                        *)
   (* ------------------------------------------------------------------ *)
 
+  (** [node]'s claim word: the claiming tid (or [no_tid]) tagged with
+      the node's incarnation. *)
+  let claim_word node = A.get_int_field node deq_tid_field
+
   (** The claiming tid of [node] (or [no_tid]), stripped of its epoch. *)
-  let claimed_tid node = Epoch.value (A.get node.deq_tid)
+  let claimed_tid node = Epoch.value (claim_word node)
 
   (** One claim attempt. [observed] is [node]'s claim word as read {e
       when the caller obtained its reference to [node]} (i.e. when it
@@ -116,7 +123,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       model intact. *)
   let try_claim node ~observed ~tid =
     Epoch.value observed = no_tid
-    && A.compare_and_set node.deq_tid observed (Epoch.with_value observed tid)
+    && A.cas_int_field node deq_tid_field observed
+         (Epoch.with_value observed tid)
 
   (** Reset a node for its next life: clear the payload fields and bump
       [deq_tid] to the next incarnation's unclaimed word. Called from
@@ -126,7 +134,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     node.value <- no_value;
     node.enq_tid <- no_tid;
     A.set (link node) nil;
-    A.set node.deq_tid (Epoch.next_incarnation (A.get node.deq_tid))
+    A.set_int_field node deq_tid_field
+      (Epoch.next_incarnation (claim_word node))
 
   (** Recycle {e without} bumping the incarnation — the seeded fault for
       the DPOR calibration scenario ([Untagged_pool_claim]): with the
@@ -135,7 +144,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     node.value <- no_value;
     node.enq_tid <- no_tid;
     A.set (link node) nil;
-    A.set node.deq_tid no_tid
+    A.set_int_field node deq_tid_field no_tid
 
   (* ------------------------------------------------------------------ *)
   (* Quiescent list observers, shared verbatim by every variant.        *)

@@ -343,7 +343,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       let first = A.get t.head in
       (* Claim word captured with the head reference (epoch ABA
          defense; see Kp_internals.try_claim). *)
-      let claim0 = A.get first.deq_tid in
+      let claim0 = N.claim_word first in
       let last = A.get t.tail in
       let next = A.get (link first) in
       if first == A.get t.head then
@@ -526,7 +526,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         end
         else
           let first = A.get t.head in
-          let claim0 = A.get first.deq_tid in
+          let claim0 = N.claim_word first in
           let last = A.get t.tail in
           let next = A.get (link first) in
           if first == A.get t.head then

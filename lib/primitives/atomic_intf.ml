@@ -28,16 +28,18 @@ module type ATOMIC = sig
       delegate, so no simulator step or counted access changes. *)
 
   type 'a embedded
-  (** The type of a record's first field when that field is a cell:
-      a record whose field 0 is an ['a embedded] is itself a cell
-      holding an ['a], reached with {!first}. On the real plane the
-      field is the value itself, so the record needs no cell block of
-      its own; under the simulator it holds a separate cell. *)
+  (** The type of a record field that is a cell. A record whose field
+      0 is an ['a embedded] is itself a cell holding an ['a], reached
+      with {!first}; an [int embedded] in any other field is reached
+      with {!get_int_field}, {!set_int_field} and {!cas_int_field}. On
+      the real plane the field is the value itself, so the record
+      needs no cell block of its own; under the simulator it holds a
+      separate cell. *)
 
   val embed : 'a -> 'a embedded
-  (** [embed v] is the initial field-0 value of a record that is a
-      cell holding [v]. Like [make], building the record is no
-      scheduling point and no counted access. *)
+  (** [embed v] is the initial value of an embedded field holding [v].
+      Like [make], building the record is no scheduling point and no
+      counted access. *)
 
   val first : 'r -> 'a t
   (** [first r] is the cell in field 0 of the record [r], which must
@@ -53,6 +55,20 @@ module type ATOMIC = sig
       node whose [next] is the node. The store happens before the
       record can be shared, so, like [make], it is no scheduling point
       and no counted access. *)
+
+  val get_int_field : 'r -> int -> int
+  (** [get_int_field r i] atomically reads field [i] of the record [r],
+      which must have been built with an [int embedded] from {!embed}
+      in that field. Every read and write of such a field goes through
+      these three functions; it is never read as a plain record field.
+      Each access is one access to one cell, as on a [make] cell. *)
+
+  val set_int_field : 'r -> int -> int -> unit
+  (** [set_int_field r i v]: atomic write of field [i], as {!set}. *)
+
+  val cas_int_field : 'r -> int -> int -> int -> bool
+  (** [cas_int_field r i expected desired]: {!compare_and_set} on
+      field [i]. *)
 
   val get : 'a t -> 'a
   (** Atomic read. *)

@@ -108,6 +108,19 @@ module Make (Base : Atomic_intf.ATOMIC) = struct
   let first = Base.first
   let embed_cyclic = Base.embed_cyclic
 
+  let get_int_field r i =
+    incr reads;
+    Base.get_int_field r i
+
+  let set_int_field r i v =
+    incr writes;
+    Base.set_int_field r i v
+
+  let cas_int_field r i expected desired =
+    let ok = Base.cas_int_field r i expected desired in
+    if ok then incr cas_success else incr cas_failure;
+    ok
+
   let get c =
     incr reads;
     Base.get c

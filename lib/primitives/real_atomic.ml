@@ -44,6 +44,18 @@ let embed_cyclic f =
   Atomic.set (first r) r;
   r
 
+(* An [int embedded] field beyond field 0 holds only immediates, so the
+   C stubs need no write barrier and never allocate. *)
+external get_int_field : 'r -> int -> int = "wfq_atomic_field_get"
+[@@noalloc]
+
+external set_int_field : 'r -> int -> int -> unit = "wfq_atomic_field_set"
+[@@noalloc]
+
+external cas_int_field : 'r -> int -> int -> int -> bool
+  = "wfq_atomic_field_cas"
+[@@noalloc]
+
 let get = Atomic.get
 let set = Atomic.set
 let compare_and_set = Atomic.compare_and_set

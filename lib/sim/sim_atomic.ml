@@ -65,6 +65,15 @@ let compare_and_set r expected desired =
   end
   else false
 
+(* An embedded int field holds a cell of its own too, so each access is
+   one step at that cell's location. *)
+let field_cell r i : int t = Obj.obj (Obj.field (Obj.repr r) i)
+let get_int_field r i = get (field_cell r i)
+let set_int_field r i v = set (field_cell r i) v
+
+let cas_int_field r i expected desired =
+  compare_and_set (field_cell r i) expected desired
+
 let exchange r v =
   Scheduler.yield_access { Scheduler.loc = r.loc; kind = Scheduler.Rmw };
   let old = r.contents in

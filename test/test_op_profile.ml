@@ -189,19 +189,19 @@ let check_promoted name a =
     (a.promoted_per_pair < 0.1)
 
 let test_kp_opt12_alloc () =
-  (* Enqueue: the node, 7 words (header, [next] in field 0, [value],
-     [enq_tid], the [deq_tid] pointer, and the 2-word [deq_tid] cell;
-     the element is unboxed), and two descriptors of 9. Dequeue: three
-     descriptors (27) and the [Some] it returns (2). [next] and a
-     descriptor's node hold nodes, never option boxes: a box per
-     append or per stage-1 descriptor would add 2 words to each. Pool
-     fields in the node and the descriptor would add 2 words to each
-     record. A per-node or
-     per-descriptor [let rec] would add a second copy of each record; a
-     dequeued sentinel that is not self-linked would promote every
-     node. *)
+  (* Enqueue: the node, 5 words (header, [next] in field 0, [value],
+     [enq_tid], and the claim word [deq_tid] in field 3; the element is
+     unboxed), and two descriptors of 9. Dequeue: three descriptors
+     (27) and the [Some] it returns (2). [deq_tid] in a 2-word cell of
+     its own would add that cell and the pointer to it, 2 words to the
+     enqueue. [next] and a descriptor's node hold nodes, never option
+     boxes: a box per append or per stage-1 descriptor would add 2
+     words to each. Pool fields in the node and the descriptor would
+     add 2 words to each record. A per-node or per-descriptor [let rec]
+     would add a second copy of each record; a dequeued sentinel that
+     is not self-linked would promote every node. *)
   let a = backend_probe "kp-opt12" in
-  Alcotest.(check int) "enqueue words" 25 a.enq_words;
+  Alcotest.(check int) "enqueue words" 23 a.enq_words;
   Alcotest.(check int) "dequeue words" 29 a.deq_words;
   check_promoted "kp-opt12" a
 
@@ -231,23 +231,23 @@ let kp_live_words ~pool =
     ~enqueue:(fun q v -> Kp_real.enqueue q ~tid:0 v)
 
 let test_kp_opt12_live_words () =
-  (* A queued element costs its node and nothing else: 7 words (see
-     above), the lock-free node's 3 plus [enq_tid], the [deq_tid]
-     pointer and the [deq_tid] cell. With [next] in a cell of its own
-     it was 9; a boxed element made that 11, pool fields 13, a boxed
-     [next] 15. *)
-  Alcotest.(check int) "live words per element" 7 (kp_live_words ~pool:false)
+  (* A queued element costs its node and nothing else: 5 words (see
+     above), the lock-free node's 3 plus [enq_tid] and [deq_tid], the
+     paper's two extra fields. With [deq_tid] in a cell of its own it
+     was 7; with [next] in one too, 9; a boxed element made that 11,
+     pool fields 13, a boxed [next] 15. *)
+  Alcotest.(check int) "live words per element" 5 (kp_live_words ~pool:false)
 
 let test_kp_opt12_pooled_live_words () =
-  (* A pooled node is the same 7 words: the pool's free stacks and
+  (* A pooled node is the same 5 words: the pool's free stacks and
      quarantines are arrays of its own, so the node carries nothing for
      it. The segments carved and the arrays' capacity round away. *)
-  Alcotest.(check int) "live words per element" 7 (kp_live_words ~pool:true)
+  Alcotest.(check int) "live words per element" 5 (kp_live_words ~pool:true)
 
 let test_fps_pooled_live_words () =
-  (* The fast-path queue shares the KP node: 7 words a queued element,
+  (* The fast-path queue shares the KP node: 5 words a queued element,
      pooled or not, and a fast-path enqueue publishes no descriptor. *)
-  Alcotest.(check int) "live words per element" 7
+  Alcotest.(check int) "live words per element" 5
     (live_words_per_element
        ~create:(fun () ->
          Fps_real.create_with ~pool:true
@@ -264,11 +264,11 @@ let test_ms_live_words () =
        ~enqueue:(fun q v -> Ms_real.enqueue q ~tid:0 v))
 
 let test_fps_alloc () =
-  (* The fast-path enqueue allocates just the 7-word node; the
+  (* The fast-path enqueue allocates just the 5-word node; the
      fast-path dequeue allocates only the [Some] it returns and
      self-links its sentinel, so no node is promoted. *)
   let a = backend_probe "fps" in
-  Alcotest.(check int) "enqueue words" 7 a.enq_words;
+  Alcotest.(check int) "enqueue words" 5 a.enq_words;
   Alcotest.(check int) "dequeue words" 2 a.deq_words;
   check_promoted "fps" a
 

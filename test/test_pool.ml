@@ -492,7 +492,7 @@ let claim_litmus ~reset () =
   let ok0 = ref false and ok1 = ref false in
   let f0 () = ok0 := NSim.try_claim n ~observed:observed0 ~tid:0 in
   let f1 () =
-    ok1 := NSim.try_claim n ~observed:(SA.get n.NSim.deq_tid) ~tid:1;
+    ok1 := NSim.try_claim n ~observed:(NSim.claim_word n) ~tid:1;
     PoolSim.release p ~tid:1 n;
     ignore (PoolSim.alloc p ~tid:1)
   in

@@ -1,7 +1,8 @@
 (* Unit and property tests for the primitives layer: RNG, backoff,
    statistics, padded atomics, records that are their own cell
-   ([embed]/[first]) on every plane, and the Real_atomic wrapper, and
-   where the queues' hot cells land in the heap. *)
+   ([embed]/[first]) and records with an atomic int field
+   ([get_int_field] and its kin) on every plane, and the Real_atomic
+   wrapper, and where the queues' hot cells land in the heap. *)
 
 module Rng = Wfq_primitives.Rng
 module Backoff = Wfq_primitives.Backoff
@@ -427,6 +428,124 @@ let test_first_counted () =
   Alcotest.(check int) "value" 6 (CA.get (CA.first r));
   check_fields r
 
+(* ------------------------- int fields --------------------------- *)
+
+(* A record with an embedded int in field 2, between plain fields that
+   no int-field access may touch. *)
+type 'e int_field = {
+  mutable f0 : string;
+  f1 : int;
+  mutable w : 'e;
+  mutable f3 : int list;
+}
+
+let w_field = 2
+
+let check_int_field_others r =
+  Alcotest.(check string) "field 0 kept" "zero" r.f0;
+  Alcotest.(check int) "field 1 kept" 1 r.f1;
+  Alcotest.(check (list int)) "field 3 kept" [ 3; 4 ] r.f3
+
+let test_int_field_ops () =
+  let r = { f0 = "zero"; f1 = 1; w = A.embed 10; f3 = [ 3; 4 ] } in
+  Alcotest.(check int) "get" 10 (A.get_int_field r w_field);
+  A.set_int_field r w_field 20;
+  Alcotest.(check int) "set" 20 (A.get_int_field r w_field);
+  Alcotest.(check bool) "cas ok" true (A.cas_int_field r w_field 20 30);
+  Alcotest.(check bool) "cas stale fails" false
+    (A.cas_int_field r w_field 20 40);
+  Alcotest.(check int) "stale cas stores nothing" 30
+    (A.get_int_field r w_field);
+  (* Epoch-tagged claim words span the whole int range. *)
+  List.iter
+    (fun v ->
+      A.set_int_field r w_field v;
+      Alcotest.(check int) "extreme value" v (A.get_int_field r w_field))
+    [ -1; min_int; max_int ];
+  check_int_field_others r;
+  (* Two domains racing CAS increments lose none of them. *)
+  let n = 10_000 in
+  A.set_int_field r w_field 0;
+  let incr () =
+    for _ = 1 to n do
+      let rec go () =
+        let v = A.get_int_field r w_field in
+        if not (A.cas_int_field r w_field v (v + 1)) then go ()
+      in
+      go ()
+    done
+  in
+  let d = Domain.spawn incr in
+  incr ();
+  Domain.join d;
+  Alcotest.(check int) "no lost CAS increment" (2 * n)
+    (A.get_int_field r w_field);
+  check_int_field_others r
+
+(* The field is written in place, so a promoted record and a compacted
+   heap keep the value and every other field. *)
+let test_int_field_gc () =
+  let r = { f0 = "zero"; f1 = 1; w = A.embed 5; f3 = [ 3; 4 ] } in
+  Gc.full_major ();
+  Alcotest.(check int) "survives full_major" 5 (A.get_int_field r w_field);
+  A.set_int_field r w_field 6;
+  Alcotest.(check bool) "cas on a promoted record" true
+    (A.cas_int_field r w_field 6 7);
+  Gc.full_major ();
+  Gc.compact ();
+  Alcotest.(check int) "survives full_major and compact" 7
+    (A.get_int_field r w_field);
+  check_int_field_others r
+
+let test_int_field_sim () =
+  let before = SA.make 0 in
+  let r = { f0 = "zero"; f1 = 1; w = SA.embed 1; f3 = [ 3; 4 ] } in
+  let log =
+    accesses (fun () ->
+        ignore (SA.get_int_field r w_field);
+        SA.set_int_field r w_field 2;
+        ignore (SA.cas_int_field r w_field 2 3);
+        ignore (SA.cas_int_field r w_field 2 4))
+  in
+  (* [embed] allocates the field's cell like [make]: the next location. *)
+  let loc = SA.loc_id before + 1 in
+  let module S = Wfq_sim.Scheduler in
+  Alcotest.(check (list string))
+    "one step per access, each at the field's location"
+    (List.map
+       (fun kind -> Format.asprintf "%a" S.pp_access { S.loc; kind })
+       [ S.Read; S.Write; S.Rmw; S.Rmw ])
+    (List.map (Format.asprintf "%a" S.pp_access) log);
+  let log = accesses (fun () -> ignore { r with w = SA.embed 0 }) in
+  Alcotest.(check int) "construction takes no step" 0 (List.length log);
+  check_int_field_others r
+
+let test_int_field_counted () =
+  let snapshot f =
+    CA.reset ();
+    f ();
+    Format.asprintf "%a" Wfq_primitives.Counted_atomic.pp (CA.snapshot ())
+  in
+  let cell = CA.make 1 in
+  let of_make =
+    snapshot (fun () ->
+        ignore (CA.get cell);
+        CA.set cell 2;
+        ignore (CA.compare_and_set cell 2 3);
+        ignore (CA.compare_and_set cell 2 4))
+  in
+  let r = { f0 = "zero"; f1 = 1; w = CA.embed 1; f3 = [ 3; 4 ] } in
+  let of_field =
+    snapshot (fun () ->
+        ignore (CA.get_int_field r w_field);
+        CA.set_int_field r w_field 2;
+        ignore (CA.cas_int_field r w_field 2 3);
+        ignore (CA.cas_int_field r w_field 2 4))
+  in
+  Alcotest.(check string) "counted as a [make] cell" of_make of_field;
+  Alcotest.(check int) "value" 3 (CA.get_int_field r w_field);
+  check_int_field_others r
+
 (* ------------------------- Real_atomic -------------------------- *)
 
 let test_real_atomic_physical_cas () =
@@ -512,6 +631,17 @@ let () =
             `Quick test_first_sim;
           Alcotest.test_case "counted like a make cell" `Quick
             test_first_counted;
+        ] );
+      ( "int field",
+        [
+          Alcotest.test_case "load, store and CAS; other fields kept" `Quick
+            test_int_field_ops;
+          Alcotest.test_case "value survives full_major and compact" `Quick
+            test_int_field_gc;
+          Alcotest.test_case "simulator: one step per access, one location"
+            `Quick test_int_field_sim;
+          Alcotest.test_case "counted like a make cell" `Quick
+            test_int_field_counted;
         ] );
       ( "real_atomic",
         [
