@@ -72,7 +72,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     mutable next : 'a node A.embedded; (* field 0, only through [link] *)
     mutable value : 'a; (* [no_value] when the node holds no element *)
     mutable enq_tid : int;
-    mutable deq_tid : int A.embedded; (* field 3, only through the claim *)
+    mutable deq_tid : int A.embedded; (* field 3, only via the claim helpers *)
   }
 
   (* [deq_tid]'s position in the record, for the int-field atomics. *)

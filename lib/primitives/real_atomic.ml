@@ -44,8 +44,8 @@ let embed_cyclic f =
   Atomic.set (first r) r;
   r
 
-(* An [int embedded] field beyond field 0 holds only immediates, so the
-   C stubs need no write barrier and never allocate. *)
+(* An [int embedded] field holds only immediates, so the C stubs need
+   no write barrier and never allocate. *)
 external get_int_field : 'r -> int -> int = "wfq_atomic_field_get"
 [@@noalloc]
 

@@ -29,12 +29,14 @@ let make v =
    one location either way. *)
 let make_padded = make
 
-(* A record's field 0 holds a cell of its own, so an access through
-   [first] is one step at that cell's location, as on a [make] cell. *)
+(* An embedded field holds a cell of its own, so an access through
+   [first] or an int-field function is one step at that cell's
+   location, as on a [make] cell. *)
 type 'a embedded = 'a t
 
 let embed = make
-let first r = Obj.obj (Obj.field (Obj.repr r) 0)
+let field_cell r i = Obj.obj (Obj.field (Obj.repr r) i)
+let first r = field_cell r 0
 
 (* The initializing store is a plain one: no scheduling point. *)
 let embed_cyclic f =
@@ -65,9 +67,6 @@ let compare_and_set r expected desired =
   end
   else false
 
-(* An embedded int field holds a cell of its own too, so each access is
-   one step at that cell's location. *)
-let field_cell r i : int t = Obj.obj (Obj.field (Obj.repr r) i)
 let get_int_field r i = get (field_cell r i)
 let set_int_field r i v = set (field_cell r i) v
 
