@@ -578,8 +578,9 @@ module Kp_sim = Wfq_core.Kp_queue.Make (Wfq_sim.Sim_atomic)
    its successor's value. If the helper's already-claimed guard ran
    before its descriptor read, the helper re-points the post-record
    descriptor at that sentinel, and its [help_finish_deq] records the
-   same value a second time ([deq_batch -> [1; 1]], first at PCT seed
-   2990). Seeds 0-4000 are deterministic and take about a second. *)
+   same value a second time (PCT seed 2990 delivered one element twice
+   and left the other). Seeds 0-4000 are deterministic and take about
+   a tenth of a second. *)
 let test_kp_batch_records_once () =
   let r =
     Ck.run
