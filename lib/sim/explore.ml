@@ -137,17 +137,6 @@ let explore ~mode ?(max_schedules = 200_000) ?(step_limit = 100_000)
 let exhaustive ?max_schedules ?step_limit ~make () =
   explore ~mode:Exhaustive ?max_schedules ?step_limit ~make ()
 
-(** Dynamic partial-order reduction (see {!Dpor}): exhaustive-equivalent
-    coverage at one schedule per Mazurkiewicz trace, reported in this
-    module's format for drop-in use where {!exhaustive} is too slow. *)
-let dpor ?max_schedules ?step_limit ~make () =
-  let r = Dpor.explore ?max_executions:max_schedules ?step_limit ~make () in
-  {
-    schedules = r.Dpor.schedules;
-    exhausted = r.Dpor.exhausted;
-    failure = r.Dpor.failure;
-  }
-
 let preemption_bounded ~budget ?max_schedules ?step_limit ~make () =
   explore ~mode:(Preemption_bounded budget) ?max_schedules ?step_limit ~make
     ()

@@ -27,22 +27,6 @@ val exhaustive :
     counter). [make] is called once per schedule and must return fresh
     state: the fiber vector and a post-run check. *)
 
-val dpor :
-  ?max_schedules:int ->
-  ?step_limit:int ->
-  make:
-    (unit ->
-    (unit -> unit) array
-    * (Scheduler.result -> (unit, string) result)) ->
-  unit ->
-  report
-(** Dynamic partial-order reduction (see {!Dpor}): exhaustive-equivalent
-    coverage executing one schedule per Mazurkiewicz trace — reaches
-    scenarios of 40+ shared accesses that {!exhaustive} cannot.
-    [max_schedules] bounds total executions including sleep-set-pruned
-    ones; a [step_limit] hit is reported as a failure (systematic
-    livelock/starvation witness). *)
-
 val preemption_bounded :
   budget:int ->
   ?max_schedules:int ->

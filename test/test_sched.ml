@@ -19,7 +19,7 @@
 module A = Wfq_primitives.Real_atomic
 module SA = Wfq_sim.Sim_atomic
 module S = Wfq_sim.Scheduler
-module E = Wfq_sim.Explore
+module D = Wfq_sim.Dpor
 module M = Wfq_obsv.Metrics
 module Sched = Wfq_sched.Sched
 (* Every run-queue comes through the uniform Rq_of adapter: registry
@@ -388,12 +388,12 @@ let steal_litmus_make () =
   ([| worker 0; worker 1 |], check)
 
 let test_dpor_steal_handoff () =
-  let r = E.dpor ~max_schedules:200_000 ~make:steal_litmus_make () in
-  (match r.E.failure with
+  let r = D.explore ~max_executions:200_000 ~make:steal_litmus_make () in
+  (match r.D.failure with
   | None -> ()
   | Some (_, m) -> Alcotest.failf "steal hand-off violation: %s" m);
-  Alcotest.(check bool) "trace space exhausted" true r.E.exhausted;
-  Alcotest.(check bool) "non-trivial exploration" true (r.E.schedules > 1)
+  Alcotest.(check bool) "trace space exhausted" true r.D.exhausted;
+  Alcotest.(check bool) "non-trivial exploration" true (r.D.schedules > 1)
 
 (* DPOR litmus 2 — spawn/await/complete hand-off. Worker 0 starts a
    parent that spawns a child and awaits it; worker 1 races to steal
@@ -431,12 +431,12 @@ let test_dpor_await_handoff () =
      promise protocol) puts exhaustion out of reach of a unit-test
      budget; a bounded clean pass is the acceptance bar, per the DPOR
      convention for large scenarios. *)
-  let r = E.dpor ~max_schedules:25_000 ~make:await_litmus_make () in
-  (match r.E.failure with
+  let r = D.explore ~max_executions:25_000 ~make:await_litmus_make () in
+  (match r.D.failure with
   | None -> ()
   | Some (_, m) -> Alcotest.failf "await hand-off violation: %s" m);
   Alcotest.(check bool) "explored a real schedule set" true
-    (r.E.schedules > 100)
+    (r.D.schedules > 100)
 
 let () =
   Alcotest.run "sched"
