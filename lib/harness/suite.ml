@@ -262,31 +262,17 @@ let micro =
 module Ck = Wfq_sim.Check
 module Sim_kp = Wfq_core.Kp_queue.Make (Wfq_sim.Sim_atomic)
 
-let cert_sim_ops id : int Qi.instance Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        Bks.instantiate_with
-          (module Wfq_sim.Sim_atomic)
-          (Bks.find id) ~num_threads ());
-    enqueue = (fun i ~tid v -> i.Qi.enq ~tid v);
-    dequeue = (fun i ~tid -> i.Qi.deq ~tid);
-    contents = (fun i -> i.Qi.dump ());
-  }
-
 (* The paper's base configuration is where the Theta(p) scans live; it
    is deliberately not in the registry (its Help_all slow path has
    million-trace DPOR scenarios that would sink every registry-driven
    battery), so it is built here directly. *)
-let kp_base_sim_ops : int Sim_kp.t Ck.ops =
-  {
-    Ck.create = (fun ~num_threads -> Sim_kp.create ~num_threads ());
-    enqueue = (fun q ~tid v -> Sim_kp.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> Sim_kp.dequeue q ~tid);
-    contents = Sim_kp.to_list;
-  }
+let kp_base_sim_ops =
+  Ck.queue
+    ~create:(fun ~num_threads -> Sim_kp.create ~num_threads ())
+    ~enqueue:Sim_kp.enqueue ~dequeue:Sim_kp.dequeue ~contents:Sim_kp.to_list
+    ()
 
-let certified_bound (type q) name (queue : q Ck.ops) p =
+let certified_bound (type q) name (queue : q Ck.queue) p =
   let scripts = [ `Enq 1; `Deq ] :: List.init (p - 1) (fun _ -> []) in
   match
     Ck.certify ~mode:Ck.Dpor ~max_schedules:10_000 ~bound:1_000_000 ~queue
@@ -300,7 +286,7 @@ let cert_ps = [ 2; 4; 8; 16; 32; 64; 128 ]
 let cert_rows =
   ("kp-base", certified_bound "kp-base" kp_base_sim_ops)
   :: List.map
-       (fun id -> (id, certified_bound id (cert_sim_ops id)))
+       (fun id -> (id, certified_bound id (Ck.backend (Bks.find id))))
        [ "kp-opt12"; "fps-pooled"; "polylog" ]
 
 let cert_part =

@@ -31,12 +31,50 @@ type script =
   | `Deq_batch of int ]
   list
 
-type 'q ops = {
+type 'q queue = {
   create : num_threads:int -> 'q;
   enqueue : 'q -> tid:int -> int -> unit;
   dequeue : 'q -> tid:int -> int option;
   contents : 'q -> int list;
+  try_enqueue : ('q -> tid:int -> int -> bool) option;
+  enqueue_batch : ('q -> tid:int -> int list -> unit) option;
+  try_enqueue_batch : ('q -> tid:int -> int list -> int) option;
+  dequeue_batch : ('q -> tid:int -> n:int -> int list) option;
+  capacity : int option;
+  audit : ('q -> (unit, string) result) option;
 }
+
+let queue ~create ~enqueue ~dequeue ~contents ?try_enqueue ?enqueue_batch
+    ?try_enqueue_batch ?dequeue_batch ?capacity ?audit () =
+  {
+    create;
+    enqueue;
+    dequeue;
+    contents;
+    try_enqueue;
+    enqueue_batch;
+    try_enqueue_batch;
+    dequeue_batch;
+    capacity;
+    audit;
+  }
+
+module Qi = Wfq_core.Queue_intf
+
+let backend (module B : Qi.BACKEND) =
+  queue
+    ~create:(fun ~num_threads ->
+      Wfq_core.Backends.instantiate_with (module Sim_atomic) (module B)
+        ~num_threads ())
+    ~enqueue:(fun q ~tid v -> q.Qi.enq ~tid v)
+    ~dequeue:(fun q ~tid -> q.Qi.deq ~tid)
+    ~contents:(fun q -> q.Qi.dump ())
+    ~try_enqueue:(fun q ~tid v -> q.Qi.try_enq ~tid v)
+    ~enqueue_batch:(fun q ~tid vs -> q.Qi.enq_batch ~tid vs)
+    ~dequeue_batch:(fun q ~tid ~n -> q.Qi.deq_batch ~tid ~n)
+    ?capacity:B.capacity
+    ~audit:(fun q -> q.Qi.check ())
+    ()
 
 type mode =
   | Dpor  (** one schedule per Mazurkiewicz trace; exhaustive coverage *)
@@ -74,12 +112,15 @@ let script_ops s =
 let ops_in scripts init =
   List.length init + List.fold_left (fun n s -> n + script_ops s) 0 scripts
 
-(* Build the fiber vector + post-run check for one execution. Shared
-   with every exploration mode and with the shrinker, so all replay the
-   same scenario. *)
-let make_scenario ~queue:ops ~scripts ~init ?try_enqueue ?enqueue_batch
-    ?try_enqueue_batch ?dequeue_batch ?capacity ?step_bound ?extra_check
-    ~max_fiber_steps () =
+(* The capability a script op needs, or an error naming it. *)
+let need field = function
+  | Some f -> f
+  | None -> invalid_arg ("Check: a script op needs the queue's " ^ field)
+
+(* Build the fiber vector, its history and the post-run check for one
+   execution. Shared with every exploration mode, with the shrinker and
+   with [history], so all replay the same scenario. *)
+let scenario ~queue:ops ~scripts ~init ?step_bound ~max_fiber_steps () =
   let num_threads = List.length scripts in
   let q = ops.create ~num_threads in
   let hist = H.create () in
@@ -101,13 +142,7 @@ let make_scenario ~queue:ops ~scripts ~init ?try_enqueue ?enqueue_batch
             ops.enqueue q ~tid v;
             H.return hist ~thread:tid H.Done
         | `Try_enq v -> (
-            let try_enq =
-              match try_enqueue with
-              | Some f -> f
-              | None ->
-                  invalid_arg
-                    "Check: `Try_enq script op without ~try_enqueue"
-            in
+            let try_enq = need "try_enqueue" ops.try_enqueue in
             H.call hist ~thread:tid (H.Enq v);
             match try_enq q ~tid v with
             | true -> H.return hist ~thread:tid H.Done
@@ -124,13 +159,7 @@ let make_scenario ~queue:ops ~scripts ~init ?try_enqueue ?enqueue_batch
            FIFO. *)
         | `Enq_batch vs ->
             if vs <> [] then begin
-              let f =
-                match enqueue_batch with
-                | Some f -> f
-                | None ->
-                    invalid_arg
-                      "Check: `Enq_batch script op without ~enqueue_batch"
-              in
+              let f = need "enqueue_batch" ops.enqueue_batch in
               H.call_batch hist ~thread:tid
                 (List.map (fun v -> H.Enq v) vs);
               f q ~tid vs;
@@ -139,14 +168,7 @@ let make_scenario ~queue:ops ~scripts ~init ?try_enqueue ?enqueue_batch
             end
         | `Try_enq_batch vs ->
             if vs <> [] then begin
-              let f =
-                match try_enqueue_batch with
-                | Some f -> f
-                | None ->
-                    invalid_arg
-                      "Check: `Try_enq_batch script op without \
-                       ~try_enqueue_batch"
-              in
+              let f = need "try_enqueue_batch" ops.try_enqueue_batch in
               H.call_batch hist ~thread:tid
                 (List.map (fun v -> H.Enq v) vs);
               let accepted = f q ~tid vs in
@@ -161,13 +183,7 @@ let make_scenario ~queue:ops ~scripts ~init ?try_enqueue ?enqueue_batch
             end
         | `Deq_batch want ->
             if want > 0 then begin
-              let f =
-                match dequeue_batch with
-                | Some f -> f
-                | None ->
-                    invalid_arg
-                      "Check: `Deq_batch script op without ~dequeue_batch"
-              in
+              let f = need "dequeue_batch" ops.dequeue_batch in
               H.call_batch hist ~thread:tid
                 (List.init want (fun _ -> H.Deq));
               let got = f q ~tid ~n:want in
@@ -230,19 +246,30 @@ let make_scenario ~queue:ops ~scripts ~init ?try_enqueue ?enqueue_batch
             (Printf.sprintf "conservation violated: %d enq, %d deq, %d left"
                (List.length enqueued) (List.length dequeued)
                (List.length left))
-        else if not (C.is_linearizable ?capacity completed) then
+        else if not (C.is_linearizable ?capacity:ops.capacity completed) then
           Error (Format.asprintf "not linearizable:@.%a" C.pp_history completed)
         else
-          match extra_check with
+          match ops.audit with
           | None -> Ok ()
           | Some f -> S.ignore_yields (fun () -> f q))
   in
-  (Array.of_list (List.mapi fiber scripts), check)
+  (Array.of_list (List.mapi fiber scripts), hist, check)
+
+let make_scenario ~queue ~scripts ~init ?step_bound ~max_fiber_steps () =
+  let fibers, _, check =
+    scenario ~queue ~scripts ~init ?step_bound ~max_fiber_steps ()
+  in
+  (fibers, check)
+
+let history ~queue ~scripts ~init ~forced =
+  let fibers, hist, _ =
+    scenario ~queue ~scripts ~init ~max_fiber_steps:(ref 0) ()
+  in
+  ignore (S.run ~strategy:S.First_enabled ~forced fibers);
+  H.completed hist
 
 let run ?(mode = Dpor) ?max_schedules ?step_limit ?step_bound
-    ?(shrink = true) ?(init = []) ?try_enqueue ?enqueue_batch
-    ?try_enqueue_batch ?dequeue_batch ?capacity ?extra_check ~queue ~scripts
-    () =
+    ?(shrink = true) ?(init = []) ~queue ~scripts () =
   if scripts = [] then invalid_arg "Check.run: no scripts";
   if ops_in scripts init > 62 then
     invalid_arg
@@ -250,9 +277,7 @@ let run ?(mode = Dpor) ?max_schedules ?step_limit ?step_bound
        bitmask limit)";
   let max_fiber_steps = ref 0 in
   let make () =
-    make_scenario ~queue ~scripts ~init ?try_enqueue ?enqueue_batch
-      ?try_enqueue_batch ?dequeue_batch ?capacity ?step_bound ?extra_check
-      ~max_fiber_steps ()
+    make_scenario ~queue ~scripts ~init ?step_bound ~max_fiber_steps ()
   in
   let schedules, exhausted, raw_failure =
     match mode with
@@ -297,13 +322,10 @@ let run ?(mode = Dpor) ?max_schedules ?step_limit ?step_bound
 
 type certificate = { observed_bound : int; schedules : int }
 
-let certify ?mode ?max_schedules ?step_limit ?init ?try_enqueue
-    ?enqueue_batch ?try_enqueue_batch ?dequeue_batch ?capacity ?extra_check
-    ~bound ~queue ~scripts () =
+let certify ?mode ?max_schedules ?step_limit ?init ~bound ~queue ~scripts () =
   let r =
-    run ?mode ?max_schedules ?step_limit ~step_bound:bound ?init
-      ?try_enqueue ?enqueue_batch ?try_enqueue_batch ?dequeue_batch
-      ?capacity ?extra_check ~queue ~scripts ()
+    run ?mode ?max_schedules ?step_limit ~step_bound:bound ?init ~queue
+      ~scripts ()
   in
   match r.failure with
   | Some f ->

@@ -14,27 +14,61 @@ type script =
   list
 (** [`Try_enq] is the bounded-queue insert: it records [Done] when the
     queue accepted the element and [Rejected] when it reported full,
-    and requires [~try_enqueue] (and normally [~capacity]) to be passed
-    to {!run}/{!make_scenario}.
+    and requires the queue's [try_enqueue] (and normally its
+    [capacity]).
 
-    The batch ops require the corresponding [~enqueue_batch] /
-    [~try_enqueue_batch] / [~dequeue_batch] implementation. Each
-    expands into one history sub-op per element — invoked together
-    before the batch runs, answered together after — so each element
-    linearizes inside its interval and the checker's per-thread
-    program-order constraint certifies intra-batch FIFO.
-    [`Try_enq_batch] records [Done] for the accepted prefix and
-    [Rejected] for the remainder (bounded queues stop at their first
-    full observation); a short [`Deq_batch] answers [Empty] for its
-    unserved suffix. The expanded element count is what the checker's
-    62-op limit bounds. *)
+    The batch ops require the queue's corresponding [enqueue_batch] /
+    [try_enqueue_batch] / [dequeue_batch]. Each expands into one
+    history sub-op per element — invoked together before the batch
+    runs, answered together after — so each element linearizes inside
+    its interval and the checker's per-thread program-order constraint
+    certifies intra-batch FIFO. [`Try_enq_batch] records [Done] for the
+    accepted prefix and [Rejected] for the remainder (bounded queues
+    stop at their first full observation); a short [`Deq_batch] answers
+    [Empty] for its unserved suffix. The expanded element count is what
+    the checker's 62-op limit bounds. *)
 
-type 'q ops = {
+type 'q queue = {
   create : num_threads:int -> 'q;
   enqueue : 'q -> tid:int -> int -> unit;
   dequeue : 'q -> tid:int -> int option;
   contents : 'q -> int list;  (** quiescent snapshot, oldest first *)
+  try_enqueue : ('q -> tid:int -> int -> bool) option;
+  enqueue_batch : ('q -> tid:int -> int list -> unit) option;
+  try_enqueue_batch : ('q -> tid:int -> int list -> int) option;
+  dequeue_batch : ('q -> tid:int -> n:int -> int list) option;
+  capacity : int option;
+      (** bounded queues: switches the linearizability check to the
+          bounded-queue specification with this capacity (conservation
+          always ignores rejected enqueues) *)
+  audit : ('q -> (unit, string) result) option;
+      (** structural audit run after every schedule, at quiescence and
+          outside the scheduler (yields ignored), once the built-in
+          checks pass *)
 }
+(** A queue under test with every capability it has: a script op whose
+    capability is [None] raises [Invalid_argument] when it runs. *)
+
+val queue :
+  create:(num_threads:int -> 'q) ->
+  enqueue:('q -> tid:int -> int -> unit) ->
+  dequeue:('q -> tid:int -> int option) ->
+  contents:('q -> int list) ->
+  ?try_enqueue:('q -> tid:int -> int -> bool) ->
+  ?enqueue_batch:('q -> tid:int -> int list -> unit) ->
+  ?try_enqueue_batch:('q -> tid:int -> int list -> int) ->
+  ?dequeue_batch:('q -> tid:int -> n:int -> int list) ->
+  ?capacity:int ->
+  ?audit:('q -> (unit, string) result) ->
+  unit ->
+  'q queue
+
+val backend :
+  (module Wfq_core.Queue_intf.BACKEND) ->
+  int Wfq_core.Queue_intf.instance queue
+(** A registry entry exactly as registered, instantiated over
+    {!Sim_atomic}: its batches, its bounded insert and [capacity] from
+    its metadata, and its quiescent structural check as the [audit]. *)
 
 type mode =
   | Dpor  (** one schedule per Mazurkiewicz trace; exhaustive coverage *)
@@ -59,16 +93,10 @@ type report = {
 }
 
 val make_scenario :
-  queue:'q ops ->
+  queue:'q queue ->
   scripts:script list ->
   init:int list ->
-  ?try_enqueue:('q -> tid:int -> int -> bool) ->
-  ?enqueue_batch:('q -> tid:int -> int list -> unit) ->
-  ?try_enqueue_batch:('q -> tid:int -> int list -> int) ->
-  ?dequeue_batch:('q -> tid:int -> n:int -> int list) ->
-  ?capacity:int ->
   ?step_bound:int ->
-  ?extra_check:('q -> (unit, string) result) ->
   max_fiber_steps:int ref ->
   unit ->
   (unit -> unit) array * (Scheduler.result -> (unit, string) result)
@@ -84,28 +112,15 @@ val run :
   ?step_bound:int ->
   ?shrink:bool ->
   ?init:int list ->
-  ?try_enqueue:('q -> tid:int -> int -> bool) ->
-  ?enqueue_batch:('q -> tid:int -> int list -> unit) ->
-  ?try_enqueue_batch:('q -> tid:int -> int list -> int) ->
-  ?dequeue_batch:('q -> tid:int -> n:int -> int list) ->
-  ?capacity:int ->
-  ?extra_check:('q -> (unit, string) result) ->
-  queue:'q ops ->
+  queue:'q queue ->
   scripts:script list ->
   unit ->
   report
 (** Explore and check the scenario. [step_bound] turns on the
     wait-freedom certifier: any schedule in which some fiber exceeds the
-    bound is a failure. [extra_check] runs per schedule after the
-    built-in checks, outside the scheduler (yields ignored). [shrink]
-    (default true) delta-debugs any failing schedule. Total operation
-    count (scripts + init) is capped at 62 by the linearizability
-    checker.
-
-    [try_enqueue] implements the [`Try_enq] script op (required when a
-    script uses it); [capacity] switches the linearizability check to
-    the bounded-queue specification with that capacity (conservation
-    always ignores rejected enqueues).
+    bound is a failure. [shrink] (default true) delta-debugs any
+    failing schedule. Total operation count (scripts + init) is capped
+    at 62 by the linearizability checker.
 
     Under [Dpor], [max_schedules] bounds total executions (complete +
     pruned); a [step_limit] hit is reported as a livelock/starvation
@@ -113,6 +128,16 @@ val run :
 
 val pp_failure : Format.formatter -> failure -> unit
 (** The shrunk schedule when available, otherwise the raw message. *)
+
+val history :
+  queue:'q queue ->
+  scripts:script list ->
+  init:int list ->
+  forced:int list ->
+  Wfq_lincheck.History.completed list
+(** Replay [forced] (a failure's schedule, shrunk or not) on a fresh
+    {!make_scenario} scenario and return the completed history the
+    checker judged, with [init] as the synthetic thread's enqueues. *)
 
 type certificate = {
   observed_bound : int;
@@ -126,14 +151,8 @@ val certify :
   ?max_schedules:int ->
   ?step_limit:int ->
   ?init:int list ->
-  ?try_enqueue:('q -> tid:int -> int -> bool) ->
-  ?enqueue_batch:('q -> tid:int -> int list -> unit) ->
-  ?try_enqueue_batch:('q -> tid:int -> int list -> int) ->
-  ?dequeue_batch:('q -> tid:int -> n:int -> int list) ->
-  ?capacity:int ->
-  ?extra_check:('q -> (unit, string) result) ->
   bound:int ->
-  queue:'q ops ->
+  queue:'q queue ->
   scripts:script list ->
   unit ->
   (certificate, string) result

@@ -133,24 +133,9 @@ let test_domains bk () =
 (* Model-checked lincheck litmuses (sim-safe backends) *)
 (* ------------------------------------------------------------------ *)
 
-let sim_ops bk : int Q.instance Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads -> B.instantiate_with (module SA) bk ~num_threads ());
-    enqueue = (fun i ~tid v -> i.Q.enq ~tid v);
-    dequeue = (fun i ~tid -> i.Q.deq ~tid);
-    contents = (fun i -> i.Q.dump ());
-  }
-
-let run_battery_litmus (module Bk : Q.BACKEND) scripts =
-  Ck.run ~mode:Ck.Dpor ~max_schedules:300_000
-    ?capacity:Bk.capacity
-    ~try_enqueue:(fun i ~tid v -> i.Q.try_enq ~tid v)
-    ~enqueue_batch:(fun i ~tid vs -> i.Q.enq_batch ~tid vs)
-    ~dequeue_batch:(fun i ~tid ~n -> i.Q.deq_batch ~tid ~n)
-    ~extra_check:(fun i -> i.Q.check ())
-    ~queue:(sim_ops (module Bk))
-    ~scripts ()
+let run_battery_litmus bk scripts =
+  Ck.run ~mode:Ck.Dpor ~max_schedules:300_000 ~queue:(Ck.backend bk) ~scripts
+    ()
 
 let expect_clean name (r : Ck.report) =
   (match r.Ck.failure with

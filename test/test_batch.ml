@@ -587,16 +587,12 @@ let test_kp_batch_records_once () =
       ~mode:(Ck.Pct { count = 4001; change_points = 3 })
       ~shrink:false
       ~queue:
-        {
-          Ck.create =
-            (fun ~num_threads ->
-              Kp_sim.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
-                ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ());
-          enqueue = (fun q ~tid v -> Kp_sim.enqueue q ~tid v);
-          dequeue = (fun q ~tid -> Kp_sim.dequeue q ~tid);
-          contents = Kp_sim.to_list;
-        }
-      ~dequeue_batch:(fun q ~tid ~n -> Kp_sim.dequeue_batch q ~tid ~n)
+        (Ck.queue
+           ~create:(fun ~num_threads ->
+             Kp_sim.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
+               ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ())
+           ~enqueue:Kp_sim.enqueue ~dequeue:Kp_sim.dequeue
+           ~contents:Kp_sim.to_list ~dequeue_batch:Kp_sim.dequeue_batch ())
       ~scripts:[ [ `Enq 1; `Enq 2 ]; [ `Deq_batch 2 ] ]
       ()
   in

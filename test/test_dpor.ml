@@ -14,6 +14,7 @@ module D = Wfq_sim.Dpor
 module E = Wfq_sim.Explore
 module Sh = Wfq_sim.Shrink
 module Ck = Wfq_sim.Check
+module H = Wfq_lincheck.History
 module KpSim = Wfq_core.Kp_queue.Make (SA)
 module FpsSim = Wfq_core.Kp_queue_fps.Make (SA)
 
@@ -236,28 +237,21 @@ let test_shrink_rejects_passing_schedule () =
 (* Forced-replay determinism (the shrinker's core assumption)         *)
 (* ------------------------------------------------------------------ *)
 
-let kp_opt_ops : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        KpSim.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
-          ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ());
-    enqueue = (fun q ~tid v -> KpSim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> KpSim.dequeue q ~tid);
-    contents = KpSim.to_list;
-  }
+let kp_opt_ops =
+  Ck.queue
+    ~create:(fun ~num_threads ->
+      KpSim.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
+        ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ())
+    ~enqueue:KpSim.enqueue ~dequeue:KpSim.dequeue ~contents:KpSim.to_list ()
 
-let fps_ops ?fault ~max_failures () : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        FpsSim.create_with ?fault ~max_failures
-          ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-          ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads ());
-    enqueue = (fun q ~tid v -> FpsSim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> FpsSim.dequeue q ~tid);
-    contents = FpsSim.to_list;
-  }
+let fps_ops ?fault ~max_failures () =
+  Ck.queue
+    ~create:(fun ~num_threads ->
+      FpsSim.create_with ?fault ~max_failures
+        ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
+        ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads ())
+    ~enqueue:FpsSim.enqueue ~dequeue:FpsSim.dequeue ~contents:FpsSim.to_list
+    ()
 
 let test_replay_determinism () =
   let mfs = ref 0 in
@@ -410,13 +404,9 @@ module Ms_blind = struct
     collect [] (SA.get t.head)
 end
 
-let ms_blind_ops : _ Ck.ops =
-  {
-    Ck.create = (fun ~num_threads -> Ms_blind.create ~num_threads);
-    enqueue = (fun q ~tid v -> Ms_blind.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> Ms_blind.dequeue q ~tid);
-    contents = Ms_blind.to_list;
-  }
+let ms_blind_ops =
+  Ck.queue ~create:Ms_blind.create ~enqueue:Ms_blind.enqueue
+    ~dequeue:Ms_blind.dequeue ~contents:Ms_blind.to_list ()
 
 let shrunk_length (f : Ck.failure) =
   match f.Ck.shrunk with
@@ -468,6 +458,46 @@ let test_seeded_fast_deq_no_claim_caught () =
       Alcotest.(check bool)
         (Printf.sprintf "shrunk trace <= 37 decisions (got %d)" len)
         true (len <= 37)
+
+(* The history of a failing schedule, replayed by Check's own scenario
+   builder: the pre-filled elements appear as enqueues by the synthetic
+   thread (id = number of scripts), so the counterexample's history
+   accounts for every delivered element. *)
+let test_replay_history_has_init () =
+  let queue =
+    fps_ops ~fault:Wfq_core.Kp_queue_fps.Fast_deq_no_claim ~max_failures:1 ()
+  and scripts = [ [ `Deq; `Deq ]; [ `Deq ] ]
+  and init = [ 1; 2 ] in
+  let r =
+    Ck.run ~mode:Ck.Dpor ~max_schedules:10_000 ~init ~queue ~scripts ()
+  in
+  match r.Ck.failure with
+  | None -> Alcotest.fail "Fast_deq_no_claim not caught"
+  | Some f ->
+      let forced =
+        match f.Ck.shrunk with Some s -> s.Sh.forced | None -> f.Ck.forced
+      in
+      let h =
+        List.sort
+          (fun (a : H.completed) b -> compare a.H.call b.H.call)
+          (Ck.history ~queue ~scripts ~init ~forced)
+      in
+      let by thread =
+        List.filter_map
+          (fun (c : H.completed) ->
+            if c.H.thread = thread then Some (c.H.op, c.H.response) else None)
+          h
+      in
+      Alcotest.(check bool) "synthetic thread enqueued 1 then 2" true
+        (by 2 = [ (H.Enq 1, H.Done); (H.Enq 2, H.Done) ]);
+      (* the replay reproduces the failure: two elements, three
+         deliveries *)
+      Alcotest.(check int) "three deliveries" 3
+        (List.length
+           (List.filter
+              (fun (c : H.completed) ->
+                match c.H.response with H.Got _ -> true | _ -> false)
+              h))
 
 let test_fps_clean_baseline () =
   (* Same scenario shape, no fault: every trace linearizable and
@@ -560,5 +590,7 @@ let () =
             test_fps_clean_baseline;
           Alcotest.test_case "stale-helper livelock re-found" `Slow
             test_stale_helper_refound_by_dpor;
+          Alcotest.test_case "replayed history holds the pre-filled elements"
+            `Quick test_replay_history_has_init;
         ] );
     ]

@@ -129,15 +129,11 @@ module Ck = Wfq_sim.Check
 
 let certified_step_bound = 64
 
-let variant_sim_ops (help, phase, tuning) : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        KpSim.create_with ~tuning ~help ~phase ~num_threads ());
-    enqueue = (fun q ~tid v -> KpSim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> KpSim.dequeue q ~tid);
-    contents = KpSim.to_list;
-  }
+let variant_sim_ops (help, phase, tuning) =
+  Ck.queue
+    ~create:(fun ~num_threads ->
+      KpSim.create_with ~tuning ~help ~phase ~num_threads ())
+    ~enqueue:KpSim.enqueue ~dequeue:KpSim.dequeue ~contents:KpSim.to_list ()
 
 let test_variant_certified (name, help, phase, tuning) () =
   (* Help_all × Phase_scan reads every slot twice per helping round, so

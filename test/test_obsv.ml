@@ -282,23 +282,19 @@ let test_phase_counter_monotone () =
 (* Satellite: DPOR / scheduler invisibility of the obsv plane         *)
 (* ------------------------------------------------------------------ *)
 
-let kp_ops ~obsv : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        let obsv =
-          if obsv then
-            Some
-              (Wfq_core.Kp_queue.metrics (O.Metrics.create ()) ~prefix:"kp"
-                 ~slots:num_threads)
-          else None
-        in
-        KpSim.create_with ?obsv ~help:Wfq_core.Kp_queue.Help_one_cyclic
-          ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ());
-    enqueue = (fun q ~tid v -> KpSim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> KpSim.dequeue q ~tid);
-    contents = KpSim.to_list;
-  }
+let kp_ops ~obsv =
+  Ck.queue
+    ~create:(fun ~num_threads ->
+      let obsv =
+        if obsv then
+          Some
+            (Wfq_core.Kp_queue.metrics (O.Metrics.create ()) ~prefix:"kp"
+               ~slots:num_threads)
+        else None
+      in
+      KpSim.create_with ?obsv ~help:Wfq_core.Kp_queue.Help_one_cyclic
+        ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ())
+    ~enqueue:KpSim.enqueue ~dequeue:KpSim.dequeue ~contents:KpSim.to_list ()
 
 (* Obsv cells are plain OCaml slots, not Sim_atomic cells: an
    instrumented queue takes the same shared-memory steps as a plain

@@ -156,21 +156,15 @@ let test_domains_batch () =
 (* Model checking *)
 (* ------------------------------------------------------------------ *)
 
-let sim_ops ?fault () : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads -> PSim.create_with ?fault ~num_threads ());
-    enqueue = (fun q ~tid v -> PSim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> PSim.dequeue q ~tid);
-    contents = PSim.to_list;
-  }
+let sim_ops ?fault () =
+  Ck.queue
+    ~create:(fun ~num_threads -> PSim.create_with ?fault ~num_threads ())
+    ~enqueue:PSim.enqueue ~dequeue:PSim.dequeue ~contents:PSim.to_list
+    ~enqueue_batch:PSim.enqueue_batch ~dequeue_batch:PSim.dequeue_batch
+    ~audit:PSim.check_quiescent_invariants ()
 
 let run_litmus ?fault ?init ?mode ?(max_schedules = 400_000) scripts =
-  Ck.run ?mode ~max_schedules ?init
-    ~enqueue_batch:(fun q ~tid vs -> PSim.enqueue_batch q ~tid vs)
-    ~dequeue_batch:(fun q ~tid ~n -> PSim.dequeue_batch q ~tid ~n)
-    ~extra_check:PSim.check_quiescent_invariants
-    ~queue:(sim_ops ?fault ()) ~scripts ()
+  Ck.run ?mode ~max_schedules ?init ~queue:(sim_ops ?fault ()) ~scripts ()
 
 let expect_clean name (r : Ck.report) =
   (match r.Ck.failure with

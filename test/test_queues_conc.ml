@@ -288,17 +288,14 @@ module SA = Wfq_sim.Sim_atomic
 module Ck = Wfq_sim.Check
 module Hp_sim = Wfq_core.Kp_queue_hp.Make (SA)
 
-let hp_sim_ops : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        (* [scan_threshold = 1]: every retire scans, so nodes recycle
-           as early as the hazard slots allow. *)
-        Hp_sim.create ~scan_threshold:1 ~num_threads ());
-    enqueue = (fun q ~tid v -> Hp_sim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> Hp_sim.dequeue q ~tid);
-    contents = Hp_sim.to_list;
-  }
+let hp_sim_ops =
+  Ck.queue
+    ~create:(fun ~num_threads ->
+      (* [scan_threshold = 1]: every retire scans, so nodes recycle as
+         early as the hazard slots allow. *)
+      Hp_sim.create ~scan_threshold:1 ~num_threads ())
+    ~enqueue:Hp_sim.enqueue ~dequeue:Hp_sim.dequeue ~contents:Hp_sim.to_list
+    ~audit:Hp_sim.check_quiescent_invariants ()
 
 let check_hp_clean name (r : Ck.report) =
   (match r.Ck.failure with
@@ -311,7 +308,6 @@ let test_hp_sim_enq_deq_dpor () =
   check_hp_clean "kp-hp enq|deq under dpor"
     (Ck.run ~mode:Ck.Dpor ~max_schedules:50_000 ~step_bound:100
        ~queue:hp_sim_ops
-       ~extra_check:Hp_sim.check_quiescent_invariants
        ~scripts:[ [ `Enq 1 ]; [ `Deq ] ]
        ())
 
@@ -319,7 +315,6 @@ let test_hp_sim_deq_race_pb () =
   check_hp_clean "kp-hp deq|deq under <=2 preemptions"
     (Ck.run ~mode:(Ck.Preemption_bounded 2) ~max_schedules:100_000
        ~step_bound:160 ~init:[ 1; 2 ] ~queue:hp_sim_ops
-       ~extra_check:Hp_sim.check_quiescent_invariants
        ~scripts:[ [ `Deq ]; [ `Deq ] ]
        ())
 
@@ -327,7 +322,6 @@ let test_hp_sim_pairs_pb () =
   check_hp_clean "kp-hp pairs under <=2 preemptions"
     (Ck.run ~mode:(Ck.Preemption_bounded 2) ~max_schedules:100_000
        ~step_bound:200 ~queue:hp_sim_ops
-       ~extra_check:Hp_sim.check_quiescent_invariants
        ~scripts:[ [ `Enq 1; `Deq ]; [ `Enq 2; `Deq ] ]
        ())
 
@@ -336,7 +330,6 @@ let test_hp_sim_pairs_fuzz () =
     Ck.run
       ~mode:(Ck.Fuzz { seed0 = 17; count = 2_000 })
       ~step_bound:200 ~queue:hp_sim_ops
-      ~extra_check:Hp_sim.check_quiescent_invariants
       ~scripts:[ [ `Enq 1; `Deq ]; [ `Enq 2; `Deq ] ]
       ()
   in
@@ -366,18 +359,14 @@ let hp_sim_cases =
    the wait-freedom certifier and the quiescent structural audit. *)
 module Ring_sim = Wfq_core.Ring_queue.Make (SA)
 
-let ring_sim_ops ~capacity ~max_failures : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        Ring_sim.create_with ~capacity ~max_failures ~num_threads ());
-    enqueue = (fun q ~tid v -> Ring_sim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> Ring_sim.dequeue q ~tid);
-    contents = Ring_sim.to_list;
-  }
-
-let ring_try_enq q ~tid v = Ring_sim.try_enqueue q ~tid v
-let ring_audit q = Ring_sim.check_quiescent_invariants q
+let ring_sim_ops ~capacity ~max_failures =
+  Ck.queue
+    ~create:(fun ~num_threads ->
+      Ring_sim.create_with ~capacity ~max_failures ~num_threads ())
+    ~enqueue:Ring_sim.enqueue ~dequeue:Ring_sim.dequeue
+    ~contents:Ring_sim.to_list ~try_enqueue:Ring_sim.try_enqueue
+    ~enqueue_batch:Ring_sim.enqueue_batch ~dequeue_batch:Ring_sim.dequeue_batch
+    ~capacity ~audit:Ring_sim.check_quiescent_invariants ()
 
 let check_ring_clean name (r : Ck.report) =
   (match r.Ck.failure with
@@ -388,7 +377,6 @@ let check_ring_clean name (r : Ck.report) =
 let test_ring_sim_enq_deq_dpor () =
   check_ring_clean "ring enq|deq under dpor"
     (Ck.run ~mode:Ck.Dpor ~max_schedules:100_000 ~step_bound:120
-       ~try_enqueue:ring_try_enq ~capacity:2 ~extra_check:ring_audit
        ~queue:(ring_sim_ops ~capacity:2 ~max_failures:1)
        ~scripts:[ [ `Enq 1 ]; [ `Deq ] ]
        ())
@@ -399,8 +387,7 @@ let test_ring_sim_full_race_dpor () =
      happened — the bounded spec's hardest corner. All-slow-path. *)
   check_ring_clean "ring try_enq|deq on full capacity-1 ring under dpor"
     (Ck.run ~mode:Ck.Dpor ~max_schedules:300_000 ~step_bound:120
-       ~init:[ 9 ] ~try_enqueue:ring_try_enq ~capacity:1
-       ~extra_check:ring_audit
+       ~init:[ 9 ]
        ~queue:(ring_sim_ops ~capacity:1 ~max_failures:0)
        ~scripts:[ [ `Try_enq 1 ]; [ `Deq ] ]
        ())
@@ -408,8 +395,7 @@ let test_ring_sim_full_race_dpor () =
 let test_ring_sim_pairs_pb () =
   check_ring_clean "ring pairs under <=2 preemptions"
     (Ck.run ~mode:(Ck.Preemption_bounded 2) ~max_schedules:100_000
-       ~step_bound:200 ~try_enqueue:ring_try_enq ~capacity:2
-       ~extra_check:ring_audit
+       ~step_bound:200
        ~queue:(ring_sim_ops ~capacity:2 ~max_failures:1)
        ~scripts:[ [ `Enq 1; `Deq ]; [ `Enq 2; `Deq ] ]
        ())
@@ -418,8 +404,7 @@ let test_ring_sim_pairs_fuzz () =
   let r =
     Ck.run
       ~mode:(Ck.Fuzz { seed0 = 23; count = 2_000 })
-      ~step_bound:200 ~try_enqueue:ring_try_enq ~capacity:2
-      ~extra_check:ring_audit
+      ~step_bound:200
       ~queue:(ring_sim_ops ~capacity:2 ~max_failures:1)
       ~scripts:[ [ `Enq 1; `Deq ]; [ `Enq 2; `Deq ] ]
       ()
@@ -503,17 +488,13 @@ let sim_diff_rows =
         (fun ~seed scripts ->
           Ck.run ~mode:(fuzz ~seed)
             ~queue:
-              {
-                Ck.create =
-                  (fun ~num_threads ->
-                    Kp_sim.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
-                      ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ());
-                enqueue = (fun q ~tid v -> Kp_sim.enqueue q ~tid v);
-                dequeue = (fun q ~tid -> Kp_sim.dequeue q ~tid);
-                contents = Kp_sim.to_list;
-              }
-            ~enqueue_batch:(fun q ~tid vs -> Kp_sim.enqueue_batch q ~tid vs)
-            ~dequeue_batch:(fun q ~tid ~n -> Kp_sim.dequeue_batch q ~tid ~n)
+              (Ck.queue
+                 ~create:(fun ~num_threads ->
+                   Kp_sim.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
+                     ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ())
+                 ~enqueue:Kp_sim.enqueue ~dequeue:Kp_sim.dequeue
+                 ~contents:Kp_sim.to_list ~enqueue_batch:Kp_sim.enqueue_batch
+                 ~dequeue_batch:Kp_sim.dequeue_batch ())
             ~scripts ());
     };
     {
@@ -522,32 +503,26 @@ let sim_diff_rows =
         (fun ~seed scripts ->
           Ck.run ~mode:(fuzz ~seed)
             ~queue:
-              {
-                Ck.create =
-                  (fun ~num_threads ->
-                    Fps_sim.create_with ~max_failures:1
-                      ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-                      ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads
-                      ());
-                enqueue = (fun q ~tid v -> Fps_sim.enqueue q ~tid v);
-                dequeue = (fun q ~tid -> Fps_sim.dequeue q ~tid);
-                contents = Fps_sim.to_list;
-              }
-            ~enqueue_batch:(fun q ~tid vs -> Fps_sim.enqueue_batch q ~tid vs)
-            ~dequeue_batch:(fun q ~tid ~n -> Fps_sim.dequeue_batch q ~tid ~n)
+              (Ck.queue
+                 ~create:(fun ~num_threads ->
+                   Fps_sim.create_with ~max_failures:1
+                     ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
+                     ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads
+                     ())
+                 ~enqueue:Fps_sim.enqueue ~dequeue:Fps_sim.dequeue
+                 ~contents:Fps_sim.to_list ~enqueue_batch:Fps_sim.enqueue_batch
+                 ~dequeue_batch:Fps_sim.dequeue_batch ())
             ~scripts ());
     };
     {
-      (* Capacity far above the script's enqueue count, so the
-         unbounded FIFO spec applies unchanged. *)
+      (* Capacity far above the script's enqueue count, so the bounded
+         spec never sees a full queue. *)
       sd_name = "ring mf=1";
       sd_run =
         (fun ~seed scripts ->
           Ck.run ~mode:(fuzz ~seed)
             ~queue:(ring_sim_ops ~capacity:64 ~max_failures:1)
-            ~enqueue_batch:(fun q ~tid vs -> Ring_sim.enqueue_batch q ~tid vs)
-            ~dequeue_batch:(fun q ~tid ~n -> Ring_sim.dequeue_batch q ~tid ~n)
-            ~extra_check:ring_audit ~scripts ());
+            ~scripts ());
     };
     {
       sd_name = "shard strict";
@@ -555,17 +530,13 @@ let sim_diff_rows =
         (fun ~seed scripts ->
           Ck.run ~mode:(fuzz ~seed)
             ~queue:
-              {
-                Ck.create =
-                  (fun ~num_threads ->
-                    Shard_sim.create_strict ~num_threads ());
-                enqueue = (fun q ~tid v -> Shard_sim.enqueue q ~tid v);
-                dequeue = (fun q ~tid -> Shard_sim.dequeue q ~tid);
-                contents = Shard_sim.to_list;
-              }
-            ~enqueue_batch:(fun q ~tid vs -> Shard_sim.enqueue_batch q ~tid vs)
-            ~dequeue_batch:(fun q ~tid ~n ->
-              Shard_sim.dequeue_batch q ~tid ~n)
+              (Ck.queue
+                 ~create:(fun ~num_threads ->
+                   Shard_sim.create_strict ~num_threads ())
+                 ~enqueue:Shard_sim.enqueue ~dequeue:Shard_sim.dequeue
+                 ~contents:Shard_sim.to_list
+                 ~enqueue_batch:Shard_sim.enqueue_batch
+                 ~dequeue_batch:Shard_sim.dequeue_batch ())
             ~scripts ());
     };
   ]

@@ -155,18 +155,15 @@ let test_probe_fresh () =
 (* DPOR litmuses (sim atomics)                                        *)
 (* ------------------------------------------------------------------ *)
 
-let ring_sim_ops ?fault ~capacity ~max_failures () : _ Ck.ops =
-  {
-    Ck.create =
-      (fun ~num_threads ->
-        Ring_sim.create_with ~capacity ~max_failures ?fault ~num_threads ());
-    enqueue = (fun q ~tid v -> Ring_sim.enqueue q ~tid v);
-    dequeue = (fun q ~tid -> Ring_sim.dequeue q ~tid);
-    contents = Ring_sim.to_list;
-  }
-
-let ring_try_enq q ~tid v = Ring_sim.try_enqueue q ~tid v
-let ring_audit q = Ring_sim.check_quiescent_invariants q
+(* Every row judges against the bounded spec at the ring's capacity and
+   runs the ring's quiescent structural audit after each schedule. *)
+let ring_sim_ops ?fault ~capacity ~max_failures () =
+  Ck.queue
+    ~create:(fun ~num_threads ->
+      Ring_sim.create_with ~capacity ~max_failures ?fault ~num_threads ())
+    ~enqueue:Ring_sim.enqueue ~dequeue:Ring_sim.dequeue
+    ~contents:Ring_sim.to_list ~try_enqueue:Ring_sim.try_enqueue ~capacity
+    ~audit:Ring_sim.check_quiescent_invariants ()
 
 let check_clean name (r : Ck.report) =
   (match r.Ck.failure with
@@ -180,7 +177,6 @@ let check_clean name (r : Ck.report) =
 let test_dpor_claim_rollback () =
   check_clean "claim/rollback (enq|enq, mf=0)"
     (Ck.run ~mode:Ck.Dpor ~max_schedules:300_000 ~step_bound:200
-       ~extra_check:ring_audit
        ~queue:(ring_sim_ops ~capacity:2 ~max_failures:0 ())
        ~scripts:[ [ `Enq 1 ]; [ `Enq 2 ] ]
        ())
@@ -191,7 +187,7 @@ let test_dpor_claim_rollback () =
 let test_dpor_help_handoff () =
   check_clean "helping hand-off (deq|deq over one element, mf=0)"
     (Ck.run ~mode:Ck.Dpor ~max_schedules:300_000 ~step_bound:200
-       ~init:[ 1 ] ~extra_check:ring_audit
+       ~init:[ 1 ]
        ~queue:(ring_sim_ops ~capacity:2 ~max_failures:0 ())
        ~scripts:[ [ `Deq ]; [ `Deq ] ]
        ())
@@ -201,7 +197,6 @@ let test_dpor_help_handoff () =
 let test_dpor_empty_race () =
   check_clean "dequeue-on-empty race (capacity 1, mf=0)"
     (Ck.run ~mode:Ck.Dpor ~max_schedules:300_000 ~step_bound:200
-       ~extra_check:ring_audit
        ~queue:(ring_sim_ops ~capacity:1 ~max_failures:0 ())
        ~scripts:[ [ `Enq 1 ]; [ `Deq ] ]
        ())
@@ -213,7 +208,6 @@ let test_dpor_empty_race () =
 let test_dpor_wraparound () =
   check_clean "wraparound past 2*capacity (capacity 1)"
     (Ck.run ~mode:Ck.Dpor ~max_schedules:300_000 ~step_bound:200
-       ~try_enqueue:ring_try_enq ~capacity:1 ~extra_check:ring_audit
        ~queue:(ring_sim_ops ~capacity:1 ~max_failures:1 ())
        ~scripts:[ [ `Try_enq 1; `Try_enq 2; `Try_enq 3 ]; [ `Deq; `Deq; `Deq ] ]
        ())
@@ -224,7 +218,6 @@ let test_dpor_wraparound () =
 let test_dpor_fault_found () =
   let r =
     Ck.run ~mode:Ck.Dpor ~max_schedules:50_000 ~step_bound:200
-      ~try_enqueue:ring_try_enq ~capacity:1
       ~queue:
         (ring_sim_ops ~fault:Rq.Rollback_skipped ~capacity:1 ~max_failures:0
            ())
