@@ -4,16 +4,31 @@
    an MS pair loop, so the deltas attribute the cost.
 
      MS (baseline)                plain Ms_queue pairs
-     MS + fat nodes               KP-shaped nodes: + enq_tid field and the
-                                  per-node [deq_tid] atomic the slow-path
+     MS + fat nodes               the [Ms_fat] rig: MS nodes plus an
+                                  [enq_tid] field and a [deq_tid] claim
+                                  cell, the two fields the slow-path
                                   claim protocol requires
      MS + fat nodes + claim CAS   + the sentinel claim CAS every dequeue
                                   pays (the fast/slow compatibility cost)
      FPS (full fast path)         the real Kp_queue_fps, adding the
                                   [slow_pending] helping check and the
                                   remaining functor-boundary calls
+     FPS pooled                   the fps-pooled registry entry: nodes
+                                  come back from the segment pool
 
-   Run several times and read medians: single-core noise is ±15 ns. *)
+   The rig keeps the node layout the queues had before they shrank to
+   five words: a boxed [value] option, a separate [next] cell holding an
+   option, and a separate [deq_tid] cell. Today's KP node is the [next]
+   cell itself, holds its element unboxed and CASes [deq_tid] as an int
+   field in place (docs/FASTPATH.md, "Five-word nodes"), so the two
+   "fat nodes" rows overstate what the node shape costs the real fast
+   path.
+
+   Rows move with code placement by more than the differences they are
+   meant to show: on a 2-vCPU host the same unchanged rig row read
+   204-212 ns/pair on one build and 291-301 on the next. Compare two
+   builds only with repeated runs of both, alternating, and read
+   medians; single-core noise within one build is about ±15 ns. *)
 
 module A = Wfq_primitives.Real_atomic
 module Ms = Wfq_core.Ms_queue.Make (A)
