@@ -16,23 +16,6 @@
     Thread identity: as for {!Kp_queue}, every participating thread owns
     a distinct [tid] in [0, num_threads). *)
 
-(** Policies and tuning are shared with (and equal to) {!Kp_queue}'s:
-    they configure the slow path — the {!Kp_helping} engine both queues
-    run — only. *)
-type help_policy = Kp_queue.help_policy =
-  | Help_all
-  | Help_one_cyclic
-  | Help_chunk of int
-
-type phase_policy = Kp_queue.phase_policy = Phase_scan | Phase_counter
-
-type tuning = Kp_queue.tuning = {
-  gc_friendly : bool;
-  validate_before_cas : bool;
-}
-
-val default_tuning : tuning
-
 val default_max_failures : int
 (** Fast-path attempt budget used by {!Make.create} (64 — past a handful
     of failed CAS rounds the helping scheme is cheaper than continued
@@ -96,19 +79,21 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
       [Phase_counter]), no tuning. *)
 
   val create_with :
-    ?tuning:tuning ->
+    ?tuning:Kp_queue.tuning ->
     ?max_failures:int ->
     ?fault:fault ->
     ?pool:bool ->
     ?pool_segment:int ->
     ?pool_quarantine:bool ->
     ?obsv:metrics ->
-    help:help_policy ->
-    phase:phase_policy ->
+    help:Kp_queue.help_policy ->
+    phase:Kp_queue.phase_policy ->
     num_threads:int ->
     unit ->
     'a t
-  (** [max_failures] is the number of failed fast-path rounds tolerated
+  (** The policies and tuning are {!Kp_queue}'s: they configure the slow
+      path only, the {!Kp_helping} engine both queues run.
+      [max_failures] is the number of failed fast-path rounds tolerated
       before falling back (default {!default_max_failures}); [0] skips
       the fast path entirely, degenerating to {!Kp_queue} behaviour.
       [fault] (default [None]) injects a {!fault} — tests only.

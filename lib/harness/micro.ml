@@ -115,7 +115,6 @@ let run_groups () =
 module C = Wfq_primitives.Counted_atomic
 module CA = Wfq_primitives.Counted_atomic.Make (Wfq_primitives.Real_atomic)
 module Cms = Wfq_core.Ms_queue.Make (CA)
-module Ckp = Wfq_core.Kp_queue.Make (CA)
 module Clms = Wfq_core.Lms_queue.Make (CA)
 
 (* Atomic reads/writes/CAS per uncontended operation, at two thread-count
@@ -143,12 +142,14 @@ let run_profiles () =
     let deq = profile (fun () -> ignore (dequeue () : int option)) in
     row name enq deq
   in
-  let kp_case name help phase num_threads =
-    let q = Ckp.create_with ~help ~phase ~num_threads () in
+  let kp_case label config num_threads =
+    let module B = (val Wfq_core.Backends.make ~id:label ~label (Kp config)) in
+    let module Q = B.Make (CA) in
+    let q = Q.create ~num_threads () in
     case
-      (Printf.sprintf "%s (n=%d)" name num_threads)
-      (Ckp.enqueue q ~tid:0)
-      (fun () -> Ckp.dequeue q ~tid:0)
+      (Printf.sprintf "%s (n=%d)" label num_threads)
+      (Q.enqueue q ~tid:0)
+      (fun () -> Q.dequeue q ~tid:0)
   in
   let q = Cms.create ~num_threads:1 () in
   case "LF (Michael-Scott)" (Cms.enqueue q ~tid:0) (fun () ->
@@ -156,16 +157,8 @@ let run_profiles () =
   let q = Clms.create ~num_threads:1 () in
   case "LF optimistic (LMS)" (Clms.enqueue q ~tid:0) (fun () ->
       Clms.dequeue q ~tid:0);
-  List.iter
-    (fun n ->
-      kp_case "base WF" Wfq_core.Kp_queue.Help_all
-        Wfq_core.Kp_queue.Phase_scan n)
-    [ 1; 8; 16 ];
-  List.iter
-    (fun n ->
-      kp_case "opt WF (1+2)" Wfq_core.Kp_queue.Help_one_cyclic
-        Wfq_core.Kp_queue.Phase_counter n)
-    [ 1; 16 ];
+  List.iter (kp_case "base WF" Wfq_core.Backends.kp_base) [ 1; 8; 16 ];
+  List.iter (kp_case "opt WF (1+2)" Wfq_core.Backends.kp) [ 1; 16 ];
   flush stdout
 
 let run () =

@@ -19,17 +19,16 @@
     the stats collector, not of instrumented queues. *)
 
 module RA = Wfq_primitives.Real_atomic
-module Fq = Wfq_core.Kp_queue_fps.Make (RA)
 module Sh = Wfq_shard.Shard.Make (RA)
 module Obsv = Wfq_obsv
 
 let now_ns = Clock.now_ns
 
-(* A fresh queue of registry entry [id] on real atomics, its hot-path
+(* A fresh queue of backend [b] on real atomics, its hot-path
    instrumentation and metrics attached under [?obsv]'s prefix, as its
    enqueue and dequeue. *)
-let registered id ?obsv ~num_threads () =
-  let module B = (val Wfq_core.Backends.find id) in
+let instrumented b ?obsv ~num_threads () =
+  let module B = (val b : Wfq_core.Queue_intf.BACKEND) in
   let module Q = B.Make (RA) in
   let q = Q.create ?obsv ~num_threads () in
   (Q.enqueue q, Q.dequeue q)
@@ -97,25 +96,27 @@ let collect ~threads ~iters () =
   in
   (* opt WF (1+2): the phase-lag / help-event / lost-phase-bump story. *)
   let enq, deq =
-    registered "kp-opt12" ~obsv:(reg, "kp_opt12") ~num_threads:slots ()
+    instrumented (Wfq_core.Backends.find "kp-opt12") ~obsv:(reg, "kp_opt12")
+      ~num_threads:slots ()
   in
   run "kp_opt12" ~relaxed:false ~enq ~deq;
   (* WF fps pooled: fast-path rounds, claim handoffs, pool hit rate. *)
   let enq, deq =
-    registered "fps-pooled" ~obsv:(reg, "fps_pooled") ~num_threads:slots ()
+    instrumented
+      (Wfq_core.Backends.find "fps-pooled")
+      ~obsv:(reg, "fps_pooled") ~num_threads:slots ()
   in
   run "fps_pooled" ~relaxed:false ~enq ~deq;
   (* WF fps with a zero fast budget: every operation takes the slow
      path, so the slow-path-rate metrics are guaranteed non-trivial. *)
-  let fslow =
-    Fq.create_with ~max_failures:0
-      ~obsv:(Wfq_core.Kp_queue_fps.metrics reg ~prefix:"fps_slow" ~slots)
-      ~help:Wfq_core.Kp_queue_fps.Help_one_cyclic
-      ~phase:Wfq_core.Kp_queue_fps.Phase_counter ~num_threads:slots ()
+  let enq, deq =
+    instrumented
+      Wfq_core.Backends.(
+        make ~id:"fps-slow" ~label:"WF fps mf=0"
+          (Fps { fps with max_failures = 0 }))
+      ~obsv:(reg, "fps_slow") ~num_threads:slots ()
   in
-  Fq.register_metrics fslow reg ~prefix:"fps_slow";
-  run "fps_slow" ~relaxed:false ~enq:(Fq.enqueue fslow)
-    ~deq:(Fq.dequeue fslow);
+  run "fps_slow" ~relaxed:false ~enq ~deq;
   (* Sharded front-end, round-robin tickets: per-shard depth and steal
      sweeps (tickets decouple enqueue and dequeue shards, so steals
      happen constantly). *)
@@ -212,7 +213,9 @@ let measure_overhead ~iters ~runs () =
      nothing reads it — the cost under test is the write path. *)
   let queue id obsv =
     let obsv = if obsv then Some (Obsv.Metrics.create (), id) else None in
-    let enq, deq = registered id ?obsv ~num_threads:slots () in
+    let enq, deq =
+      instrumented (Wfq_core.Backends.find id) ?obsv ~num_threads:slots ()
+    in
     chunk ~enq ~deq
   in
   let guard name mk =

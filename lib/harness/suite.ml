@@ -248,7 +248,7 @@ let micro =
    registered threads — deterministic, so DPOR certifies it from a
    single schedule, and it isolates exactly the structural
    p-dependence the paper's bounds are about: the base KP queue scans
-   all p state slots per operation (Phase_scan + Help_all) even with
+   all p state slots per operation (phase by scan, help-all) even with
    nobody else running, so its certified bound is Theta(p) (measured:
    43 + 4p), while the polylog tree only grows by one level per
    doubling of p (one +~71-step propagate stage), i.e. Theta(log p)
@@ -260,34 +260,27 @@ let micro =
    contended p=2 certificates live in wfq_check's litmus library and
    test_polylog instead). *)
 module Ck = Wfq_sim.Check
-module Sim_kp = Wfq_core.Kp_queue.Make (Wfq_sim.Sim_atomic)
 
-(* The paper's base configuration is where the Theta(p) scans live; it
-   is deliberately not in the registry (its Help_all slow path has
-   million-trace DPOR scenarios that would sink every registry-driven
-   battery), so it is built here directly. *)
-let kp_base_sim_ops =
-  Ck.queue
-    ~create:(fun ~num_threads -> Sim_kp.create ~num_threads ())
-    ~enqueue:Sim_kp.enqueue ~dequeue:Sim_kp.dequeue ~contents:Sim_kp.to_list
-    ()
-
-let certified_bound (type q) name (queue : q Ck.queue) p =
+let certified_bound b p =
   let scripts = [ `Enq 1; `Deq ] :: List.init (p - 1) (fun _ -> []) in
   match
-    Ck.certify ~mode:Ck.Dpor ~max_schedules:10_000 ~bound:1_000_000 ~queue
-      ~scripts ()
+    Ck.certify ~mode:Ck.Dpor ~max_schedules:10_000 ~bound:1_000_000
+      ~queue:(Ck.backend b) ~scripts ()
   with
   | Ok c -> float_of_int c.Ck.observed_bound
-  | Error msg -> failwith (Printf.sprintf "certify %s at p=%d: %s" name p msg)
+  | Error msg ->
+      failwith (Printf.sprintf "certify %s at p=%d: %s" (Bks.id b) p msg)
 
 let cert_ps = [ 2; 4; 8; 16; 32; 64; 128 ]
 
+(* The paper's base configuration is where the Theta(p) scans live; it
+   is not in the registry (its help-all slow path has million-trace
+   DPOR scenarios that would sink every registry-driven battery). *)
 let cert_rows =
-  ("kp-base", certified_bound "kp-base" kp_base_sim_ops)
-  :: List.map
-       (fun id -> (id, certified_bound id (Ck.backend (Bks.find id))))
-       [ "kp-opt12"; "fps-pooled"; "polylog" ]
+  List.map
+    (fun b -> (Bks.id b, certified_bound b))
+    (Bks.make ~id:"kp-base" ~label:"base WF" (Kp Bks.kp_base)
+    :: List.map Bks.find [ "kp-opt12"; "fps-pooled"; "polylog" ])
 
 let cert_part =
   let line (id, bound) =
