@@ -2,12 +2,12 @@
    several domains for a wall-clock duration, validating conservation
    invariants continuously. Intended for long unattended runs:
 
-     wfq_soak --queue "opt WF (1+2)" --threads 8 --seconds 30
+     wfq_soak --queue kp-opt12 --threads 8 --seconds 30
      wfq_soak --list
 *)
 
 open Cmdliner
-module I = Wfq_harness.Impls
+module Bk = Wfq_core.Backends
 module Rng = Wfq_primitives.Rng
 
 type totals = {
@@ -18,16 +18,16 @@ type totals = {
   mutable checksum : int; (* sum of enqueued minus sum of dequeued *)
 }
 
-let run_soak queue_name threads seconds seed list_queues =
+let run_soak queue_id threads seconds seed list_queues =
   if list_queues then begin
-    List.iter (fun impl -> print_endline (I.name impl)) I.all;
+    List.iter print_endline Bk.ids;
     exit 0
   end;
-  let (module Q) = I.by_name queue_name in
+  let ((module B) as backend) = Bk.find queue_id in
   if threads <= 0 then invalid_arg "--threads must be positive";
-  Printf.printf "soaking %s: %d domains, %.1fs, seed %d\n%!" Q.name threads
+  Printf.printf "soaking %s: %d domains, %.1fs, seed %d\n%!" B.label threads
     seconds seed;
-  let q = Q.create ~num_threads:(threads + 1) in
+  let q = Bk.instantiate backend ~num_threads:(threads + 1) () in
   let stop = Atomic.make false in
   let totals = Array.init threads (fun _ ->
       { enqs = 0; deq_hits = 0; deq_empties = 0; fulls = 0; checksum = 0 })
@@ -39,24 +39,24 @@ let run_soak queue_name threads seconds seed list_queues =
       (* Bursts keep the queue length wandering instead of hovering. *)
       let burst = 1 + Rng.below rng 32 in
       if Rng.bool rng then begin
-        (* A bounded queue that refuses an element ends the burst; the
-           refused value never entered, so it stays out of the
-           checksum. *)
+        (* A bounded queue that refuses an element ends the burst (an
+           unbounded one always accepts); the refused value never
+           entered, so it stays out of the checksum. *)
         let rec enq k =
           if k > 0 then
             let v = 1 + Rng.below rng 1_000_000 in
-            match Q.enqueue q ~tid v with
-            | () ->
-                t.enqs <- t.enqs + 1;
-                t.checksum <- t.checksum + v;
-                enq (k - 1)
-            | exception Wfq_core.Ring_queue.Ring_full -> t.fulls <- t.fulls + 1
+            if q.try_enq ~tid v then begin
+              t.enqs <- t.enqs + 1;
+              t.checksum <- t.checksum + v;
+              enq (k - 1)
+            end
+            else t.fulls <- t.fulls + 1
         in
         enq burst
       end
       else
         for _ = 1 to burst do
-          match Q.dequeue q ~tid with
+          match q.deq ~tid with
           | Some v ->
               t.deq_hits <- t.deq_hits + 1;
               t.checksum <- t.checksum - v
@@ -74,7 +74,7 @@ let run_soak queue_name threads seconds seed list_queues =
      must be accounted for by dequeues plus leftovers. *)
   let leftover_count = ref 0 and leftover_sum = ref 0 in
   let rec drain () =
-    match Q.dequeue q ~tid:threads with
+    match q.deq ~tid:threads with
     | Some v ->
         incr leftover_count;
         leftover_sum := !leftover_sum + v;
@@ -100,8 +100,11 @@ let run_soak queue_name threads seconds seed list_queues =
   if not (count_ok && sum_ok) then exit 1
 
 let queue_arg =
-  let doc = "Queue to soak (see --list)." in
-  Arg.(value & opt string "opt WF (1+2)" & info [ "queue" ] ~docv:"NAME" ~doc)
+  let ids = List.map (fun id -> (id, id)) Bk.ids in
+  let doc =
+    Printf.sprintf "Registry entry to soak: %s." (Arg.doc_alts_enum ids)
+  in
+  Arg.(value & opt (enum ids) "kp-opt12" & info [ "queue" ] ~docv:"ID" ~doc)
 
 let threads_arg =
   let doc = "Worker domains." in
@@ -116,7 +119,7 @@ let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
 
 let list_arg =
-  let doc = "List available queue names and exit." in
+  let doc = "List the registry ids and exit." in
   Arg.(value & flag & info [ "list" ] ~doc)
 
 let () =

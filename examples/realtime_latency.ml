@@ -8,8 +8,8 @@
    bound the damage, and the wait-free queue additionally bounds each
    individual thread's work.
 
-   On this container (1 core) preemption is constant, which is exactly
-   the adversarial environment for blocking designs.
+   The fewer cores the host has for the domains, the more often a lock
+   holder is preempted: the adversarial environment for blocking designs.
 
      dune exec examples/realtime_latency.exe
 *)
@@ -36,7 +36,7 @@ let () =
       in
       row "enq" s.L.enqueue;
       row "deq" s.L.dequeue)
-    [ I.lf; I.wf_base; I.wf_opt12; I.two_lock; I.mutex ];
+    [ I.lf; I.wf_base; I.wf_opt12; I.mutex ];
   print_newline ();
   if Domain.recommended_domain_count () <= 1 then
     print_endline
@@ -48,7 +48,7 @@ let () =
        `wfq_check stall`."
   else
     print_endline
-      "Expected shape: similar medians, but the blocking queues' tails\n\
-       (max) stretch to whole scheduling quanta when a lock holder is\n\
+      "Expected shape: similar medians, but the blocking queue's tail\n\
+       (max) stretches to whole scheduling quanta when a lock holder is\n\
        preempted, while the non-blocking queues stay within the cost of\n\
        helping."

@@ -6,9 +6,6 @@
 
 module A = Wfq_primitives.Real_atomic
 module Ms = Wfq_core.Ms_queue.Make (A)
-module Lms = Wfq_core.Lms_queue.Make (A)
-module Uq = Wfq_universal.Universal.Queue (A)
-module Fc = Wfq_core.Fc_queue.Make (A)
 module Kp_hp = Wfq_core.Kp_queue_hp.Make (A)
 module Bk = Wfq_core.Backends
 
@@ -92,16 +89,6 @@ let lf_pooled : impl =
     let create ~num_threads = Ms.create_pooled ~num_threads ()
     let enqueue = Ms.enqueue
     let dequeue = Ms.dequeue
-  end)
-
-let lms : impl =
-  (module struct
-    type t = int Lms.t
-
-    let name = "LF optimistic"
-    let create ~num_threads = Lms.create ~num_threads ()
-    let enqueue = Lms.enqueue
-    let dequeue = Lms.dequeue
   end)
 
 (* The paper's §3.3 ablation rows: opt (1+2) with one optimization
@@ -223,36 +210,6 @@ let wf_hp : impl =
     let dequeue = Kp_hp.dequeue
   end)
 
-let wf_universal : impl =
-  (module struct
-    type t = Uq.t
-
-    let name = "WF universal"
-    let create ~num_threads = Uq.create ~num_threads ()
-    let enqueue = Uq.enqueue
-    let dequeue = Uq.dequeue
-  end)
-
-let flat_combining : impl =
-  (module struct
-    type t = int Fc.t
-
-    let name = "flat-combining"
-    let create ~num_threads = Fc.create ~num_threads ()
-    let enqueue = Fc.enqueue
-    let dequeue = Fc.dequeue
-  end)
-
-let two_lock : impl =
-  (module struct
-    type t = int Wfq_core.Two_lock_queue.t
-
-    let name = "two-lock"
-    let create ~num_threads = Wfq_core.Two_lock_queue.create ~num_threads ()
-    let enqueue = Wfq_core.Two_lock_queue.enqueue
-    let dequeue = Wfq_core.Two_lock_queue.dequeue
-  end)
-
 let mutex : impl =
   (module struct
     type t = int Wfq_core.Mutex_queue.t
@@ -264,9 +221,8 @@ let mutex : impl =
   end)
 
 let all =
-  [ lf; lf_pooled; lms; wf_base; wf_opt1; wf_opt2; wf_opt12; wf_pooled;
-    wf_fps; wf_fps_pooled; wf_ring; wf_polylog; wf_hp; wf_universal;
-    flat_combining; two_lock; mutex ]
+  [ lf; lf_pooled; wf_base; wf_opt1; wf_opt2; wf_opt12; wf_pooled; wf_fps;
+    wf_fps_pooled; wf_ring; wf_polylog; wf_hp; mutex ]
 
 (* Variants for the ablation bench: helping-chunk size sweep plus the
    tuning enhancements. *)
@@ -316,11 +272,3 @@ let batch_series =
 let batch_name (module Q : BATCH_BENCH_QUEUE) = Q.name
 
 let name (module Q : BENCH_QUEUE) = Q.name
-
-let by_name n =
-  match List.find_opt (fun i -> name i = n) all with
-  | Some i -> i
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Impls.by_name: unknown %S (known: %s)" n
-           (String.concat ", " (List.map name all)))

@@ -49,10 +49,6 @@ val lf_pooled : impl
     {!Wfq_primitives.Segment_pool} free stacks (epoch quarantine always
     on — the MS head CAS has no claim word to tag). *)
 
-val lms : impl
-(** Ladan-Mozes & Shavit optimistic lock-free queue (related work
-    [14]). *)
-
 val wf_base : impl
 (** Base Kogan-Petrank wait-free queue ("base WF"). *)
 
@@ -145,24 +141,12 @@ val polylog_series : impl list
 val wf_hp : impl
 (** Wait-free queue with hazard-pointer reclamation (§3.4). *)
 
-val wf_universal : impl
-(** Wait-free queue via Herlihy's universal construction — the generic
-    alternative the paper's §2 argues is impractical; benchmarked to
-    measure that argument. *)
-
-val flat_combining : impl
-(** Flat-combining queue (Hendler et al., SPAA 2010): blocking,
-    combiner-based — the combining counterpoint to helping. *)
-
-val two_lock : impl
-(** Michael-Scott two-lock blocking queue (extra baseline). *)
-
 val mutex : impl
 (** Coarse single-mutex queue (extra baseline). *)
 
 val all : impl list
-(** The paper's series plus the extra baselines, the HP variant and the
-    bounded ring. *)
+(** The paper's series, their pooled counterparts, the registry's fps,
+    ring and polylog rows, the HP variant and the mutex baseline. *)
 
 val ablation : impl list
 (** Variants for the helping-chunk / tuning ablation bench. *)
@@ -195,7 +179,3 @@ val batch_series : batch_impl list
 
 val batch_name : batch_impl -> string
 val name : impl -> string
-
-val by_name : string -> impl
-(** Look up a member of {!all} by its display name; raises
-    [Invalid_argument] with the known names otherwise. *)

@@ -115,7 +115,6 @@ let run_groups () =
 module C = Wfq_primitives.Counted_atomic
 module CA = Wfq_primitives.Counted_atomic.Make (Wfq_primitives.Real_atomic)
 module Cms = Wfq_core.Ms_queue.Make (CA)
-module Clms = Wfq_core.Lms_queue.Make (CA)
 
 (* Atomic reads/writes/CAS per uncontended operation, at two thread-count
    settings — the table that explains Figure 9: the base algorithm's
@@ -154,9 +153,6 @@ let run_profiles () =
   let q = Cms.create ~num_threads:1 () in
   case "LF (Michael-Scott)" (Cms.enqueue q ~tid:0) (fun () ->
       Cms.dequeue q ~tid:0);
-  let q = Clms.create ~num_threads:1 () in
-  case "LF optimistic (LMS)" (Clms.enqueue q ~tid:0) (fun () ->
-      Clms.dequeue q ~tid:0);
   List.iter (kp_case "base WF" Wfq_core.Backends.kp_base) [ 1; 8; 16 ];
   List.iter (kp_case "opt WF (1+2)" Wfq_core.Backends.kp) [ 1; 16 ];
   flush stdout

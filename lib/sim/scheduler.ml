@@ -19,7 +19,7 @@
       scenario wait-freedom is about;
     - {e step limits}: a bounded run that does not finish indicates
       starvation or deadlock, which is itself an observable outcome for
-      tests (e.g. a blocked two-lock queue).
+      tests (e.g. a blocked lock-based queue).
 
     Single-domain use only; a run is not reentrant. *)
 

@@ -131,6 +131,9 @@ let shrink ?(max_attempts = 5_000) ?(step_limit = 100_000) ~make ~forced () =
         result.S.decisions;
   }
 
+(* Sim_atomic's location ids count every cell the process has made, so
+   the printed trace renumbers them in order of first appearance: the
+   same schedule prints the same text whatever ran before it. *)
 let pp ppf t =
   let forced_len = List.length t.forced in
   Format.fprintf ppf
@@ -138,6 +141,12 @@ let pp ppf t =
     forced_len
     (if forced_len = 1 then "" else "s")
     t.original_length t.attempts;
+  let locs = Hashtbl.create 16 in
+  let renumber (a : S.access) =
+    if not (Hashtbl.mem locs a.loc) then
+      Hashtbl.add locs a.loc (Hashtbl.length locs);
+    { a with loc = Hashtbl.find locs a.loc }
+  in
   List.iteri
     (fun i s ->
       if i < forced_len then
@@ -145,7 +154,7 @@ let pp ppf t =
           (Format.pp_print_option
              ~none:(fun ppf () -> Format.pp_print_string ppf "-")
              S.pp_access)
-          s.s_access)
+          (Option.map renumber s.s_access))
     t.steps;
   let rest = List.length t.steps - forced_len in
   if rest > 0 then

@@ -43,4 +43,7 @@ val shrink :
 val pp : Format.formatter -> t -> unit
 (** Pretty-print the minimal schedule: one line per forced decision
     (fiber id and its shared access), the count of deterministic steps
-    that follow, and the failure message. *)
+    that follow, and the failure message. Locations are numbered in the
+    order they first appear in the printed trace ([#0], [#1], ...), not
+    by {!Sim_atomic.loc_id}, so the text does not depend on the cells
+    made earlier in the process. *)

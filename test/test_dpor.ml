@@ -422,6 +422,29 @@ let test_seeded_blind_swing_caught () =
       Alcotest.(check bool) "conservation violation reported" true
         (contains_sub f.Ck.message "conservation")
 
+(* Sim_atomic's location ids count every cell the process has made; a
+   printed counterexample must not depend on them. *)
+let test_shrunk_trace_text_stable () =
+  let print () =
+    let r =
+      Ck.run ~mode:Ck.Dpor ~max_schedules:10_000 ~init:[ 1; 2 ]
+        ~queue:ms_blind_ops
+        ~scripts:[ [ `Deq ]; [ `Deq ] ]
+        ()
+    in
+    match r.Ck.failure with
+    | None -> Alcotest.fail "dropped CAS guard not caught"
+    | Some f -> Format.asprintf "%a" Ck.pp_failure f
+  in
+  let first = print () in
+  ignore
+    (Bk.instantiate_with (module SA) (Bk.find "kp-opt12") ~num_threads:2 ());
+  let second = print () in
+  Alcotest.(check string) "same text after another queue was made" first
+    second;
+  Alcotest.(check bool) "locations numbered from the first printed" true
+    (contains_sub first "#0")
+
 let test_seeded_fast_deq_no_claim_caught () =
   (* The fast/slow handshake bug proper: fast-path dequeues that swing
      [head] without claiming [deq_tid] race a slow dequeue that already
@@ -559,6 +582,8 @@ let () =
             test_shrink_minimal;
           Alcotest.test_case "rejects passing schedules" `Quick
             test_shrink_rejects_passing_schedule;
+          Alcotest.test_case "printed trace independent of earlier cells"
+            `Quick test_shrunk_trace_text_stable;
         ] );
       ( "replay",
         [

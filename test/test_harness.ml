@@ -189,14 +189,6 @@ let test_latency_summary () =
   Alcotest.(check bool) "enqueue median positive" true (s.enqueue.p50 > 0.0);
   Alcotest.(check bool) "dequeue median positive" true (s.dequeue.p50 > 0.0)
 
-let test_by_name () =
-  Alcotest.(check string) "lookup" "LF" (I.name (I.by_name "LF"));
-  Alcotest.check_raises "unknown rejected"
-    (Invalid_argument
-       (Printf.sprintf "Impls.by_name: unknown %S (known: %s)" "nope"
-          (String.concat ", " (List.map I.name I.all))))
-    (fun () -> ignore (I.by_name "nope"))
-
 (* The display names are the series keys of the committed BENCH_*.json
    files (BENCH_figures, _fps, _alloc, _ring, _polylog, _shard), so a
    refactor of how a configuration is built must not rename one. *)
@@ -244,10 +236,9 @@ let test_series_labels () =
     [ "opt WF (1+2)"; "WF chunk-2"; "WF chunk-4"; "WF tuned" ]
     (names I.ablation);
   check "all"
-    [ "LF"; "LF pooled"; "LF optimistic"; "base WF"; "opt WF (1)";
-      "opt WF (2)"; "opt WF (1+2)"; "opt WF (1+2) pooled"; "WF fps";
-      "WF fps pooled"; "WF ring"; "WF polylog"; "WF hazard-ptr";
-      "WF universal"; "flat-combining"; "two-lock"; "mutex" ]
+    [ "LF"; "LF pooled"; "base WF"; "opt WF (1)"; "opt WF (2)";
+      "opt WF (1+2)"; "opt WF (1+2) pooled"; "WF fps"; "WF fps pooled";
+      "WF ring"; "WF polylog"; "WF hazard-ptr"; "mutex" ]
     (names I.all)
 
 let test_report_table_renders () =
@@ -508,7 +499,6 @@ let () =
         [
           Alcotest.test_case "series well-formed" `Slow test_figures_shapes;
           Alcotest.test_case "latency summary" `Quick test_latency_summary;
-          Alcotest.test_case "by_name lookup" `Quick test_by_name;
           Alcotest.test_case "series labels pinned" `Quick
             test_series_labels;
         ] );

@@ -16,7 +16,6 @@ module Qi = Wfq_core.Queue_intf
 module Bk = Wfq_core.Backends
 module Ms = Wfq_core.Ms_queue.Make (A)
 module Kp_hp = Wfq_core.Kp_queue_hp.Make (A)
-module Lms = Wfq_core.Lms_queue.Make (A)
 
 (* A backend as a plain queue: the workloads below need no more. *)
 let plain (module B : Qi.BACKEND) : (module Qi.QUEUE) =
@@ -54,8 +53,6 @@ let queues : (string * (module Qi.QUEUE)) list =
        holds 8_000 live elements), so [enqueue] never meets a full ring
        and the unbounded-FIFO invariants apply unchanged. *)
     ("ring mf=1", plain (ring_mf1 16_384));
-    ("lms", (module Lms));
-    ("two-lock", (module Wfq_core.Two_lock_queue));
   ]
 
 (* Encode producer and sequence into one int so consumers can check
@@ -526,36 +523,6 @@ let diff_cases =
              done))
        diff_rows
 
-(* SPSC gets its own shape: exactly one producer and one consumer. *)
-let test_spsc_stream () =
-  let module Spsc = Wfq_core.Spsc_queue.Make (A) in
-  let q = Spsc.create ~capacity:64 ~num_threads:2 () in
-  let n = 50_000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to n do
-          while not (Spsc.try_enqueue q i) do
-            Domain.cpu_relax ()
-          done
-        done)
-  in
-  let consumer =
-    Domain.spawn (fun () ->
-        let expected = ref 1 in
-        while !expected <= n do
-          match Spsc.dequeue q ~tid:1 with
-          | Some v ->
-              if v <> !expected then
-                Alcotest.fail
-                  (Printf.sprintf "spsc order: got %d wanted %d" v !expected);
-              incr expected
-          | None -> Domain.cpu_relax ()
-        done)
-  in
-  Domain.join producer;
-  Domain.join consumer;
-  Alcotest.(check bool) "drained" true (Spsc.is_empty q)
-
 let () =
   Alcotest.run "queues-concurrent"
     [
@@ -564,7 +531,4 @@ let () =
       ("sim-lincheck (kp-hp)", hp_sim_cases);
       ("sim-lincheck (ring)", ring_sim_cases);
       ("differential batch fuzzer", diff_cases);
-      ( "spsc",
-        [ Alcotest.test_case "ordered stream of 50k" `Quick test_spsc_stream ]
-      );
     ]

@@ -6,8 +6,6 @@ module A = Wfq_primitives.Real_atomic
 module Ms = Wfq_core.Ms_queue.Make (A)
 module Kp = Wfq_core.Kp_queue.Make (A)
 module Kp_hp = Wfq_core.Kp_queue_hp.Make (A)
-module Spsc = Wfq_core.Spsc_queue.Make (A)
-module Lms = Wfq_core.Lms_queue.Make (A)
 module Bk = Wfq_core.Backends
 
 (* A uniform view of each queue for the differential tests. *)
@@ -66,18 +64,6 @@ let kp_hp_ops =
       empty = Kp_hp.is_empty;
     }
 
-let two_lock_ops =
-  Ops
-    {
-      qname = "two-lock";
-      make = (fun () -> Wfq_core.Two_lock_queue.create ~num_threads:1 ());
-      enq = (fun q v -> Wfq_core.Two_lock_queue.enqueue q ~tid:0 v);
-      deq = (fun q -> Wfq_core.Two_lock_queue.dequeue q ~tid:0);
-      to_list = Wfq_core.Two_lock_queue.to_list;
-      len = Wfq_core.Two_lock_queue.length;
-      empty = Wfq_core.Two_lock_queue.is_empty;
-    }
-
 let mutex_ops =
   Ops
     {
@@ -90,42 +76,15 @@ let mutex_ops =
       empty = Wfq_core.Mutex_queue.is_empty;
     }
 
-let lms_ops =
-  Ops
-    {
-      qname = "lms";
-      make = (fun () -> Lms.create ~num_threads:1 ());
-      enq = (fun q v -> Lms.enqueue q ~tid:0 v);
-      deq = (fun q -> Lms.dequeue q ~tid:0);
-      to_list = Lms.to_list;
-      len = Lms.length;
-      empty = Lms.is_empty;
-    }
-
-let spsc_ops =
-  Ops
-    {
-      qname = "spsc";
-      make = (fun () -> Spsc.create ~capacity:4096 ~num_threads:2 ());
-      enq = (fun q v -> Spsc.enqueue q ~tid:0 v);
-      deq = (fun q -> Spsc.dequeue q ~tid:1);
-      to_list = Spsc.to_list;
-      len = Spsc.length;
-      empty = Spsc.is_empty;
-    }
-
 let all_queues =
   [
-    ms_ops; kp_base; kp_opt1; kp_opt2; kp_opt12; kp_hp_ops; two_lock_ops;
-    mutex_ops; spsc_ops; lms_ops;
+    ms_ops; kp_base; kp_opt1; kp_opt2; kp_opt12; kp_hp_ops; mutex_ops;
   ]
 
 (* Static interface conformance: these bindings compile only if the
    implementations satisfy the shared signatures. *)
 module _ : Wfq_core.Queue_intf.CHECKABLE_QUEUE = Ms
 module _ : Wfq_core.Queue_intf.CHECKABLE_QUEUE = Kp
-module _ : Wfq_core.Queue_intf.CHECKABLE_QUEUE = Lms
-module _ : Wfq_core.Queue_intf.QUEUE = Wfq_core.Two_lock_queue
 module _ : Wfq_core.Queue_intf.QUEUE = Wfq_core.Mutex_queue
 
 (* ------------------------------------------------------------------ *)
@@ -254,39 +213,6 @@ let test_ms_invariants () =
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg
 
-let test_spsc_capacity () =
-  let q = Spsc.create ~capacity:4 ~num_threads:2 () in
-  for i = 1 to 4 do
-    Alcotest.(check bool) "fits" true (Spsc.try_enqueue q i)
-  done;
-  Alcotest.(check bool) "full" false (Spsc.try_enqueue q 5);
-  Alcotest.(check (option int)) "pop front" (Some 1) (Spsc.dequeue q ~tid:1);
-  Alcotest.(check bool) "space again" true (Spsc.try_enqueue q 5);
-  Alcotest.(check (list int)) "ring order" [ 2; 3; 4; 5 ] (Spsc.to_list q)
-
-(* SPSC bounded-capacity property: against a bounded model, try_enqueue
-   must accept exactly while the model has room. *)
-let spsc_bounded_model =
-  QCheck2.Test.make ~name:"spsc ≡ bounded model" ~count:200
-    QCheck2.Gen.(
-      pair (int_range 1 8) (list_size (int_bound 100) (int_bound 1)))
-    (fun (capacity, cmds) ->
-      let q = Spsc.create ~capacity ~num_threads:2 () in
-      let model = Queue.create () in
-      List.for_all
-        (fun cmd ->
-          if cmd = 0 then begin
-            let accepted = Spsc.try_enqueue q (Queue.length model) in
-            let model_room = Queue.length model < capacity in
-            if accepted <> model_room then false
-            else begin
-              if accepted then Queue.push (Queue.length model) model;
-              true
-            end
-          end
-          else Spsc.dequeue q ~tid:1 = Queue.take_opt model)
-        cmds)
-
 let test_generic_payload () =
   (* The queues are polymorphic; exercise a non-int payload. *)
   let q = Kp.create ~num_threads:1 () in
@@ -323,8 +249,6 @@ let () =
             test_kp_phases_monotonic;
           Alcotest.test_case "ms quiescent invariants" `Quick
             test_ms_invariants;
-          Alcotest.test_case "spsc capacity bound" `Quick test_spsc_capacity;
-          QCheck_alcotest.to_alcotest spsc_bounded_model;
           Alcotest.test_case "generic payload" `Quick test_generic_payload;
         ] );
     ]
