@@ -1,9 +1,9 @@
 (* Benchmark CLI: one subcommand per suite of Wfq_harness.Suite, plus
-   the micro-benchmarks and the validator of the files the suites write.
+   the validator of the files the suites write.
 
      wfq_bench fig7 --threads 1,2,4,8 --iters 100000 --runs 5
      wfq_bench fig10 --sizes 1,100,10000
-     wfq_bench all --paper --csv
+     wfq_bench figures --paper --csv
      wfq_bench alloc --threads 2 --iters 2000 --runs 1 --json
      wfq_bench check BENCH_alloc.json
 *)
@@ -185,15 +185,6 @@ let stats_cmd =
       $ opt_d pos_int 20_000 "iters" "N" "Iterations per thread."
       $ opt_d pos_int 50 "runs" "N" "Overhead chunk pairs.")
 
-let micro_cmd =
-  Cmd.v
-    (Cmd.info "micro"
-       ~doc:
-         "Single-thread Bechamel micro-benchmarks (ns and minor words per \
-          operation, one group per paper figure) and the counted-atomics \
-          table (reads/writes/CAS per uncontended operation).")
-    Term.(const Wfq_harness.Micro.run $ const ())
-
 let check_cmd =
   let check files =
     let failed =
@@ -252,4 +243,4 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           (List.map suite_cmd S.table
-          @ [ sched_cmd; openloop_cmd; stats_cmd; micro_cmd; check_cmd ])))
+          @ [ sched_cmd; openloop_cmd; stats_cmd; check_cmd ])))

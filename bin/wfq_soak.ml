@@ -3,7 +3,8 @@
    invariants continuously. Intended for long unattended runs:
 
      wfq_soak --queue kp-opt12 --threads 8 --seconds 30
-     wfq_soak --list
+
+   [wfq_soak --help] lists the registry ids [--queue] accepts.
 *)
 
 open Cmdliner
@@ -18,13 +19,8 @@ type totals = {
   mutable checksum : int; (* sum of enqueued minus sum of dequeued *)
 }
 
-let run_soak queue_id threads seconds seed list_queues =
-  if list_queues then begin
-    List.iter print_endline Bk.ids;
-    exit 0
-  end;
+let run_soak queue_id threads seconds seed =
   let ((module B) as backend) = Bk.find queue_id in
-  if threads <= 0 then invalid_arg "--threads must be positive";
   Printf.printf "soaking %s: %d domains, %.1fs, seed %d\n%!" B.label threads
     seconds seed;
   let q = Bk.instantiate backend ~num_threads:(threads + 1) () in
@@ -106,21 +102,30 @@ let queue_arg =
   in
   Arg.(value & opt (enum ids) "kp-opt12" & info [ "queue" ] ~docv:"ID" ~doc)
 
+(* A zero, negative or NaN count or duration is a usage error (exit
+   124) before any domain starts. *)
+let positive zero of_string pp what =
+  let parse s =
+    match of_string s with
+    | Some n when n > zero -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive %s" s what))
+  in
+  Arg.conv (parse, pp)
+
+let pos_int = positive 0 int_of_string_opt Format.pp_print_int "integer"
+let pos_float = positive 0.0 float_of_string_opt Format.pp_print_float "number"
+
 let threads_arg =
   let doc = "Worker domains." in
-  Arg.(value & opt int 4 & info [ "threads" ] ~doc)
+  Arg.(value & opt pos_int 4 & info [ "threads" ] ~doc)
 
 let seconds_arg =
   let doc = "Wall-clock duration in seconds." in
-  Arg.(value & opt float 10.0 & info [ "seconds" ] ~doc)
+  Arg.(value & opt pos_float 10.0 & info [ "seconds" ] ~doc)
 
 let seed_arg =
   let doc = "Workload seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
-
-let list_arg =
-  let doc = "List the registry ids and exit." in
-  Arg.(value & flag & info [ "list" ] ~doc)
 
 let () =
   let info =
@@ -129,7 +134,6 @@ let () =
   in
   let term =
     Term.(
-      const run_soak $ queue_arg $ threads_arg $ seconds_arg $ seed_arg
-      $ list_arg)
+      const run_soak $ queue_arg $ threads_arg $ seconds_arg $ seed_arg)
   in
   exit (Cmd.eval (Cmd.v info term))

@@ -41,7 +41,6 @@ let instantiate b = instantiate_with (module Wfq_primitives.Real_atomic) b
 type kp = {
   help : Kp_queue.help_policy;
   phase : Kp_queue.phase_policy;
-  tuning : Kp_queue.tuning;
   pool : bool;
 }
 
@@ -68,7 +67,6 @@ let kp : kp =
   {
     help = Kp_queue.Help_one_cyclic;
     phase = Kp_queue.Phase_counter;
-    tuning = Kp_queue.default_tuning;
     pool = false;
   }
 
@@ -82,9 +80,6 @@ let kp_opt1 =
 
 let kp_opt2 =
   { kp with help = Kp_queue.Help_all; phase = Kp_queue.Phase_counter }
-
-(* §3.3's chunked cyclic helping: [k] slots per operation. *)
-let kp_chunk k = { kp with help = Kp_queue.Help_chunk k }
 
 let fps =
   {
@@ -135,7 +130,7 @@ let make ~id ~label config : (module Queue_intf.BACKEND) =
             let q =
               Q.create_with
                 ?obsv:(handle Kp_queue.metrics obsv ~num_threads)
-                ~tuning:c.tuning ~pool ~help:c.help ~phase:c.phase
+                ~pool ~help:c.help ~phase:c.phase
                 ~num_threads ()
             in
             register Q.register_metrics q obsv;

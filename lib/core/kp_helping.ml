@@ -60,37 +60,12 @@ type help_policy =
   | Help_one_cyclic
       (** optimization 1: help at most one other pending operation per call,
           choosing candidates cyclically *)
-  | Help_chunk of int
-      (** §3.3 generalization of optimization 1: traverse a cyclic chunk of
-          [k] candidates per operation ("indexes 0 through k-1 mod n ...
-          in the second invocation k mod n through 2k-1 mod n, and so
-          on"). [Help_chunk 1] behaves like {!Help_one_cyclic};
-          [Help_chunk (n-1)] approaches {!Help_all}. Wait-freedom is
-          preserved: a thread bypasses a given peer at most [ceil (n/k)]
-          consecutive times. *)
 
 type phase_policy =
   | Phase_scan  (** base algorithm: [maxPhase()] scan (L48-57) *)
   | Phase_counter
       (** optimization 2: atomic counter bumped by a CAS whose result is
           deliberately ignored (footnote 3) *)
-
-(** The further enhancements sketched in §3.3, off by default (the paper
-    evaluates the base and optimized variants without them). *)
-type tuning = {
-  gc_friendly : bool;
-      (** enhancement 2: before returning from an operation, overwrite
-          the thread's descriptor with a dummy holding no node reference,
-          so a long-dequeued node cannot be kept live by a stale
-          descriptor (the paper's "considered by the garbage collector as
-          a live object" leak) *)
-  validate_before_cas : bool;
-      (** enhancement 3: read the pending flag before the descriptor
-          CASes of L93/L149 and skip the allocation + CAS when the flag
-          is already off *)
-}
-
-let default_tuning = { gc_friendly = false; validate_before_cas = false }
 
 (* Test-only seeded bugs (model-checker calibration): each reinstates a
    known-fatal deviation from the protocol so the test suite can prove
@@ -170,11 +145,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (* Paper Figure 1, lines 13-24. State slots advance by physical-
      equality CAS exactly like Java reference CAS. The fields are
-     mutable only to support descriptor recycling (the §3.3 gc-friendly
-     reset generalized): a pooled record's fields are written by its
-     allocator {e before} it is published through the slot's atomic
-     CAS/exchange, and never after — so every reader that can reach the
-     record observes frozen values, exactly as with immutable records.
+     mutable only to support descriptor recycling: a pooled record's
+     fields are written by its allocator {e before} it is published
+     through the slot's atomic CAS/exchange, and never after — so every
+     reader that can reach the record observes frozen values, exactly as
+     with immutable records.
      Stale readers that still hold a displaced record are covered by the
      pool's quarantine: the record cannot be recycled (hence re-written)
      until they finish their operation. *)
@@ -230,10 +205,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     phase_counter : int A.t; (* optimization 2 (§3.3) *)
     help_policy : help_policy;
     phase_policy : phase_policy;
-    tuning : tuning;
     help_cursor : int array;
-        (* per-tid cyclic cursor for the cyclic helping policies;
-           single-writer *)
+        (* per-tid cyclic cursor for [Help_one_cyclic]; single-writer *)
     num_threads : int;
     pools : 'a pools option;
     obsv : metrics option;
@@ -248,15 +221,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (* [who] prefixes the [Invalid_argument] messages with the public
      module's name. *)
-  let create ~who ?(tuning = default_tuning) ?(pool = false) ?pool_segment
-      ?(pool_quarantine = true) ?(hazards = false) ?scan_threshold ?obsv
-      ?fault ~help ~phase ~num_threads () =
+  let create ~who ?(pool = false) ?pool_segment ?(pool_quarantine = true)
+      ?(hazards = false) ?scan_threshold ?obsv ?fault ~help ~phase
+      ~num_threads () =
     if num_threads <= 0 then invalid_arg (who ^ ".create: num_threads");
     assert ((not hazards) || (pool && not pool_quarantine));
-    (match help with
-    | Help_chunk k when k <= 0 ->
-        invalid_arg (who ^ ".create: chunk size must be positive")
-    | Help_all | Help_one_cyclic | Help_chunk _ -> ());
     (match pool_segment with
     | Some k when k <= 0 ->
         invalid_arg (who ^ ".create: pool_segment must be positive")
@@ -328,7 +297,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       phase_counter = A.make_padded (-1);
       help_policy = help;
       phase_policy = phase;
-      tuning;
       help_cursor = Array.make num_threads 0;
       num_threads;
       pools;
@@ -551,17 +519,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                 let l = slot_desc.last_node in
                 if l == t.idle_node then next else l
               in
-              (* Enhancement 3 (§3.3): if helpers already flipped the
-                 flag, skip the descriptor allocation and CAS — it would
-                 fail or be a no-op — and go straight to fixing the
-                 tail. *)
-              if (not t.tuning.validate_before_cas) || cur_desc.pending
-              then
-                ignore
-                  (transition t ~self tid cur_desc
-                     (mk_desc t ~self ~phase:cur_desc.phase ~pending:false
-                        ~enqueue:true ~last:cur_desc.last_node ~want:0
-                        ~got:0 ~taken:[] ~node:next));
+              ignore
+                (transition t ~self tid cur_desc
+                   (mk_desc t ~self ~phase:cur_desc.phase ~pending:false
+                      ~enqueue:true ~last:cur_desc.last_node ~want:0
+                      ~got:0 ~taken:[] ~node:next));
               ignore (A.compare_and_set t.tail last target)
             end
           end
@@ -663,8 +625,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                        ~taken:(v :: cur_desc.taken) ~node:t.idle_node))
              end
            end
-           else if (not t.tuning.validate_before_cas) || cur_desc.pending
-           then
+           else
              ignore
                (transition t ~self tid cur_desc
                   (deq_desc t ~self cur_desc ~pending:false
@@ -812,30 +773,20 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       else help_deq ~batch:(desc.want > 0) t ~self i bound
     end
 
-  (* §3.3: help the next [k] candidates of this thread's cyclic cursor,
-     then the caller itself. *)
-  let help_chunk t ~tid ~phase k =
-    let n = t.num_threads in
-    let c = t.help_cursor.(tid) in
-    t.help_cursor.(tid) <- (c + k) mod n;
-    for i = c to c + min k n - 1 do
-      (* [c < n], so one subtraction wraps [i] *)
-      let i = if i >= n then i - n else i in
-      if i <> tid then help_slot t ~self:tid i phase
-    done;
-    help_slot t ~self:tid tid phase
-
-  (* L36-47, or the §3.3 cyclic variant, of which [Help_one_cyclic] is
-     the chunk of one. Either way the caller's own operation is
-     completed before returning. *)
+  (* L36-47, or optimization 1: help the next candidate of this
+     thread's cyclic cursor, then the caller itself. Either way the
+     caller's own operation is completed before returning. *)
   let run_help t ~tid ~phase =
     match t.help_policy with
     | Help_all ->
         for i = 0 to Array.length t.state - 1 do
           help_slot t ~self:tid i phase
         done
-    | Help_one_cyclic -> help_chunk t ~tid ~phase 1
-    | Help_chunk k -> help_chunk t ~tid ~phase k
+    | Help_one_cyclic ->
+        let c = t.help_cursor.(tid) in
+        t.help_cursor.(tid) <- (c + 1) mod t.num_threads;
+        if c <> tid then help_slot t ~self:tid c phase;
+        help_slot t ~self:tid tid phase
 
   (* ------------------------------------------------------------------ *)
   (* Publish-then-help: the part of every slow operation after its      *)
@@ -898,16 +849,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (* A batch dequeue's collected prefix, in FIFO order. *)
   let dequeued_batch t ~tid = List.rev (A.get t.state.(tid)).taken
-
-  (* Enhancement 2 (§3.3): drop the node reference so the descriptor
-     cannot keep the node alive once it is dequeued. Safe: the operation
-     is finalized, so any stale helper's guards fail before it uses
-     this slot. *)
-  let release_desc_node t ~tid ~phase ~enqueue =
-    if t.tuning.gc_friendly then
-      publish t ~tid
-        (mk_desc t ~self:tid ~phase ~pending:false ~enqueue
-           ~last:t.idle_node ~want:0 ~got:0 ~taken:[] ~node:t.idle_node)
 
   (* ------------------------------------------------------------------ *)
   (* Observers (quiescent use)                                          *)

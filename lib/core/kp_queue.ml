@@ -26,16 +26,8 @@
 type help_policy = Kp_helping.help_policy =
   | Help_all
   | Help_one_cyclic
-  | Help_chunk of int
 
 type phase_policy = Kp_helping.phase_policy = Phase_scan | Phase_counter
-
-type tuning = Kp_helping.tuning = {
-  gc_friendly : bool;
-  validate_before_cas : bool;
-}
-
-let default_tuning = Kp_helping.default_tuning
 
 type metrics = Kp_helping.metrics
 
@@ -47,10 +39,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let name = "kp-wait-free"
 
-  let create_with ?tuning ?pool ?pool_segment ?pool_quarantine ?obsv ~help
-      ~phase ~num_threads () =
-    H.create ~who:"Kp_queue" ?tuning ?pool ?pool_segment ?pool_quarantine
-      ?obsv ~help ~phase ~num_threads ()
+  let create_with ?pool ?pool_segment ?pool_quarantine ?obsv ~help ~phase
+      ~num_threads () =
+    H.create ~who:"Kp_queue" ?pool ?pool_segment ?pool_quarantine ?obsv ~help
+      ~phase ~num_threads ()
 
   let create ~num_threads () =
     create_with ~help:Help_all ~phase:Phase_scan ~num_threads ()
@@ -61,7 +53,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let phase = next_phase t ~tid in
     let node = alloc_node t ~self:tid ~enq_tid:tid value in
     enqueue_published t ~tid ~phase node t.idle_node;
-    release_desc_node t ~tid ~phase ~enqueue:true;
     op_exit t ~tid
 
   (* L98-108 *)
@@ -70,7 +61,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let phase = next_phase t ~tid in
     dequeue_published t ~tid ~phase ~want:0;
     let result = dequeued_value t ~tid in
-    release_desc_node t ~tid ~phase ~enqueue:false;
     op_exit t ~tid;
     result
 
@@ -99,7 +89,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
             first rest
         in
         enqueue_published t ~tid ~phase first last;
-        release_desc_node t ~tid ~phase ~enqueue:true;
         op_exit t ~tid
 
   (* One phase pick and one descriptor publication cover up to [n]
@@ -118,15 +107,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       let phase = next_phase t ~tid in
       dequeue_published t ~tid ~phase ~want:n;
       let taken = dequeued_batch t ~tid in
-      release_desc_node t ~tid ~phase ~enqueue:false;
       op_exit t ~tid;
       taken
     end
-
-  (* True while the thread's descriptor still references a list node;
-     with [gc_friendly] tuning it is false between operations. *)
-  let holds_node_reference t ~tid =
-    (A.get t.state.(tid)).node != t.idle_node
 
   (* The uniform RUN_QUEUE registration (Queue_intf.RUN_QUEUE): the
      depth gauge every backend exposes, plus whatever always-on

@@ -10,8 +10,7 @@
     growing phase, and threads help all pending operations with phase ≤
     their own before returning.
 
-    Construction-time policies select the paper's §3.3 optimizations;
-    {!tuning} enables the further enhancements the paper sketches.
+    Construction-time policies select the paper's §3.3 optimizations.
 
     Thread identity: every participating thread must own a distinct
     [tid] in [0, num_threads) for the duration of its operations (use
@@ -24,30 +23,12 @@ type help_policy = Kp_helping.help_policy =
   | Help_one_cyclic
       (** optimization 1: help at most one other pending operation per
           call, choosing candidates cyclically *)
-  | Help_chunk of int
-      (** generalization of optimization 1 (§3.3): traverse a cyclic
-          chunk of [k] candidates per operation. [Help_chunk 1] ≈
-          {!Help_one_cyclic}; larger chunks approach {!Help_all}.
-          Wait-freedom is preserved for any [k >= 1]. *)
 
 type phase_policy = Kp_helping.phase_policy =
   | Phase_scan  (** base algorithm: scan the state array ([maxPhase]) *)
   | Phase_counter
       (** optimization 2: shared counter bumped by a result-ignored CAS
           (paper footnote 3); duplicate phases are harmless *)
-
-(** The further §3.3 enhancements, off by default. *)
-type tuning = Kp_helping.tuning = {
-  gc_friendly : bool;
-      (** reset the thread's descriptor to a node-free dummy before
-          returning, so a dequeued node (and its value) cannot be kept
-          live by a stale descriptor *)
-  validate_before_cas : bool;
-      (** skip the descriptor-completion CAS (and its allocation) when
-          the pending flag is observed already off *)
-}
-
-val default_tuning : tuning
 
 type metrics
 (** Instrumentation handle ({!Wfq_obsv}): help-event and
@@ -71,12 +52,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
   val name : string
 
   val create : num_threads:int -> unit -> 'a t
-  (** The paper's base configuration: [Help_all] + [Phase_scan], no
-      tuning. [num_threads] may be a non-strict upper bound on the
+  (** The paper's base configuration: [Help_all] + [Phase_scan].
+      [num_threads] may be a non-strict upper bound on the
       number of participating threads. *)
 
   val create_with :
-    ?tuning:tuning ->
     ?pool:bool ->
     ?pool_segment:int ->
     ?pool_quarantine:bool ->
@@ -87,15 +67,13 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
     unit ->
     'a t
   (** Full control over the §3.3 policy space. Raises [Invalid_argument]
-      for [num_threads <= 0], a non-positive chunk size, or a
-      non-positive [pool_segment].
+      for [num_threads <= 0] or a non-positive [pool_segment].
 
       [pool] (default [false]) recycles list nodes {e and} operation
-      descriptors through per-domain {!Wfq_primitives.Segment_pool}s —
-      the §3.3 gc-friendly reset generalized to full reuse — cutting
-      steady-state allocation to the payload boxes. Claim-CAS safety
-      comes from the epoch tag in each node's [deq_tid]; pointer-CAS
-      safety from the pool's quarantine. [pool_quarantine:false]
+      descriptors through per-domain {!Wfq_primitives.Segment_pool}s,
+      cutting steady-state allocation to the payload boxes. Claim-CAS
+      safety comes from the epoch tag in each node's [deq_tid];
+      pointer-CAS safety from the pool's quarantine. [pool_quarantine:false]
       disables the quarantine (and with it descriptor recycling, which
       is only sound under quarantine), leaving the epoch tag as the sole
       defense — meant exclusively for model-checking the tag in
@@ -166,10 +144,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
 
   val pending_of : 'a t -> tid:int -> bool
   (** Whether the thread's descriptor is still pending. *)
-
-  val holds_node_reference : 'a t -> tid:int -> bool
-  (** Whether the thread's descriptor still references a list node;
-      always false between operations under [gc_friendly] tuning. *)
 
   val pool_stats :
     'a t -> ((int * int * int) * (int * int * int) option) option

@@ -130,12 +130,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let name = "kp-fps"
 
-  let create_with ?tuning ?(max_failures = default_max_failures) ?fault
-      ?pool ?pool_segment ?pool_quarantine ?obsv ~help ~phase ~num_threads
-      () =
+  let create_with ?(max_failures = default_max_failures) ?fault ?pool
+      ?pool_segment ?pool_quarantine ?obsv ~help ~phase ~num_threads () =
     let h =
-      H.create ~who:"Kp_queue_fps" ?tuning ?pool ?pool_segment
-        ?pool_quarantine
+      H.create ~who:"Kp_queue_fps" ?pool ?pool_segment ?pool_quarantine
         ?obsv:(Option.map (fun m -> m.core) obsv)
         ?fault ~help ~phase ~num_threads ()
     in
@@ -254,16 +252,13 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let phase = slow_enter t ~tid in
     first.N.enq_tid <- tid;
     H.enqueue_published t.h ~tid ~phase first last;
-    slow_exit t;
-    H.release_desc_node t.h ~tid ~phase ~enqueue:true
+    slow_exit t
 
   let slow_dequeue t ~tid =
     let phase = slow_enter t ~tid in
     H.dequeue_published t.h ~tid ~phase ~want:0;
     slow_exit t;
-    let result = H.dequeued_value t.h ~tid in
-    H.release_desc_node t.h ~tid ~phase ~enqueue:false;
-    result
+    H.dequeued_value t.h ~tid
 
   (* The remaining suffix of a batch whose fast rounds ran out: one
      descriptor with [want] drives [help_deq ~batch:true] (owner and helpers
@@ -273,9 +268,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let phase = slow_enter t ~tid in
     H.dequeue_published t.h ~tid ~phase ~want;
     slow_exit t;
-    let taken = H.dequeued_batch t.h ~tid in
-    H.release_desc_node t.h ~tid ~phase ~enqueue:false;
-    taken
+    H.dequeued_batch t.h ~tid
 
   (* ------------------------------------------------------------------ *)
   (* Public operations: bounded Michael-Scott rounds, then fall back    *)

@@ -76,10 +76,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
   val create : num_threads:int -> unit -> 'a t
   (** Default configuration: [default_max_failures] fast rounds, slow
       path running the paper's fastest variant ([Help_one_cyclic] +
-      [Phase_counter]), no tuning. *)
+      [Phase_counter]). *)
 
   val create_with :
-    ?tuning:Kp_queue.tuning ->
     ?max_failures:int ->
     ?fault:fault ->
     ?pool:bool ->
@@ -91,7 +90,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
     num_threads:int ->
     unit ->
     'a t
-  (** The policies and tuning are {!Kp_queue}'s: they configure the slow
+  (** The policies are {!Kp_queue}'s: they configure the slow
       path only, the {!Kp_helping} engine both queues run.
       [max_failures] is the number of failed fast-path rounds tolerated
       before falling back (default {!default_max_failures}); [0] skips
@@ -105,8 +104,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
       (sim/model-checking only) leaves the tag as the sole defense and
       disables descriptor recycling; [pool_segment] sets the carve-batch
       size. Raises [Invalid_argument] for [num_threads <= 0], negative
-      [max_failures], a non-positive chunk size, or a non-positive
-      [pool_segment].
+      [max_failures] or a non-positive [pool_segment].
 
       [obsv] (default: none) attaches an instrumentation handle built
       with {!metrics}; omitting it compiles every instrumentation site

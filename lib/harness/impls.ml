@@ -101,22 +101,6 @@ let wf_opt2 = variant ~id:"kp-opt2" ~label:"opt WF (2)" (Kp Bk.kp_opt2)
 let wf_opt12 = registered "kp-opt12"
 let wf_pooled = registered "kp-opt12-pooled"
 
-(* §3.3 extension variants (not in the paper's evaluation): chunked
-   cyclic helping and the further tuning enhancements. *)
-let wf_chunk k =
-  variant
-    ~id:(Printf.sprintf "kp-chunk%d" k)
-    ~label:(Printf.sprintf "WF chunk-%d" k)
-    (Kp (Bk.kp_chunk k))
-
-let wf_tuned =
-  variant ~id:"kp-tuned" ~label:"WF tuned"
-    (Kp
-       {
-         Bk.kp with
-         tuning = { gc_friendly = true; validate_before_cas = true };
-       })
-
 (* Sharded front-end (lib/shard) over opt-(1+2) KP shards. The pairs
    workload must use its relaxed variant: a sweep can miss a concurrent
    enqueue, so "impossible empty" does not hold for [shards > 1]. *)
@@ -223,10 +207,6 @@ let mutex : impl =
 let all =
   [ lf; lf_pooled; wf_base; wf_opt1; wf_opt2; wf_opt12; wf_pooled; wf_fps;
     wf_fps_pooled; wf_ring; wf_polylog; wf_hp; mutex ]
-
-(* Variants for the ablation bench: helping-chunk size sweep plus the
-   tuning enhancements. *)
-let ablation = [ wf_opt12; wf_chunk 2; wf_chunk 4; wf_tuned ]
 
 (* Batch-native rows (docs/BATCHING.md): the backends exposing
    first-class [enqueue_batch]/[dequeue_batch], plus a per-item wrapper

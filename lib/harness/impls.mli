@@ -66,13 +66,6 @@ val wf_pooled : impl
     {!Wfq_primitives.Segment_pool} ("opt WF (1+2) pooled"): the
     registry's ["kp-opt12-pooled"]. *)
 
-val wf_chunk : int -> impl
-(** §3.3 extension: cyclic chunk helping of the given size. *)
-
-val wf_tuned : impl
-(** §3.3 extension: opt (1+2) plus gc-friendly descriptor reset and
-    pre-CAS validation. *)
-
 val wf_shard : int -> impl
 (** Sharded front-end ([lib/shard]) with the given shard count,
     tid-affine policy (shard = tid mod N, steal on empty), over
@@ -147,9 +140,6 @@ val mutex : impl
 val all : impl list
 (** The paper's series, their pooled counterparts, the registry's fps,
     ring and polylog rows, the HP variant and the mutex baseline. *)
-
-val ablation : impl list
-(** Variants for the helping-chunk / tuning ablation bench. *)
 
 val fps_per_item : batch_impl
 (** "WF fps per-item": {!fps_batch}'s queue with batches looped one

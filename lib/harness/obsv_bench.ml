@@ -3,8 +3,8 @@
     backend), and the disabled-vs-enabled overhead guard that keeps the
     instrumentation honest about its "low-overhead" claim.
 
-    Latency histograms and timing runs use the shared monotonic clock
-    ({!Clock}, bechamel's raw [@noalloc] ns source) so per-op sampling
+    Latency histograms and timing runs use the monotonic clock
+    ([Wfq_benchmark.Clock], a [@noalloc] ns source) so per-op sampling
     does not allocate and durations survive wall-clock steps; runs are
     timed around a barrier release, like {!Workload}.
 
@@ -22,7 +22,7 @@ module RA = Wfq_primitives.Real_atomic
 module Sh = Wfq_shard.Shard.Make (RA)
 module Obsv = Wfq_obsv
 
-let now_ns = Clock.now_ns
+let now_ns = Wfq_benchmark.Clock.now
 
 (* A fresh queue of backend [b] on real atomics, its hot-path
    instrumentation and metrics attached under [?obsv]'s prefix, as its
@@ -73,9 +73,9 @@ let timed_pairs ~relaxed ~threads ~iters ~enq ~deq ~h_enq ~h_deq =
             done))
   in
   Barrier.wait barrier;
-  let t0 = Clock.now_s () in
+  let t0 = now_ns () in
   Array.iter Domain.join domains;
-  Clock.now_s () -. t0
+  float_of_int (now_ns () - t0) *. 1e-9
 
 let collect ~threads ~iters () =
   if threads <= 0 || iters <= 0 then invalid_arg "Obsv_bench.collect";

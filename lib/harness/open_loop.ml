@@ -3,8 +3,8 @@
 
     Producers follow a pre-generated {!Arrivals} schedule: each event
     has an {e intended} send time fixed before the run, and every
-    recorded latency is measured from that intended time on the shared
-    monotonic clock ({!Clock}):
+    recorded latency is measured from that intended time on the
+    monotonic clock ([Wfq_benchmark.Clock]):
 
     - enqueue latency = enqueue completion - intended send time. A
       producer that falls behind (scheduling, a full bounded queue
@@ -27,6 +27,24 @@
 
 module Hist = Wfq_obsv.Histogram
 module Stats = Wfq_primitives.Stats
+
+let now_ns = Wfq_benchmark.Clock.now
+
+(* Hybrid wait: nanosleep down to [spin_budget_ns] before the deadline,
+   then spin on the clock. Pure spinning would be more precise on a
+   dedicated core, but on shared (and single-core) hosts a spinning
+   waiter steals the quantum from the very consumer it is generating
+   load for; sleeping releases the core and the short final spin
+   absorbs the wakeup jitter. *)
+let spin_budget_ns = 150_000
+
+let wait_until ns =
+  let remaining = ns - now_ns () in
+  if remaining > spin_budget_ns then
+    Unix.sleepf (float_of_int (remaining - spin_budget_ns) *. 1e-9);
+  while now_ns () < ns do
+    Domain.cpu_relax ()
+  done
 
 type dist = {
   p50 : float;
@@ -137,9 +155,9 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
     let t0 = !t0 in
     for i = 0 to Array.length sched - 1 do
       let intended = t0 + sched.(i) in
-      Clock.wait_until intended;
+      wait_until intended;
       Q.enqueue q ~tid sched.(i);
-      let d = Clock.now_ns () - intended in
+      let d = now_ns () - intended in
       lat.(i) <- d;
       Hist.record enq_hist ~slot:p d
     done
@@ -154,7 +172,7 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
     while Atomic.get consumed < cfg.events do
       match Q.dequeue q ~tid with
       | Some intended_rel ->
-          let now = Clock.now_ns () in
+          let now = now_ns () in
           let d = now - (t0 + intended_rel) in
           lat.(!local) <- d;
           Hist.record sojourn_hist ~slot:c d;
@@ -166,7 +184,7 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
           | Some s when s.victim = c && !local = s.after ->
               (* The injected outage: this consumer goes dark for
                  [duration_ns] while the schedule keeps arriving. *)
-              Clock.wait_until (now + s.duration_ns)
+              wait_until (now + s.duration_ns)
           | _ -> ())
       | None -> Domain.cpu_relax ()
     done;
@@ -179,7 +197,7 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
   in
   (* 2 ms runway between the release and the first possible intended
      time, enough for every domain to clear the barrier. *)
-  t0 := Clock.now_ns () + 2_000_000;
+  t0 := now_ns () + 2_000_000;
   Barrier.wait barrier;
   List.iter Domain.join domains;
   let consumed_total = Array.fold_left ( + ) 0 soj_count in
@@ -223,7 +241,7 @@ type sim_result = {
   open_loop : dist;  (** completion - intended send time *)
   closed_loop : dist;
       (** completion - service start: what a timestamp-around-the-call
-          measurement (the old closed-loop [Latency.measure]) reports
+          measurement (a closed loop) reports
           for the same execution *)
 }
 

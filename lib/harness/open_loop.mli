@@ -1,10 +1,16 @@
 (** Open-loop load engine with coordinated-omission-safe latency
     recording: producers follow a seeded {!Arrivals} schedule and every
     latency is measured from the event's {e intended} send time on the
-    monotonic clock ({!Clock}), so a stalled or saturated queue shows
+    monotonic clock ([Wfq_benchmark.Clock]), so a stalled or saturated queue shows
     the queueing delay it actually caused instead of throttling the
     load that would have revealed it. Methodology in docs/LATENCY.md;
     the sweep driver is [wfq_bench latency-openloop]. *)
+
+val wait_until : int -> unit
+(** [wait_until ns] returns once [Wfq_benchmark.Clock.now () >= ns]:
+    sleeps most of the wait, then spins the final stretch so the release
+    edge is sharp. Producers use it to hit intended send times without
+    monopolizing a core. *)
 
 type dist = {
   p50 : float;

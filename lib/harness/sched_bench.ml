@@ -10,7 +10,7 @@
     intended load rather than a bare enqueue/dequeue cycle.
 
     Per-fiber latency comes from the scheduler's own [?obsv] histogram
-    (spawn-to-completion, bechamel's raw ns clock); stealing and
+    (spawn-to-completion, on CLOCK_MONOTONIC); stealing and
     conservation counters come from the always-on scheduler stats. Each
     (backend, domain-count) point runs [runs] times and reports the
     per-field median. *)
@@ -19,7 +19,7 @@ module Sched = Wfq_sched.Sched
 module RA = Wfq_primitives.Real_atomic
 module M = Wfq_obsv.Metrics
 
-let now_ns = Clock.now_ns
+let now_ns = Wfq_benchmark.Clock.now
 
 type scale = {
   domains : int list;
@@ -65,7 +65,18 @@ let backends : (string * (module Sched.S)) list =
       sched_of
         (Wfq_shard.Shard.as_backend ~policy:Round_robin ~shards:2 "kp-opt12")
     );
-    ("ring", (module Sched.Make (RA) (Sched.Rq_ring (RA))));
+    (* The ring at 4096 slots per worker: a worker with more queued
+       slices sees [Ring_full] from its push. At the committed scale
+       (200 requests x fanout 8) the scheduler's [runq_depth] histogram
+       peaks at 1,600 slices at 1 worker and 1,280-1,600 at 2 and 4
+       (every subfiber of every request queued at once), and the peak
+       grows with requests x fanout, so the registry ring's 1024 slots
+       would overflow. A run-queue that survives a full ring is the
+       ROADMAP's "Overload" item. *)
+    ( "ring",
+      sched_of
+        (Wfq_core.Backends.make ~id:"ring-4096" ~label:"WF ring"
+           (Ring { Wfq_core.Backends.ring with capacity = 4096 })) );
   ]
 
 let service_once (module Sch : Sched.S) ~backend ~domains ~requests ~fanout
@@ -75,7 +86,7 @@ let service_once (module Sch : Sched.S) ~backend ~domains ~requests ~fanout
   let t = Sch.create ~obsv ~clock:now_ns ~num_workers:domains () in
   Sch.register_metrics t reg ~prefix:"sched";
   Gc.full_major ();
-  let t0 = Clock.now_s () in
+  let t0 = now_ns () in
   let total =
     Sch.run t (fun () ->
         let handle () =
@@ -94,7 +105,7 @@ let service_once (module Sch : Sched.S) ~backend ~domains ~requests ~fanout
         let reqs = List.init requests (fun _ -> Sch.spawn handle) in
         List.fold_left (fun a p -> a + Sch.await p) 0 reqs)
   in
-  let seconds = Clock.now_s () -. t0 in
+  let seconds = float_of_int (now_ns () - t0) *. 1e-9 in
   let expected = requests * (fanout * (fanout - 1) / 2) in
   if total <> expected then
     failwith

@@ -225,21 +225,6 @@ let fig10 prefix =
     (fun _ -> List.map (fun (n, _) -> label prefix "" n) rows)
     (fun s -> { empty with series = List.map (line s) rows })
 
-let extended =
-  sweep "Extension: all implementations (pairs)" [ seconds ] (pairs Impls.all)
-
-(* The §3.3 design knobs the paper describes but does not evaluate:
-   helping-chunk size (1 = the paper's optimization 1) and the tuning
-   enhancements (descriptor reset + pre-CAS validation). *)
-let ablation =
-  sweep "Ablation: helping-chunk size and tuning enhancements (pairs)"
-    [ seconds ] (pairs Impls.ablation)
-
-let micro =
-  custom "micro" (fun _ -> []) (fun _ ->
-      Micro.run ();
-      empty)
-
 (* ------------------------------------------------------------------ *)
 (* Certified step bounds (polylog crossover)                           *)
 (* ------------------------------------------------------------------ *)
@@ -594,15 +579,6 @@ let table =
       [ fig9 [ seconds ] ];
     suite "fig10" "Figure 10" "Live-space overhead (paper Fig. 10)."
       [ fig10 "" ];
-    suite "extended" "Extension"
-      "All implementations on the pairs benchmark (extension)." [ extended ];
-    suite "all" "All figures"
-      "The micro-benchmarks of $(b,micro), every figure in sequence, then the \
-       extension and ablation sweeps."
-      [
-        micro; fig7 [ seconds ]; fig8 [ seconds ]; fig9 [ seconds ]; fig10 "";
-        extended; ablation;
-      ];
     suite "figures" ~file:"BENCH_figures.json"
       ~info:
         [

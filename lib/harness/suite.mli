@@ -57,7 +57,7 @@ val takes_batch : t -> bool
 
 val table : t list
 (** The scale-driven suites, one per subcommand: fig7, fig8, fig9,
-    fig10, extended, all, figures, shard, fps, alloc, ring and polylog. *)
+    fig10, figures, shard, fps, alloc, ring and polylog. *)
 
 val sched : Sched_bench.scale -> t
 (** The scheduler service scenario, [BENCH_sched.json]. *)

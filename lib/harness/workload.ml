@@ -34,11 +34,10 @@ type run_result = {
   gc : gc_stats;
 }
 
-(* Completion times read the shared monotonic clock (Clock, same
-   CLOCK_MONOTONIC source as bench/main.ml's bechamel instance): an NTP
-   step inside a run would silently stretch or shrink a wall-clock
+(* Completion times read CLOCK_MONOTONIC ([Wfq_benchmark.Clock]): an
+   NTP step inside a run would silently stretch or shrink a wall-clock
    measurement. *)
-let now = Clock.now_s
+let now_ns = Wfq_benchmark.Clock.now
 
 let spawn_and_time ~threads worker =
   (* Settle the GC first: garbage left by earlier benchmarks would
@@ -74,12 +73,12 @@ let spawn_and_time ~threads worker =
   in
   Barrier.wait barrier;
   let g0 = Gc.quick_stat () in
-  let t0 = now () in
+  let t0 = now_ns () in
   Array.iter Domain.join domains;
-  let t1 = now () in
+  let t1 = now_ns () in
   let g1 = Gc.quick_stat () in
   let sum a = Array.fold_left ( +. ) 0.0 a in
-  ( t1 -. t0,
+  ( float_of_int (t1 - t0) *. 1e-9,
     {
       minor_words = sum minor_w;
       promoted_words = sum promoted_w;

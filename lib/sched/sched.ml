@@ -497,20 +497,6 @@ end
 (* Run-queue backends                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Rq_ring (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE = struct
-  module Rg = Wfq_core.Ring_queue.Make (A)
-  include Rg
-
-  let name = "ring"
-
-  (* 4096 pre-allocated slots per worker: no node per task hand-off
-     (only the slot records, docs/RING.md §6) and array locality on the
-     hot path. The bound is a real contract — a worker with more than
-     4096 queued slices sees [Ring_full] from its push; the sched bench
-     peaks at 1,600 (see the interface). *)
-  let create ~num_threads () = Rg.create_with ~capacity:4096 ~num_threads ()
-end
-
 (* The registry route: any {!Wfq_core.Queue_intf.BACKEND} as a
    run-queue. A QUEUE_BACKEND's [create] carries the optional [?obsv] /
    [?pool] configuration hooks, so the only adaptation needed is

@@ -168,19 +168,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) (Q : RUN_QUEUE) : S
 
 (** {2 Run-queue backends} *)
 
-module Rq_ring (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE
-(** The bounded-memory {!Wfq_core.Ring_queue}, 4096 slots per worker:
-    no node per task hand-off, only the ring's slot records
-    (docs/RING.md §6). A worker exceeding 4096 queued
-    slices sees [Wfq_core.Ring_queue.Ring_full]. The bound is not
-    remote: at [wfq_bench sched]'s committed scale (200 requests ×
-    fanout 8) the scheduler's [runq_depth] histogram peaks at 1,600
-    slices at 1 worker and 1,280–1,600 at 2 and 4 — every subfiber of
-    every request queued at once — and the peak grows with
-    requests × fanout. This is why [Rq_ring] exists beside
-    [Rq_of (ring)]: the registry ring's 1024 slots overflow at that
-    scale. A run-queue that survives a full ring is ROADMAP item 5b. *)
-
 module Rq_of
     (B : Wfq_core.Queue_intf.BACKEND)
     (A : Wfq_primitives.Atomic_intf.ATOMIC) : RUN_QUEUE

@@ -157,9 +157,8 @@ val certify :
   unit ->
   (certificate, string) result
 (** The per-fiber step-bound wait-freedom certifier, as a first-class
-    entry point (extracted from the [test_kp_variants] bound-64
-    machinery so backends and benches can certify too — the crossover
-    table of [wfq_bench polylog] is built from these certificates).
+    entry point, so backends and benches can certify — the crossover
+    table of [wfq_bench polylog] is built from these certificates.
 
     Runs {!run} with [step_bound:bound] and demands a {e complete}
     verdict: [Ok] means the exploration exhausted its schedule space

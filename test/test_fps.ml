@@ -357,11 +357,7 @@ let test_create_validation () =
     check_invalid "max_failures" "Kp_queue_fps.create: max_failures must be >= 0"
       (fun () ->
         Fp.create_with ~max_failures:(-1) ~help:Help_all ~phase:Phase_scan
-          ~num_threads:1 ());
-    check_invalid "chunk" "Kp_queue_fps.create: chunk size must be positive"
-      (fun () ->
-        Fp.create_with ~help:(Help_chunk 0) ~phase:Phase_scan ~num_threads:1
-          ()))
+          ~num_threads:1 ()))
 
 let test_probes_sequential () =
   let q = fp_create ~max_failures:64 ~num_threads:2 in

@@ -117,7 +117,7 @@ module Bk = Wfq_core.Backends
 
 (* A KP configuration over the counting atomics. *)
 let kp_make (c : Bk.kp) ~num_threads =
-  Kp.create_with ~tuning:c.tuning ~help:c.help ~phase:c.phase ~num_threads ()
+  Kp.create_with ~help:c.help ~phase:c.phase ~num_threads ()
 
 let test_kp_base_profile () =
   let q = kp_make Bk.kp_base ~num_threads:1 in
@@ -168,21 +168,6 @@ let test_phase_counter_cas () =
      CAS on the phase counter. *)
   Alcotest.(check int) "enqueue: 3 scheme CAS + 1 phase CAS" 4
     enq.C.cas_success
-
-let test_validate_before_cas_saves_nothing_uncontended () =
-  (* Uncontended, the pending flag is still on when help_finish runs, so
-     enhancement 3 changes nothing — its value is contention-only. *)
-  let profile_with tuning =
-    let q = kp_make { Bk.kp_base with tuning } ~num_threads:1 in
-    profile (fun () -> Kp.enqueue q ~tid:0 1)
-  in
-  let base = profile_with Wfq_core.Kp_queue.default_tuning in
-  let tuned =
-    profile_with
-      { Wfq_core.Kp_queue.default_tuning with validate_before_cas = true }
-  in
-  Alcotest.(check int) "same CAS count uncontended" base.C.cas_success
-    tuned.C.cas_success
 
 (* ------------------------- allocation ------------------------------ *)
 
@@ -393,8 +378,6 @@ let () =
             test_kp_opt12_independent_of_threads;
           Alcotest.test_case "phase counter adds one CAS" `Quick
             test_phase_counter_cas;
-          Alcotest.test_case "validation is contention-only" `Quick
-            test_validate_before_cas_saves_nothing_uncontended;
         ] );
       ( "allocation",
         [

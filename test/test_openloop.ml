@@ -1,11 +1,11 @@
-(* Open-loop load engine (lib/harness/{clock,arrivals,open_loop}.ml):
+(* Open-loop load engine (lib/harness/{arrivals,open_loop}.ml):
    deterministic arrival schedules, coordinated-omission-safe latency
    recording, the saturation knee, and the monotonic-clock contract the
    whole harness now times on. *)
 
 module A = Wfq_harness.Arrivals
 module OL = Wfq_harness.Open_loop
-module Clock = Wfq_harness.Clock
+module Clock = Wfq_benchmark.Clock
 module I = Wfq_harness.Impls
 
 let kp_opt12 () = I.registered "kp-opt12"
@@ -20,29 +20,29 @@ let kp_opt12 () = I.registered "kp-opt12"
    the fix rests on — the source never goes backwards, ever, across
    many samples and across work of varying length. *)
 let test_clock_monotone () =
-  let prev = ref (Clock.now_ns ()) in
+  let prev = ref (Clock.now ()) in
   for i = 1 to 100_000 do
-    let t = Clock.now_ns () in
+    let t = Clock.now () in
     if t < !prev then
       Alcotest.failf "clock regressed at sample %d: %d < %d" i t !prev;
     prev := t;
     if i mod 10_000 = 0 then Sys.opaque_identity (ignore (Gc.minor ()))
   done;
   (* deltas of back-to-back reads are non-negative by the same token *)
-  let t0 = Clock.now_ns () in
-  let t1 = Clock.now_ns () in
+  let t0 = Clock.now () in
+  let t1 = Clock.now () in
   Alcotest.(check bool) "delta non-negative" true (t1 - t0 >= 0)
 
 let test_clock_wait_until () =
-  let start = Clock.now_ns () in
+  let start = Clock.now () in
   let target = start + 3_000_000 (* 3 ms: crosses the sleep+spin split *) in
-  Clock.wait_until target;
-  let now = Clock.now_ns () in
+  OL.wait_until target;
+  let now = Clock.now () in
   Alcotest.(check bool) "released at or after the target" true (now >= target);
   (* a target already in the past returns immediately (no negative sleep) *)
-  Clock.wait_until (now - 1_000_000);
+  OL.wait_until (now - 1_000_000);
   Alcotest.(check bool) "past target is a no-op" true
-    (Clock.now_ns () - now < 1_000_000_000)
+    (Clock.now () - now < 1_000_000_000)
 
 (* ------------------------------------------------------------------ *)
 (* Arrival schedules                                                  *)
