@@ -1,58 +1,66 @@
-(* Tests for the §3.3 extension features: chunked cyclic helping and the
-   tuning enhancements (gc_friendly descriptor reset, pre-CAS
-   validation). Each variant must preserve full queue semantics — checked
-   sequentially, under real domains, and under simulator model checking —
-   and the gc_friendly flag must actually release node references. *)
+(* The KP policy space that [Backends.kp] exposes: helping policy
+   (Help_all, Help_one_cyclic) x phase policy (Phase_scan,
+   Phase_counter) x node/descriptor pooling. Every point must keep full
+   queue semantics — sequentially against a model, under real domains,
+   certified wait-free on the simulator — and its helping must finish a
+   peer's operation that stalls after publishing it. *)
 
 module A = Wfq_primitives.Real_atomic
+module SA = Wfq_sim.Sim_atomic
+module S = Wfq_sim.Scheduler
 module Kp = Wfq_core.Kp_queue.Make (A)
+module Kp_sim = Wfq_core.Kp_queue.Make (SA)
 module Ck = Wfq_sim.Check
 module Bk = Wfq_core.Backends
 open Wfq_core.Kp_queue
 
-let tuned = { gc_friendly = true; validate_before_cas = true }
-
-let variants =
+let variants : (string * Bk.kp) list =
   [
-    ("chunk-1", Help_chunk 1, Phase_counter, default_tuning);
-    ("chunk-2", Help_chunk 2, Phase_counter, default_tuning);
-    ("chunk-3", Help_chunk 3, Phase_scan, default_tuning);
-    ("gc-friendly", Help_all, Phase_scan,
-     { default_tuning with gc_friendly = true });
-    ("validate-cas", Help_all, Phase_scan,
-     { default_tuning with validate_before_cas = true });
-    ("fully-tuned", Help_one_cyclic, Phase_counter, tuned);
+    ("kp-base", Bk.kp_base);
+    ("kp-opt1", Bk.kp_opt1);
+    ("kp-opt2", Bk.kp_opt2);
+    ("kp-opt12", Bk.kp);
+    ("kp-base-pooled", { Bk.kp_base with pool = true });
+    ("kp-opt1-pooled", { Bk.kp_opt1 with pool = true });
+    ("kp-opt2-pooled", { Bk.kp_opt2 with pool = true });
+    ("kp-opt12-pooled", { Bk.kp with pool = true });
   ]
 
-(* The schedules each variant's systematic and certified cases explore:
-   exploring a variant through another scenario builder must not change
-   them. *)
-let pinned_schedules =
+(* Per variant: the schedules its certified case explores and the
+   largest per-fiber step count among them, and, for its
+   stalled-enqueue case, the uncontended enqueue's step count and the
+   number of stall points at which the helper finished the stalled
+   enqueue.
+   The simulator is deterministic, so a change to any of them is a
+   change to the operations a variant issues. *)
+let pinned =
   [
-    ("chunk-1", (6_211, 1_148));
-    ("chunk-2", (6_454, 95_404));
-    ("chunk-3", (6_454, 48_047));
-    ("gc-friendly", (6_835, 20_662));
-    ("validate-cas", (6_411, 18_731));
-    ("fully-tuned", (6_619, 1_533));
+    ("kp-base", ((18_768, 52), (22, 18)));
+    ("kp-opt1", ((765, 52), (21, 17)));
+    ("kp-opt2", ((18_354, 52), (22, 18)));
+    ("kp-opt12", ((1_148, 52), (21, 17)));
+    ("kp-base-pooled", ((52_968, 68), (37, 20)));
+    ("kp-opt1-pooled", ((9_838, 64), (36, 19)));
+    ("kp-opt2-pooled", ((48_540, 68), (37, 20)));
+    ("kp-opt12-pooled", ((12_728, 64), (36, 19)));
   ]
 
-let test_chunk_validation () =
-  Alcotest.check_raises "chunk 0 rejected"
-    (Invalid_argument "Kp_queue.create: chunk size must be positive")
+let test_create_validation () =
+  Alcotest.check_raises "num_threads 0"
+    (Invalid_argument "Kp_queue.create: num_threads") (fun () ->
+      ignore (Kp.create ~num_threads:0 ()));
+  Alcotest.check_raises "pool_segment 0"
+    (Invalid_argument "Kp_queue.create: pool_segment must be positive")
     (fun () ->
       ignore
-        (Kp.create_with ~help:(Help_chunk 0) ~phase:Phase_scan
-           ~num_threads:2 ()));
-  (* Chunk larger than the thread count is fine (clamped). *)
-  let q =
-    Kp.create_with ~help:(Help_chunk 64) ~phase:Phase_scan ~num_threads:2 ()
-  in
-  Kp.enqueue q ~tid:0 1;
-  Alcotest.(check (option int)) "usable" (Some 1) (Kp.dequeue q ~tid:1)
+        (Kp.create_with ~pool:true ~pool_segment:0 ~help:Help_one_cyclic
+           ~phase:Phase_counter ~num_threads:2 ()))
 
-let test_variant_sequential (name, help, phase, tuning) () =
-  let q = Kp.create_with ~tuning ~help ~phase ~num_threads:3 () in
+let create (c : Bk.kp) ~num_threads =
+  Kp.create_with ~pool:c.pool ~help:c.help ~phase:c.phase ~num_threads ()
+
+let test_sequential (name, c) () =
+  let q = create c ~num_threads:3 in
   let model = Queue.create () in
   let rng = Wfq_primitives.Rng.create ~seed:11 in
   for i = 1 to 2_000 do
@@ -69,9 +77,9 @@ let test_variant_sequential (name, help, phase, tuning) () =
     (List.of_seq (Queue.to_seq model))
     (Kp.to_list q)
 
-let test_variant_domains (name, help, phase, tuning) () =
+let test_domains (name, c) () =
   let threads = 4 and iters = 3_000 in
-  let q = Kp.create_with ~tuning ~help ~phase ~num_threads:threads () in
+  let q = create c ~num_threads:threads in
   let empties = Atomic.make 0 in
   let ds =
     List.init threads (fun tid ->
@@ -91,159 +99,88 @@ let test_variant_domains (name, help, phase, tuning) () =
   | Ok () -> ()
   | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
 
-(* A variant as a configuration, over the simulator's atomics. *)
-let variant_sim_ops (name, help, phase, tuning) =
-  Ck.backend
-    (Bk.make ~id:name ~label:name (Kp { Bk.kp with help; phase; tuning }))
+(* Wait-freedom certification: the enq|deq scenario, with the per-fiber
+   step bound asserted on every explored schedule (Wfq_sim.Check's
+   certifier). A variant that could livelock or starve under some
+   schedule would blow the bound or hit the step limit. Help_all scans
+   every slot on every helping round, so its trace space is too large
+   for full DPOR in a quick test; it is certified under <= 3
+   preemptions instead. Pooling adds the pool's pops and pushes to an
+   operation's steps, hence the bound's headroom over the unpooled
+   variants' observed maxima. *)
+let certified_step_bound = 96
 
-(* Model checking: each variant, the pairs scenario, every schedule with
-   <= 2 preemptions must be linearizable and conserve elements. *)
-let test_variant_systematic ((name, _, _, _) as v) () =
-  let r =
-    Ck.run ~mode:(Ck.Preemption_bounded 2) ~max_schedules:60_000
-      ~queue:(variant_sim_ops v)
-      ~scripts:[ [ `Enq 1; `Deq ]; [ `Enq 2; `Deq ] ]
-      ()
-  in
-  (match r.Ck.failure with
-  | Some f -> Alcotest.failf "%s: %a" name Ck.pp_failure f
-  | None -> ());
-  Alcotest.(check bool) (name ^ ": exhausted") true r.Ck.exhausted;
-  Alcotest.(check int) (name ^ ": schedules explored")
-    (fst (List.assoc name pinned_schedules))
-    r.Ck.schedules
-
-(* Wait-freedom certification: every §3.3 knob, DPOR-exhaustive over the
-   enq|deq scenario, with the per-fiber step bound asserted on every
-   explored schedule (Wfq_sim.Check's certifier — the currency of the
-   paper's step-complexity theorem). A variant that could livelock or
-   starve under some schedule would blow the bound or hit the step
-   limit. *)
-let certified_step_bound = 64
-
-let test_variant_certified ((name, help, _, _) as v) () =
-  (* Help_all × Phase_scan reads every slot twice per helping round, so
-     its enq|deq trace space runs to ~1M Mazurkiewicz traces (measured:
-     gc-friendly 995,830, validate-cas 406,134 — both clean but tens of
-     seconds). Those two certify under <=3 preemptions instead; the
-     cyclic/chunked variants are cheap enough for full DPOR. *)
+let test_certified (name, (c : Bk.kp)) () =
   let mode =
-    match help with
+    match c.help with
     | Help_all -> Ck.Preemption_bounded 3
-    | Help_one_cyclic | Help_chunk _ -> Ck.Dpor
+    | Help_one_cyclic -> Ck.Dpor
   in
   match
     Ck.certify ~mode ~max_schedules:100_000 ~bound:certified_step_bound
-      ~queue:(variant_sim_ops v)
+      ~queue:(Ck.backend (Bk.make ~id:name ~label:name (Kp c)))
       ~scripts:[ [ `Enq 1 ]; [ `Deq ] ]
       ()
   with
   | Error m -> Alcotest.failf "%s: %s" name m
-  | Ok c ->
-      Alcotest.(check int) (name ^ ": schedules explored")
-        (snd (List.assoc name pinned_schedules))
-        c.Ck.schedules;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: certified bound %d covers the observed max %d"
-           name certified_step_bound c.Ck.observed_bound)
-        true
-        (c.Ck.observed_bound <= certified_step_bound)
+  | Ok cert ->
+      Alcotest.(check (pair int int))
+        (name ^ ": schedules explored, observed step bound")
+        (fst (List.assoc name pinned))
+        (cert.Ck.schedules, cert.Ck.observed_bound)
 
-(* gc_friendly semantics: the descriptor drops its node reference as soon
-   as the operation returns. *)
-let test_gc_friendly_clears_descriptor () =
-  let plain = Kp.create ~num_threads:2 () in
-  Kp.enqueue plain ~tid:0 1;
-  ignore (Kp.dequeue plain ~tid:1);
-  Alcotest.(check bool) "base keeps node reference (the §3.3 leak)" true
-    (Kp.holds_node_reference plain ~tid:0
-    || Kp.holds_node_reference plain ~tid:1);
-  let friendly =
-    Kp.create_with
-      ~tuning:{ default_tuning with gc_friendly = true }
-      ~help:Help_all ~phase:Phase_scan ~num_threads:2 ()
+(* Helping: fiber 0 enqueues 111 and stalls for good after [stall_at]
+   steps; fiber 1 enqueues 222. Fiber 1 always finishes (wait-freedom),
+   and once fiber 0's descriptor is published fiber 1 must finish it
+   too, whichever slot the helping policy visits first. Every stall
+   point of the uncontended enqueue is tried. *)
+let test_stalled_enqueue (name, (c : Bk.kp)) () =
+  let create () =
+    Kp_sim.create_with ~pool:c.pool ~help:c.help ~phase:c.phase
+      ~num_threads:2 ()
   in
-  Kp.enqueue friendly ~tid:0 1;
-  ignore (Kp.dequeue friendly ~tid:1);
-  Alcotest.(check bool) "gc_friendly clears tid 0" false
-    (Kp.holds_node_reference friendly ~tid:0);
-  Alcotest.(check bool) "gc_friendly clears tid 1" false
-    (Kp.holds_node_reference friendly ~tid:1)
-
-(* gc_friendly effect on the heap: after dequeuing large payloads, the
-   friendly queue retains measurably less live memory. *)
-let test_gc_friendly_releases_memory () =
-  let live () =
-    Gc.full_major ();
-    (Gc.stat ()).Gc.live_words
-  in
-  (* The value dequeued LAST is always retained by the queue itself (the
-     node holding it became the sentinel — inherent to MS-style queues).
-     The §3.3 leak is the value dequeued BEFORE it: its node is the
-     sentinel recorded in the dequeuer's descriptor, so without the
-     enhancement the descriptor pins it forever. *)
-  let payload_words = 64 * 1024 in
-  let retained tuning =
-    let q =
-      Kp.create_with ~tuning ~help:Help_all ~phase:Phase_scan
-        ~num_threads:1 ()
+  let probe = S.run [| (fun () -> Kp_sim.enqueue (create ()) ~tid:0 1) |] in
+  let op_steps = probe.S.steps.(0) in
+  let helped = ref 0 in
+  for stall_at = 1 to op_steps - 1 do
+    let q = create () in
+    let res =
+      S.run ~stalls:[ (0, stall_at) ]
+        [|
+          (fun () -> Kp_sim.enqueue q ~tid:0 111);
+          (fun () -> Kp_sim.enqueue q ~tid:1 222);
+        |]
     in
-    let before = live () in
-    Kp.enqueue q ~tid:0 (Array.make payload_words 0);
-    Kp.enqueue q ~tid:0 (Array.make payload_words 1);
-    ignore (Kp.dequeue q ~tid:0);
-    ignore (Kp.dequeue q ~tid:0);
-    let after = live () in
-    ignore (Sys.opaque_identity q);
-    after - before
-  in
-  let base = retained default_tuning in
-  let friendly = retained { default_tuning with gc_friendly = true } in
-  Alcotest.(check bool)
-    (Printf.sprintf "base retains both payloads (%d words)" base)
-    true
-    (base >= 2 * payload_words);
-  Alcotest.(check bool)
-    (Printf.sprintf "gc_friendly retains only the sentinel's (%d words)"
-       friendly)
-    true
-    (friendly < (3 * payload_words / 2))
+    (match res.S.outcome with
+    | S.Only_stalled_left | S.All_finished -> ()
+    | S.Step_limit_hit | S.Aborted ->
+        Alcotest.failf "%s: helper failed to make progress (stall@%d)" name
+          stall_at);
+    let contents = S.ignore_yields (fun () -> Kp_sim.to_list q) in
+    if not (List.mem 222 contents) then
+      Alcotest.failf "%s: 222 missing (stall@%d)" name stall_at;
+    if List.mem 111 contents then incr helped
+  done;
+  Alcotest.(check (pair int int))
+    (name ^ ": enqueue steps, stall points helped")
+    (snd (List.assoc name pinned))
+    (op_steps, !helped)
+
+let column group label test =
+  ( group,
+    List.map
+      (fun ((name, _) as v) ->
+        Alcotest.test_case (name ^ " " ^ label) `Quick (test v))
+      variants )
 
 let () =
   Alcotest.run "kp-variants"
     [
       ( "construction",
-        [ Alcotest.test_case "chunk validation" `Quick test_chunk_validation ]
+        [ Alcotest.test_case "create validation" `Quick test_create_validation ]
       );
-      ( "sequential",
-        List.map
-          (fun ((name, _, _, _) as v) ->
-            Alcotest.test_case (name ^ " ≡ model") `Quick
-              (test_variant_sequential v))
-          variants );
-      ( "domains",
-        List.map
-          (fun ((name, _, _, _) as v) ->
-            Alcotest.test_case (name ^ " pairs stress") `Quick
-              (test_variant_domains v))
-          variants );
-      ( "systematic",
-        List.map
-          (fun ((name, _, _, _) as v) ->
-            Alcotest.test_case (name ^ " <=2 preemptions") `Quick
-              (test_variant_systematic v))
-          variants );
-      ( "certified",
-        List.map
-          (fun ((name, _, _, _) as v) ->
-            Alcotest.test_case (name ^ " wait-freedom certified") `Quick
-              (test_variant_certified v))
-          variants );
-      ( "gc-friendly",
-        [
-          Alcotest.test_case "descriptor cleared" `Quick
-            test_gc_friendly_clears_descriptor;
-          Alcotest.test_case "memory released" `Quick
-            test_gc_friendly_releases_memory;
-        ] );
+      column "sequential" "≡ model" test_sequential;
+      column "domains" "pairs stress" test_domains;
+      column "certified" "wait-freedom certified" test_certified;
+      column "helping" "stalled enqueue helped" test_stalled_enqueue;
     ]
