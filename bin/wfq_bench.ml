@@ -121,6 +121,8 @@ let sched_cmd =
    instead of silently throttling the load generator (coordinated
    omission). *)
 let openloop_cmd =
+  (* An unknown id is a usage error, as in wfq_soak's --queue. *)
+  let ids = List.map (fun id -> (id, id)) Bks.ids in
   let make rates events producers consumers pattern duty burst_len skew seed
       stall_us stall_after knee_mult backends =
     let pattern =
@@ -172,9 +174,11 @@ let openloop_cmd =
       $ opt_d pos_float 4.0 "knee-mult" "F"
           "Saturation-knee multiplier: the knee is the first offered load \
            whose sojourn p99 exceeds this multiple of the lowest load's p99."
-      $ opt (list Arg.string) "backends" "LIST"
-          "Comma-separated registry backend ids to sweep (default: all; see \
-           --list-backends).")
+      $ opt (list (Arg.enum ids)) "backends" "LIST"
+          (Printf.sprintf
+             "Comma-separated registry backend ids to sweep, each %s \
+              (default: all; see --list-backends)."
+             (Arg.doc_alts_enum ids)))
 
 let stats_cmd =
   configured_cmd ~csv:(Term.const false)

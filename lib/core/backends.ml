@@ -36,15 +36,11 @@ let instantiate b = instantiate_with (module Wfq_primitives.Real_atomic) b
 
 (* --- configurations ------------------------------------------------ *)
 
-(* Each field is the [create_with] argument of the same name; a
-   backend's [create ?pool] overrides [pool]. *)
-type kp = {
-  help : Kp_queue.help_policy;
-  phase : Kp_queue.phase_policy;
-  pool : bool;
-}
+(* Each field is the [create_with] argument of the same name. *)
+type kp = { help : Kp_queue.help_policy; phase : Kp_queue.phase_policy }
 
-(* [Fps] runs [kp]'s helping and phase policies. *)
+(* [Fps] runs [kp]'s helping and phase policies. Pooling is chosen here
+   and nowhere else: a backend's [create ?pool] overrides [pool]. *)
 type fps = {
   pool : bool;
   max_failures : int;
@@ -64,22 +60,15 @@ type config = Kp of kp | Fps of fps | Ring of ring | Polylog of polylog
    slow-path configuration, opt (1+2): cyclic single-thread helping,
    atomic phase counter. *)
 let kp : kp =
-  {
-    help = Kp_queue.Help_one_cyclic;
-    phase = Kp_queue.Phase_counter;
-    pool = false;
-  }
+  { help = Kp_queue.Help_one_cyclic; phase = Kp_queue.Phase_counter }
 
 (* The paper's base algorithm, not registered: every operation helps
    every pending one and scans all slots for its phase. *)
-let kp_base = { kp with help = Kp_queue.Help_all; phase = Kp_queue.Phase_scan }
+let kp_base = { help = Kp_queue.Help_all; phase = Kp_queue.Phase_scan }
 
 (* Each optimisation alone: (1) cyclic helping, (2) the phase counter. *)
-let kp_opt1 =
-  { kp with help = Kp_queue.Help_one_cyclic; phase = Kp_queue.Phase_scan }
-
-let kp_opt2 =
-  { kp with help = Kp_queue.Help_all; phase = Kp_queue.Phase_counter }
+let kp_opt1 = { kp with phase = Kp_queue.Phase_scan }
+let kp_opt2 = { kp with help = Kp_queue.Help_all }
 
 let fps =
   {
@@ -126,12 +115,13 @@ let make ~id ~label config : (module Queue_intf.BACKEND) =
           module Q = Kp_queue.Make (A)
           include Q
 
-          let create ?obsv ?(pool = c.pool) ~num_threads () =
+          (* Nodes are left to the GC, as in the paper: [?pool] is
+             ignored. *)
+          let create ?obsv ?pool:_ ~num_threads () =
             let q =
               Q.create_with
                 ?obsv:(handle Kp_queue.metrics obsv ~num_threads)
-                ~pool ~help:c.help ~phase:c.phase
-                ~num_threads ()
+                ~help:c.help ~phase:c.phase ~num_threads ()
             in
             register Q.register_metrics q obsv;
             q
@@ -213,8 +203,6 @@ let make ~id ~label config : (module Queue_intf.BACKEND) =
 let all =
   [
     make ~id:"kp-opt12" ~label:"opt WF (1+2)" (Kp kp);
-    make ~id:"kp-opt12-pooled" ~label:"opt WF (1+2) pooled"
-      (Kp { kp with pool = true });
     make ~id:"fps" ~label:"WF fps" (Fps fps);
     make ~id:"fps-pooled" ~label:"WF fps pooled" (Fps { fps with pool = true });
     make ~id:"ring" ~label:"WF ring" (Ring ring);

@@ -39,10 +39,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let name = "kp-wait-free"
 
-  let create_with ?pool ?pool_segment ?pool_quarantine ?obsv ~help ~phase
-      ~num_threads () =
-    H.create ~who:"Kp_queue" ?pool ?pool_segment ?pool_quarantine ?obsv ~help
-      ~phase ~num_threads ()
+  let create_with ?obsv ~help ~phase ~num_threads () =
+    H.create ~who:"Kp_queue" ?obsv ~help ~phase ~num_threads ()
 
   let create ~num_threads () =
     create_with ~help:Help_all ~phase:Phase_scan ~num_threads ()
@@ -112,12 +110,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     end
 
   (* The uniform RUN_QUEUE registration (Queue_intf.RUN_QUEUE): the
-     depth gauge every backend exposes, plus whatever always-on
-     diagnostics this queue owns — here the pool counters when pooled.
-     The gauge polls [length] (a traversal), which only runs at
-     snapshot time, never on the hot path. *)
+     depth gauge every backend exposes. The gauge polls [length] (a
+     traversal), which only runs at snapshot time, never on the hot
+     path. *)
   let register_metrics t registry ~prefix =
     Wfq_obsv.Metrics.gauge registry ~name:(prefix ^ ".depth") (fun () ->
-        length t);
-    register_pool_metrics t registry ~prefix
+        length t)
 end

@@ -57,9 +57,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
       number of participating threads. *)
 
   val create_with :
-    ?pool:bool ->
-    ?pool_segment:int ->
-    ?pool_quarantine:bool ->
     ?obsv:metrics ->
     help:help_policy ->
     phase:phase_policy ->
@@ -67,19 +64,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
     unit ->
     'a t
   (** Full control over the §3.3 policy space. Raises [Invalid_argument]
-      for [num_threads <= 0] or a non-positive [pool_segment].
-
-      [pool] (default [false]) recycles list nodes {e and} operation
-      descriptors through per-domain {!Wfq_primitives.Segment_pool}s,
-      cutting steady-state allocation to the payload boxes. Claim-CAS
-      safety comes from the epoch tag in each node's [deq_tid];
-      pointer-CAS safety from the pool's quarantine. [pool_quarantine:false]
-      disables the quarantine (and with it descriptor recycling, which
-      is only sound under quarantine), leaving the epoch tag as the sole
-      defense — meant exclusively for model-checking the tag in
-      isolation, never for production use. [pool_segment] sets the
-      carve-batch size (default
-      {!Wfq_primitives.Segment_pool.Make.default_segment_size}).
+      for [num_threads <= 0]. Nodes and descriptors are never reused,
+      as in the paper; {!Kp_queue_fps} and {!Kp_queue_hp} are the
+      queues that recycle them.
 
       [obsv] (default: none) attaches an instrumentation handle built
       with {!metrics}; omitting it compiles every instrumentation site
@@ -145,25 +132,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
   val pending_of : 'a t -> tid:int -> bool
   (** Whether the thread's descriptor is still pending. *)
 
-  val pool_stats :
-    'a t -> ((int * int * int) * (int * int * int) option) option
-  (** Pool telemetry at quiescence, [None] for unpooled queues:
-      [(reused, fresh, parked)] for the node pool, then the same for the
-      descriptor pool when descriptor recycling is active ([None] under
-      [pool_quarantine:false]). [parked] counts objects currently
-      sitting in free stacks or quarantine. *)
-
-  val register_pool_metrics :
-    'a t -> Wfq_obsv.Metrics.t -> prefix:string -> unit
-  (** Attach the node (and, when active, descriptor) pools' live
-      counters and gauges under [prefix ^ ".nodes.*"] / [".descs.*"];
-      no-op for unpooled queues. *)
-
   val register_metrics :
     'a t -> Wfq_obsv.Metrics.t -> prefix:string -> unit
   (** The uniform {!Queue_intf.RUN_QUEUE} registration: a
-      [prefix ^ ".depth"] gauge (polls [length] at snapshot time only)
-      plus {!register_pool_metrics}. The [?obsv] handle registers its
-      own metrics at construction; together they cover every diagnostic
-      the queue produces. *)
+      [prefix ^ ".depth"] gauge (polls [length] at snapshot time only).
+      The [?obsv] handle registers its own metrics at construction;
+      together they cover every diagnostic the queue produces. *)
 end

@@ -3,21 +3,8 @@
 
     Linearizable MPMC FIFO; lock-free but not wait-free: an individual
     thread's CAS can lose arbitrarily often while the system as a whole
-    makes progress (demonstrated by a simulator test). [tid] is ignored
-    by [create]d queues and used as the pool-slot index by
-    [create_pooled] ones (where it must be a distinct value in
-    [0, num_threads), as for the KP family). *)
+    makes progress (demonstrated by a simulator test). [tid] is
+    ignored. Nodes are left to the GC, as in the paper. *)
 
-module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
-  include Queue_intf.CHECKABLE_QUEUE
-
-  val create_pooled : ?segment_size:int -> num_threads:int -> unit -> 'a t
-  (** Like [create], but nodes are recycled through a per-domain
-      {!Wfq_primitives.Segment_pool} with epoch-quarantine always
-      enabled — MS has no claim word to epoch-tag, so quarantine is the
-      sole ABA defense for its head CAS. *)
-
-  val pool_stats : 'a t -> (int * int * int) option
-  (** [(reused, fresh, parked)] at quiescence; [None] for unpooled
-      queues. *)
-end
+module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) :
+  Queue_intf.CHECKABLE_QUEUE

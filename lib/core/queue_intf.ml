@@ -107,8 +107,9 @@ module type QUEUE_BACKEND = sig
   (** [?obsv:(registry, prefix)] attaches the backend's hot-path
       instrumentation (and the {!RUN_QUEUE} [.depth] gauge contract) at
       construction; [?pool] requests node/descriptor recycling where the
-      backend supports it and is ignored where it is meaningless (the
-      ring and other flat-array structures allocate nothing per op). *)
+      backend offers it (the fps family) and is ignored elsewhere: the
+      paper's queue leaves its nodes to the GC, and the ring and other
+      flat-array structures allocate nothing per op. *)
 
   val enqueue : 'a t -> tid:int -> 'a -> unit
   (** Unconditional insert; bounded backends raise their full-queue

@@ -6,7 +6,6 @@
 
 module A = Wfq_primitives.Real_atomic
 module Ms = Wfq_core.Ms_queue.Make (A)
-module Kp_hp = Wfq_core.Kp_queue_hp.Make (A)
 module Bk = Wfq_core.Backends
 
 module type BENCH_QUEUE = sig
@@ -74,23 +73,6 @@ let lf : impl =
     let dequeue = Ms.dequeue
   end)
 
-(* Pooled (segment-pool node recycling) counterpart of each family's
-   headline member: same algorithm, allocation routed through
-   Segment_pool so steady-state operations reuse retired nodes (and,
-   for the KP family, retired operation descriptors) instead of minting
-   fresh ones. These exist for the allocation-rate decomposition
-   ([alloc_series]); they are also regular registry members so every
-   correctness-checking workload exercises the recycling paths. *)
-let lf_pooled : impl =
-  (module struct
-    type t = int Ms.t
-
-    let name = "LF pooled"
-    let create ~num_threads = Ms.create_pooled ~num_threads ()
-    let enqueue = Ms.enqueue
-    let dequeue = Ms.dequeue
-  end)
-
 (* The paper's §3.3 ablation rows: opt (1+2) with one optimization
    reverted, or both. *)
 let wf_base = variant ~id:"kp-base" ~label:"base WF" (Kp Bk.kp_base)
@@ -99,7 +81,6 @@ let wf_opt1 = variant ~id:"kp-opt1" ~label:"opt WF (1)" (Kp Bk.kp_opt1)
 let wf_opt2 = variant ~id:"kp-opt2" ~label:"opt WF (2)" (Kp Bk.kp_opt2)
 
 let wf_opt12 = registered "kp-opt12"
-let wf_pooled = registered "kp-opt12-pooled"
 
 (* Sharded front-end (lib/shard) over opt-(1+2) KP shards. The pairs
    workload must use its relaxed variant: a sweep can miss a concurrent
@@ -152,10 +133,11 @@ let wf_fps_series = [ wf_fps_mf 1; wf_fps_mf 8; wf_fps_mf 64; wf_fps_mf 1024 ]
 let fps_bench_series =
   [ lf; wf_base; wf_opt12; wf_fps; wf_fps_pooled ] @ wf_fps_series
 
-(* Series for the allocation-rate bench (wfq_bench alloc): each family's
-   headline member next to its pooled counterpart, so the words/op delta
-   isolates what segment-pool recycling saves. *)
-let alloc_series = [ lf; lf_pooled; wf_opt12; wf_pooled; wf_fps; wf_fps_pooled ]
+(* Series for the allocation-rate bench (wfq_bench alloc): LF and opt
+   WF (1+2), which leave their nodes to the GC as in the paper, and WF
+   fps next to its pooled build, so the words/op delta isolates what
+   segment-pool recycling saves. *)
+let alloc_series = [ lf; wf_opt12; wf_fps; wf_fps_pooled ]
 
 (* Bounded-memory ring (Ring_queue): elements live in pre-allocated
    slots, so no node is allocated per element; each operation still
@@ -170,10 +152,10 @@ let ring_8192 label =
 let wf_ring = unbatched (ring_8192 "WF ring")
 
 (* Series for the ring bench (wfq_bench ring): the ring next to the
-   pooled members of each family and the raw throughput baselines. The
-   CI guard is the ring's own words/op: at most 3.52 on one domain and
-   a spread of at most 0.2 across widths. *)
-let ring_series = [ wf_opt12; wf_pooled; wf_fps_pooled; wf_ring ]
+   paper's queue and the pooled linked queue. The CI guard is the
+   ring's own words/op: at most 3.52 on one domain and a spread of at
+   most 0.2 across widths. *)
+let ring_series = [ wf_opt12; wf_fps_pooled; wf_ring ]
 
 (* The polylog tournament tree (Naderibeni & Ruppert): O(log^2 p) steps
    per operation against the KP family's O(p) helping scans. *)
@@ -183,30 +165,6 @@ let wf_polylog = registered "polylog"
    fastest O(p) queue, the lowest-allocation O(p) variant, and the
    O(log^2 p) tree whose step bound grows slower with p. *)
 let polylog_series = [ wf_opt12; wf_fps_pooled; wf_polylog ]
-
-let wf_hp : impl =
-  (module struct
-    type t = int Kp_hp.t
-
-    let name = "WF hazard-ptr"
-    let create ~num_threads = Kp_hp.create ~num_threads ()
-    let enqueue = Kp_hp.enqueue
-    let dequeue = Kp_hp.dequeue
-  end)
-
-let mutex : impl =
-  (module struct
-    type t = int Wfq_core.Mutex_queue.t
-
-    let name = "mutex"
-    let create ~num_threads = Wfq_core.Mutex_queue.create ~num_threads ()
-    let enqueue = Wfq_core.Mutex_queue.enqueue
-    let dequeue = Wfq_core.Mutex_queue.dequeue
-  end)
-
-let all =
-  [ lf; lf_pooled; wf_base; wf_opt1; wf_opt2; wf_opt12; wf_pooled; wf_fps;
-    wf_fps_pooled; wf_ring; wf_polylog; wf_hp; mutex ]
 
 (* Batch-native rows (docs/BATCHING.md): the backends exposing
    first-class [enqueue_batch]/[dequeue_batch], plus a per-item wrapper

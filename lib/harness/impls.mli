@@ -43,12 +43,6 @@ val registered : string -> impl
 val lf : impl
 (** Michael-Scott lock-free queue — the paper's baseline ("LF"). *)
 
-val lf_pooled : impl
-(** Michael-Scott with segment-pool node recycling ("LF pooled"):
-    retired nodes are reused through per-domain
-    {!Wfq_primitives.Segment_pool} free stacks (epoch quarantine always
-    on — the MS head CAS has no claim word to tag). *)
-
 val wf_base : impl
 (** Base Kogan-Petrank wait-free queue ("base WF"). *)
 
@@ -60,11 +54,6 @@ val wf_opt2 : impl
 
 val wf_opt12 : impl
 (** Both optimizations ("opt WF (1+2)"): the registry's ["kp-opt12"]. *)
-
-val wf_pooled : impl
-(** opt WF (1+2) with node and descriptor recycling through
-    {!Wfq_primitives.Segment_pool} ("opt WF (1+2) pooled"): the
-    registry's ["kp-opt12-pooled"]. *)
 
 val wf_shard : int -> impl
 (** Sharded front-end ([lib/shard]) with the given shard count,
@@ -103,8 +92,8 @@ val fps_bench_series : impl list
 
 val alloc_series : impl list
 (** Series for the allocation-rate bench ([wfq_bench alloc]): LF,
-    opt WF (1+2) and WF fps, each next to its pooled counterpart, so
-    the words/op delta isolates segment-pool recycling. *)
+    opt WF (1+2), WF fps and WF fps pooled, so the last pair's words/op
+    delta isolates segment-pool recycling. *)
 
 val wf_ring : impl
 (** Bounded-memory wait-free ring ({!Wfq_core.Ring_queue}, "WF ring"):
@@ -115,10 +104,10 @@ val wf_ring : impl
     Strict FIFO — safe with {!Workload.pairs}. *)
 
 val ring_series : impl list
-(** Series for the ring bench ([wfq_bench ring]): opt WF (1+2), its
-    pooled counterpart, WF fps pooled (the throughput baseline) and the
-    ring. The bench's guard is the ring's own words/op (at most 3.52 on
-    one domain, spread at most 0.2 across widths). *)
+(** Series for the ring bench ([wfq_bench ring]): opt WF (1+2), WF
+    fps pooled (the throughput baseline) and the ring. The bench's
+    guard is the ring's own words/op (at most 3.52 on one domain,
+    spread at most 0.2 across widths). *)
 
 val wf_polylog : impl
 (** Polylog-step tournament-tree queue ({!Wfq_core.Polylog_queue},
@@ -130,16 +119,6 @@ val wf_polylog : impl
 val polylog_series : impl list
 (** Series for the crossover bench ([wfq_bench polylog]): opt WF (1+2),
     WF fps pooled, WF polylog. *)
-
-val wf_hp : impl
-(** Wait-free queue with hazard-pointer reclamation (§3.4). *)
-
-val mutex : impl
-(** Coarse single-mutex queue (extra baseline). *)
-
-val all : impl list
-(** The paper's series, their pooled counterparts, the registry's fps,
-    ring and polylog rows, the HP variant and the mutex baseline. *)
 
 val fps_per_item : batch_impl
 (** "WF fps per-item": {!fps_batch}'s queue with batches looped one

@@ -458,24 +458,21 @@ let every fields ok msg b =
 let positive fields =
   every fields (fun y -> y > 0.0) (Printf.sprintf "%s at %g: %g")
 
-(* With segment pools on, each family's words/op must be strictly below
-   its unpooled build's, or recycling has regressed. *)
+(* With segment pools on, WF fps's words/op must be strictly below its
+   unpooled build's, or recycling has regressed. *)
 let pooled_below b =
-  List.concat_map
-    (fun impl ->
-      let pooled = points b ("words_per_op:" ^ impl ^ " pooled") in
-      List.filter_map
-        (fun (x, w) ->
-          let pw = List.assoc x pooled in
-          if pw < w then None
-          else
-            Some
-              (Printf.sprintf
-                 "%s pooled allocates %.2f words/op at %g threads, unpooled \
-                  %.2f"
-                 impl pw x w))
-        (points b ("words_per_op:" ^ impl)))
-    [ "opt WF (1+2)"; "WF fps"; "LF" ]
+  let pooled = points b "words_per_op:WF fps pooled" in
+  List.filter_map
+    (fun (x, w) ->
+      let pw = List.assoc x pooled in
+      if pw < w then None
+      else
+        Some
+          (Printf.sprintf
+             "WF fps pooled allocates %.2f words/op at %g threads, unpooled \
+              %.2f"
+             pw x w))
+    (points b "words_per_op:WF fps")
 
 (* Unpooled opt WF (1+2) allocates 26 words/op on one domain (23 per
    enqueue: the 5-word node and two 9-word descriptors; 29 per dequeue:
@@ -628,8 +625,8 @@ let table =
         ]
       ~guards:[ pooled_below; kp_words ]
       "Allocation decomposition: enqueue-dequeue pairs"
-      "Words/op, promoted words/op and collections of LF / opt WF (1+2) / \
-       WF fps against their segment-pooled builds."
+      "Words/op, promoted words/op and collections of LF, opt WF (1+2) \
+       and WF fps, and of WF fps's segment-pooled build."
       [
         sweep "Allocation"
           Space.
@@ -650,8 +647,8 @@ let table =
              (words/operation), minor_gcs (collections/run)" );
         ]
       ~guards:[ ring_flat ] "Bounded ring vs pooled linked queues (pairs)"
-      "Bounded ring vs opt WF (1+2), its pooled build and WF fps pooled: \
-       time, words/op and minor collections."
+      "Bounded ring vs opt WF (1+2) and WF fps pooled: time, words/op and \
+       minor collections."
       [
         sweep "Ring"
           [

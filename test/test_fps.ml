@@ -357,7 +357,11 @@ let test_create_validation () =
     check_invalid "max_failures" "Kp_queue_fps.create: max_failures must be >= 0"
       (fun () ->
         Fp.create_with ~max_failures:(-1) ~help:Help_all ~phase:Phase_scan
-          ~num_threads:1 ()))
+          ~num_threads:1 ());
+    check_invalid "pool_segment"
+      "Kp_queue_fps.create: pool_segment must be positive" (fun () ->
+        Fp.create_with ~pool:true ~pool_segment:0 ~help:Help_one_cyclic
+          ~phase:Phase_counter ~num_threads:2 ()))
 
 let test_probes_sequential () =
   let q = fp_create ~max_failures:64 ~num_threads:2 in

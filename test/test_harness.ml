@@ -24,17 +24,47 @@ let test_barrier_releases_all () =
   List.iter Domain.join ds;
   Alcotest.(check int) "all released" (n - 1) (Atomic.get released)
 
+(* The coarse single-mutex queue: the fixtures' reference queue. *)
+let mutex : I.impl =
+  (module struct
+    type t = int Wfq_core.Mutex_queue.t
+
+    let name = "mutex"
+    let create ~num_threads = Wfq_core.Mutex_queue.create ~num_threads ()
+    let enqueue = Wfq_core.Mutex_queue.enqueue
+    let dequeue = Wfq_core.Mutex_queue.dequeue
+  end)
+
+(* The rows the suites sweep, once each by name: the paper's figure
+   rows and every series. The sharded rows are relaxed FIFO, so their
+   pairs run the relaxed workload, as in the shard suite. *)
+let strict_rows, shard_rows =
+  let seen rows r = List.exists (fun x -> I.name x = I.name r) rows in
+  let strict =
+    List.fold_left
+      (fun acc r -> if seen acc r then acc else acc @ [ r ])
+      []
+      I.(
+        [ lf; wf_base; wf_opt12 ] @ fps_bench_series @ alloc_series
+        @ ring_series @ polylog_series)
+  in
+  (strict, List.filter (fun r -> not (seen strict r)) I.shard_series)
+
 let test_pairs_all_impls () =
+  let check impl (r : W.run_result) =
+    Alcotest.(check bool)
+      (I.name impl ^ " positive time")
+      true (r.W.seconds >= 0.0);
+    Alcotest.(check int)
+      (I.name impl ^ " op count")
+      (2 * 3 * 2_000) r.W.total_ops
+  in
   List.iter
-    (fun impl ->
-      let r = W.pairs impl ~threads:3 ~iters:2_000 () in
-      Alcotest.(check bool)
-        (I.name impl ^ " positive time")
-        true (r.W.seconds >= 0.0);
-      Alcotest.(check int)
-        (I.name impl ^ " op count")
-        (2 * 3 * 2_000) r.W.total_ops)
-    I.all
+    (fun impl -> check impl (W.pairs impl ~threads:3 ~iters:2_000 ()))
+    strict_rows;
+  List.iter
+    (fun impl -> check impl (W.pairs_relaxed impl ~threads:3 ~iters:2_000 ()))
+    shard_rows
 
 let test_p_enq_all_impls () =
   List.iter
@@ -54,7 +84,7 @@ let test_p_enq_all_impls () =
       in
       Alcotest.(check int) "every iteration did one op" (3 * 2_000)
         (enqs + deqs))
-    I.all
+    (strict_rows @ shard_rows)
 
 let test_pairs_check_catches_broken_queue () =
   (* A deliberately broken queue (drops every other enqueue) must be
@@ -81,7 +111,7 @@ let test_pairs_check_catches_broken_queue () =
 
 let test_repeat_runs () =
   let times =
-    W.repeat ~runs:3 (fun () -> W.pairs I.mutex ~threads:2 ~iters:500 ())
+    W.repeat ~runs:3 (fun () -> W.pairs mutex ~threads:2 ~iters:500 ())
   in
   Alcotest.(check int) "three samples" 3 (List.length times);
   List.iter
@@ -91,7 +121,7 @@ let test_repeat_runs () =
 let test_seed_determinism () =
   (* Same seed => same per-thread op mix in the random workload. *)
   let mix seed =
-    let r = W.p_enq ~seed I.mutex ~threads:2 ~iters:1_000 () in
+    let r = W.p_enq ~seed mutex ~threads:2 ~iters:1_000 () in
     Array.to_list (Array.map (fun c -> c.W.enqs) r.W.per_thread)
   in
   Alcotest.(check (list int)) "same seed same mix" (mix 7) (mix 7);
@@ -197,11 +227,10 @@ let test_series_labels () =
         "WF fps mf=64"; "WF fps mf=1024" ])
     (names I.fps_bench_series);
   check "alloc_series"
-    [ "LF"; "LF pooled"; "opt WF (1+2)"; "opt WF (1+2) pooled"; "WF fps";
-      "WF fps pooled" ]
+    [ "LF"; "opt WF (1+2)"; "WF fps"; "WF fps pooled" ]
     (names I.alloc_series);
   check "ring_series"
-    [ "opt WF (1+2)"; "opt WF (1+2) pooled"; "WF fps pooled"; "WF ring" ]
+    [ "opt WF (1+2)"; "WF fps pooled"; "WF ring" ]
     (names I.ring_series);
   check "polylog_series"
     [ "opt WF (1+2)"; "WF fps pooled"; "WF polylog" ]
@@ -214,11 +243,12 @@ let test_series_labels () =
     [ "WF fps per-item"; "WF fps batch"; "opt WF (1+2) batch";
       "WF ring batch"; "WF shard-4 (rr) batch" ]
     (List.map I.batch_name I.batch_series);
-  check "all"
-    [ "LF"; "LF pooled"; "base WF"; "opt WF (1)"; "opt WF (2)";
-      "opt WF (1+2)"; "opt WF (1+2) pooled"; "WF fps"; "WF fps pooled";
-      "WF ring"; "WF polylog"; "WF hazard-ptr"; "mutex" ]
-    (names I.all)
+  check "swept rows"
+    [ "LF"; "base WF"; "opt WF (1+2)"; "WF fps"; "WF fps pooled";
+      "WF fps mf=1"; "WF fps mf=8"; "WF fps mf=64"; "WF fps mf=1024";
+      "WF ring"; "WF polylog"; "WF shard-1"; "WF shard-2"; "WF shard-4";
+      "WF shard-8"; "WF shard-8 (rr)" ]
+    (names (strict_rows @ shard_rows))
 
 let test_report_table_renders () =
   (* Smoke: the printer must not raise and must align missing points. *)
@@ -322,7 +352,7 @@ let test_alloc_guards () =
   in
   guard_cases "alloc" (alloc ~pooled:10.0 ~kp:27.9)
     [
-      ("LF pooled allocates 34.00", alloc ~pooled:34.0 ~kp:27.9);
+      ("WF fps pooled allocates 34.00", alloc ~pooled:34.0 ~kp:27.9);
       ("28.00 words/op at 1 threads (limit 28)", alloc ~pooled:10.0 ~kp:28.0);
     ]
 
