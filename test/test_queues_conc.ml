@@ -27,11 +27,17 @@ let plain (module B : Qi.BACKEND) : (module Qi.QUEUE) =
 
 (* The fast-path/slow-path queue and the ring at the adversarial
    budget: mf=1 keeps falling back under contention (both paths and
-   their interaction run constantly). The default budgets are exercised
-   by the registry-driven rows below. *)
+   their interaction run constantly). The pooled fps queue runs there
+   too, so nodes and descriptors are recycled while both paths race.
+   The default budgets are exercised by the registry-driven rows
+   below. *)
 let fps_mf1 =
   Bk.make ~id:"fps-mf1" ~label:"kp-fps mf=1"
     (Fps { Bk.fps with max_failures = 1 })
+
+let fps_pooled_mf1 =
+  Bk.make ~id:"fps-pooled-mf1" ~label:"kp-fps pooled mf=1"
+    (Fps { Bk.fps with max_failures = 1; pool = true })
 
 let ring_mf1 capacity =
   Bk.make ~id:"ring-mf1" ~label:"ring mf=1"
@@ -49,6 +55,7 @@ let queues : (string * (module Qi.QUEUE)) list =
         let create ~num_threads () = create ~scan_threshold:8 ~num_threads ()
       end) );
     ("kp-fps mf=1", plain fps_mf1);
+    ("kp-fps pooled mf=1", plain fps_pooled_mf1);
     (* Capacity above every workload's peak occupancy (burst-then-drain
        holds 8_000 live elements), so [enqueue] never meets a full ring
        and the unbounded-FIFO invariants apply unchanged. *)
