@@ -14,10 +14,10 @@ module type ATOMIC = Wfq_primitives.Atomic_intf.ATOMIC
    without a per-backend variant. *)
 
 let instantiate_with (type v) (module At : ATOMIC)
-    (module B : Queue_intf.BACKEND) ?obsv ?pool ~num_threads () :
+    (module B : Queue_intf.BACKEND) ?obsv ~num_threads () :
     v Queue_intf.instance =
   let module Q = B.Make (At) in
-  let q : v Q.t = Q.create ?obsv ?pool ~num_threads () in
+  let q : v Q.t = Q.create ?obsv ~num_threads () in
   {
     Queue_intf.i_name = Q.name;
     enq = (fun ~tid v -> Q.enqueue q ~tid v);

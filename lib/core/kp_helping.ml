@@ -206,7 +206,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     help_policy : help_policy;
     phase_policy : phase_policy;
     help_cursor : int array;
-        (* per-tid cyclic cursor for [Help_one_cyclic]; single-writer *)
+        (* per-tid cyclic cursor for [Help_one_cyclic] and the fast
+           path's helping duty, in {!Wfq_obsv.Line} slots: written only
+           by its own tid, on every operation that helps, so each slot
+           has a cache line no other domain writes *)
     num_threads : int;
     pools : 'a pools option;
     obsv : metrics option;
@@ -297,7 +300,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       phase_counter = A.make_padded (-1);
       help_policy = help;
       phase_policy = phase;
-      help_cursor = Array.make num_threads 0;
+      help_cursor = Wfq_obsv.Line.ints num_threads 0;
       num_threads;
       pools;
       obsv;
@@ -783,8 +786,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           help_slot t ~self:tid i phase
         done
     | Help_one_cyclic ->
-        let c = t.help_cursor.(tid) in
-        t.help_cursor.(tid) <- (c + 1) mod t.num_threads;
+        let i = Wfq_obsv.Line.slot tid in
+        let c = t.help_cursor.(i) in
+        t.help_cursor.(i) <- (c + 1) mod t.num_threads;
         if c <> tid then help_slot t ~self:tid c phase;
         help_slot t ~self:tid tid phase
 
@@ -878,6 +882,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let hot_cells t =
     Obj.repr t.head :: Obj.repr t.tail :: Obj.repr t.phase_counter
     :: List.map Obj.repr (Array.to_list t.state)
+
+  let tid_words t =
+    Array.init t.num_threads (fun tid ->
+        [ (Obj.repr t.help_cursor, Wfq_obsv.Line.slot tid) ])
 
   let phase_of t ~tid = (A.get t.state.(tid)).phase
   let pending_of t ~tid = (A.get t.state.(tid)).pending

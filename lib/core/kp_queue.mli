@@ -126,6 +126,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
   (** [head], [tail], the phase counter and the state slots: the cells
       every domain CASes, for tests of where they land in the heap. *)
 
+  val tid_words : 'a t -> (Obj.t * int) list array
+  (** Per tid, the plain words only that tid writes on the operation
+      path (its helping cursor), each as a block and a field index, for
+      tests of where they land in the heap. *)
+
   val phase_of : 'a t -> tid:int -> int
   (** Phase of the thread's latest operation. *)
 

@@ -221,8 +221,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let maybe_help t ~tid =
     if A.get t.slow_pending > 0 then begin
       let h = t.h in
-      let c = h.H.help_cursor.(tid) in
-      h.H.help_cursor.(tid) <- (c + 1) mod t.num_threads;
+      let i = Wfq_obsv.Line.slot tid in
+      let c = h.H.help_cursor.(i) in
+      h.H.help_cursor.(i) <- (c + 1) mod t.num_threads;
       H.help_slot h ~self:tid c max_int
     end
 

@@ -166,7 +166,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     state : 'a desc A.t array;  (* per-thread descriptors *)
     slow_pending : int A.t;  (* raised while any descriptor is pending *)
     phase_counter : int A.t;  (* FAD doorway (KP footnote 3) *)
-    help_cursor : int array;  (* per-tid cyclic helping cursor, plain *)
+    help_cursor : int array;
+        (* per-tid cyclic helping cursor in {!Wfq_obsv.Line} slots,
+           written only by its own tid, on help rounds *)
     fault : fault option;
     obsv : metrics option;
     (* Plain racy position hints feeding the occupancy histogram: no
@@ -192,17 +194,29 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       { phase = -1; pending = false; kind = Deq 0; target = -1; bdone = 0;
         bgot = [] }
     in
+    (* [Array.init] would make this major-heap array from its first
+       element, a young block, for which the runtime forces a minor
+       collection; an immediate placeholder needs none. The cells are
+       still made in slot order and in the record's [slots] field, so
+       the simulator numbers them as it would under [Array.init]. *)
+    let make_slots () =
+      let slots = Array.make capacity (Obj.magic ()) in
+      for j = 0 to capacity - 1 do
+        slots.(j) <- A.make_padded (Free j)
+      done;
+      slots
+    in
     {
       capacity;
       num_threads;
       max_failures;
-      slots = Array.init capacity (fun j -> A.make_padded (Free j));
+      slots = make_slots ();
       head = A.make_padded 0;
       tail = A.make_padded 0;
       state = Array.init num_threads (fun _ -> A.make_padded idle);
       slow_pending = A.make_padded 0;
       phase_counter = A.make_padded 0;
-      help_cursor = Array.make num_threads 0;
+      help_cursor = Wfq_obsv.Line.ints num_threads 0;
       fault;
       obsv;
       head_cache = 0;
@@ -531,8 +545,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     end
 
   let run_help t ~tid ~phase =
-    let c = t.help_cursor.(tid) in
-    t.help_cursor.(tid) <- (c + 1) mod t.num_threads;
+    let i = Wfq_obsv.Line.slot tid in
+    let c = t.help_cursor.(i) in
+    t.help_cursor.(i) <- (c + 1) mod t.num_threads;
     if c <> tid then help_slot t ~self:tid c phase;
     help_slot t ~self:tid tid phase
 
@@ -543,8 +558,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      by any other thread. *)
   let maybe_help t ~tid =
     if A.get t.slow_pending > 0 then begin
-      let c = t.help_cursor.(tid) in
-      t.help_cursor.(tid) <- (c + 1) mod t.num_threads;
+      let i = Wfq_obsv.Line.slot tid in
+      let c = t.help_cursor.(i) in
+      t.help_cursor.(i) <- (c + 1) mod t.num_threads;
       help_slot t ~self:tid c max_int
     end
 
@@ -850,5 +866,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         Obj.repr t.phase_counter; Obj.repr t.slots.(0);
         Obj.repr t.slots.(1) ]
       @ List.map Obj.repr (Array.to_list t.state)
+
+    let tid_words t =
+      Array.init t.num_threads (fun tid ->
+          [ (Obj.repr t.help_cursor, Wfq_obsv.Line.slot tid) ])
   end
 end

@@ -168,5 +168,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
     (** [head], [tail], [slow_pending], the phase counter, the state
         slots and slots 0 and 1, for tests of where they land in the
         heap. *)
+
+    val tid_words : 'a t -> (Obj.t * int) list array
+    (** Per tid, the plain words only that tid writes (its helping
+        cursor), each as a block and a field index, for tests of where
+        they land in the heap. *)
   end
 end

@@ -19,7 +19,12 @@
 
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   (* A slot holds the domain's [nil] when it protects nothing, so a
-     publication stores the node itself and allocates nothing. *)
+     publication stores the node itself and allocates nothing. Its
+     thread publishes into it on every traversal and every scan reads
+     it, so it is a padded cell; the per-thread record, whose retire
+     list its thread updates on every retirement, is a padded copy
+     ({!Wfq_obsv.Line.copy_as_padded}). Two threads' words are thus
+     never on one cache line. *)
   type 'a slot = 'a A.t
 
   type 'a per_thread = {
@@ -61,13 +66,15 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     {
       threads =
         Array.init num_threads (fun _ ->
-            {
-              slots = Array.init slots_per_thread (fun _ -> A.make nil);
-              retired = [];
-              retired_count = 0;
-              freed_total = 0;
-              retired_total = 0;
-            });
+            Wfq_obsv.Line.copy_as_padded
+              {
+                slots =
+                  Array.init slots_per_thread (fun _ -> A.make_padded nil);
+                retired = [];
+                retired_count = 0;
+                freed_total = 0;
+                retired_total = 0;
+              });
       nil;
       scan_threshold = threshold;
       free;
@@ -141,6 +148,15 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (** Force a final scan on every thread's retire list; quiescent use. *)
   let flush t = Array.iteri (fun tid _ -> scan t ~tid) t.threads
+
+  (* The five fields of each [per_thread] and field 0 of each of its
+     slots. *)
+  let tid_words t =
+    Array.map
+      (fun per ->
+        List.init 5 (fun i -> (Obj.repr per, i))
+        @ List.map (fun c -> (Obj.repr c, 0)) (Array.to_list per.slots))
+      t.threads
 
   type stats = { retired : int; freed : int; still_pending : int }
 

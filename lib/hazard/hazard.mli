@@ -61,4 +61,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
 
   val stats : 'a t -> stats
   (** Aggregate counters; exact only at quiescence. *)
+
+  val tid_words : 'a t -> (Obj.t * int) list array
+  (** Per thread, its record's fields and its slots' words, each as a
+      block and a field index, for tests of where they land in the
+      heap. *)
 end

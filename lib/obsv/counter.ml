@@ -24,39 +24,37 @@
     slots, and must not be used for control decisions, only reporting.
 
     {b Cost.} An increment is one bounds-checked array load + store to a
-    slot that no other domain writes; slots are strided one cache line
-    apart so concurrent writers never share a line. No RMW, no fence:
+    slot that no other domain writes; slots are laid out by {!Line}, a
+    line apart, so concurrent writers never share a line. No RMW, no fence:
     this is deliberately {e cheaper} than an [Atomic.t] and is what lets
     instrumentation sit on queue hot paths within the ≤2% overhead
     budget. *)
 
-type t = { cells : int array; slots : int }
-
-(* One slot per 16 words = 128 bytes: a cache line on x86-64 plus guard
-   against adjacent-line prefetch pairing. *)
-let stride = 16
+(* Slots laid out by {!Line}: a stride apart, the first a stride in. *)
+type t = int array
 
 let create ~slots () =
   if slots <= 0 then invalid_arg "Obsv.Counter.create: slots";
-  { cells = Array.make (slots * stride) 0; slots }
+  Line.ints slots 0
 
-let slots t = t.slots
+let slots = Line.slots
 
 let incr t ~slot =
-  let i = slot * stride in
-  t.cells.(i) <- t.cells.(i) + 1
+  let i = Line.slot slot in
+  t.(i) <- t.(i) + 1
 
 let add t ~slot n =
-  let i = slot * stride in
-  t.cells.(i) <- t.cells.(i) + n
+  let i = Line.slot slot in
+  t.(i) <- t.(i) + n
 
-let slot_value t ~slot = t.cells.(slot * stride)
+let slot_value t ~slot = t.(Line.slot slot)
+let slot_word t ~slot = (Obj.repr t, Line.slot slot)
 
-let snapshot t = Array.init t.slots (fun i -> t.cells.(i * stride))
+let snapshot t = Array.init (slots t) (fun i -> t.(Line.slot i))
 
 let total t =
   let acc = ref 0 in
-  for i = 0 to t.slots - 1 do
-    acc := !acc + t.cells.(i * stride)
+  for i = 0 to slots t - 1 do
+    acc := !acc + t.(Line.slot i)
   done;
   !acc

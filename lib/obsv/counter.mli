@@ -11,7 +11,8 @@
 type t
 
 val create : slots:int -> unit -> t
-(** [slots] independent cells, each padded to its own cache line.
+(** [slots] independent cells, each on a cache line of its own
+    ({!Line.ints}).
     Raises [Invalid_argument] for [slots <= 0]. *)
 
 val slots : t -> int
@@ -25,6 +26,10 @@ val add : t -> slot:int -> int -> unit
 
 val slot_value : t -> slot:int -> int
 (** Racy read of one slot. *)
+
+val slot_word : t -> slot:int -> Obj.t * int
+(** The block and field index of one slot, for tests of where it lands
+    in the heap. *)
 
 val snapshot : t -> int array
 (** Racy per-slot snapshot (index = slot). *)

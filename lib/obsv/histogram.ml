@@ -15,17 +15,15 @@ let buckets = 48
 
 type t = {
   counts : int array array; (* per slot: separately allocated, no sharing *)
-  maxes : int array; (* per slot, strided *)
+  maxes : int array; (* per slot, laid out by {!Line} *)
   slots : int;
 }
-
-let stride = 16
 
 let create ~slots () =
   if slots <= 0 then invalid_arg "Obsv.Histogram.create: slots";
   {
     counts = Array.init slots (fun _ -> Array.make buckets 0);
-    maxes = Array.make (slots * stride) 0;
+    maxes = Line.ints slots 0;
     slots;
   }
 
@@ -43,7 +41,7 @@ let record t ~slot v =
   let c = t.counts.(slot) in
   let b = bucket_of v in
   c.(b) <- c.(b) + 1;
-  let mi = slot * stride in
+  let mi = Line.slot slot in
   if v > t.maxes.(mi) then t.maxes.(mi) <- v
 
 (** Merged bucket counts (racy snapshot), index = bucket. *)
@@ -97,7 +95,7 @@ let summary t =
   let max_v =
     let acc = ref 0 in
     for s = 0 to t.slots - 1 do
-      let v = t.maxes.(s * stride) in
+      let v = t.maxes.(Line.slot s) in
       if v > !acc then acc := v
     done;
     !acc

@@ -10,32 +10,22 @@
     test in test/test_registry.ml asserts equality with a
     domain-local reference count.
 
-    Cells are strided so concurrent writers of {e different} slots do
-    not false-share; same-slot contention pays the usual RMW price,
-    which is acceptable because every client bump already sits next to
-    a CAS (slot acquisition) on its path. *)
+    Each cell is padded by {!Line.copy_as_padded}, so concurrent writers
+    of {e different} slots do not false-share; same-slot contention pays
+    the usual RMW price, which is acceptable because every client bump
+    already sits next to a CAS (slot acquisition) on its path. *)
 
-type t = { cells : int Atomic.t array; slots : int }
-
-(* 8 pointers per slot: the pointed-to atomic records are allocated
-   back-to-back at create time, so spacing the *used* ones 8 records
-   apart keeps their mutable words on distinct cache lines. *)
-let stride = 8
+(* An [Atomic.t] is a one-field block and every atomic primitive
+   touches field 0 only, so a padded copy is still an atomic. *)
+type t = int Atomic.t array
 
 let create ~slots () =
   if slots <= 0 then invalid_arg "Obsv.Shared_counter.create: slots";
-  { cells = Array.init (slots * stride) (fun _ -> Atomic.make 0); slots }
+  Array.init slots (fun _ -> Line.copy_as_padded (Atomic.make 0))
 
-let slots t = t.slots
-let incr t ~slot = ignore (Atomic.fetch_and_add t.cells.(slot * stride) 1)
-let add t ~slot n = ignore (Atomic.fetch_and_add t.cells.(slot * stride) n)
-let slot_value t ~slot = Atomic.get t.cells.(slot * stride)
-
-let snapshot t = Array.init t.slots (fun i -> Atomic.get t.cells.(i * stride))
-
-let total t =
-  let acc = ref 0 in
-  for i = 0 to t.slots - 1 do
-    acc := !acc + Atomic.get t.cells.(i * stride)
-  done;
-  !acc
+let slots = Array.length
+let incr t ~slot = ignore (Atomic.fetch_and_add t.(slot) 1)
+let add t ~slot n = ignore (Atomic.fetch_and_add t.(slot) n)
+let slot_value t ~slot = Atomic.get t.(slot)
+let snapshot t = Array.map Atomic.get t
+let total t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t

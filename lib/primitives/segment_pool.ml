@@ -107,8 +107,12 @@ module Make (A : Atomic_intf.ATOMIC) = struct
   (* Per-tid storage: free stack + quarantine ring, both tid-local      *)
   (* ------------------------------------------------------------------ *)
 
-  (* Plain mutable single-owner state; a slot is 8 words, a cache
-     line's worth, so adjacent tids' hot words stay apart. [free] is a LIFO
+  (* Plain mutable single-owner state, written on every [alloc] and
+     [release]. Seven fields and a header make 64 bytes, but the heap
+     does not align a record to a line, so two slots made one after
+     the other would share one; each slot is a
+     {!Wfq_obsv.Line.copy_as_padded} copy, and two tids' fields are
+     more than a line apart. [free] is a LIFO
      stack in [free.(0 .. free_len - 1)], top last. Its bottom
      [fresh_len] entries are first-life objects: [carve] fills only an
      empty stack, and every later push lands above them, so the
@@ -163,15 +167,16 @@ module Make (A : Atomic_intf.ATOMIC) = struct
       clock;
       slots =
         Array.init num_threads (fun _ ->
-            {
-              free = [||];
-              free_len = 0;
-              fresh_len = 0;
-              ring = [||];
-              stamps = [||];
-              q_head = 0;
-              quarantine_len = 0;
-            });
+            Wfq_obsv.Line.copy_as_padded
+              {
+                free = [||];
+                free_len = 0;
+                fresh_len = 0;
+                ring = [||];
+                stamps = [||];
+                q_head = 0;
+                quarantine_len = 0;
+              });
       segment_size;
       quarantine;
       fresh_obj = fresh;
@@ -281,6 +286,10 @@ module Make (A : Atomic_intf.ATOMIC) = struct
   (* ------------------------------------------------------------------ *)
   (* Stats (quiescent aggregation)                                     *)
   (* ------------------------------------------------------------------ *)
+
+  (* The seven fields of each tid's [slot]. *)
+  let slot_words t =
+    Array.map (fun s -> List.init 7 (fun i -> (Obj.repr s, i))) t.slots
 
   let sum t f = Array.fold_left (fun acc s -> acc + f s) 0 t.slots
   let reused t = Wfq_obsv.Counter.total t.c_reused

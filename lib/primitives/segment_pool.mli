@@ -107,6 +107,11 @@ module Make (A : Atomic_intf.ATOMIC) : sig
   val pooled : 'a t -> int
   val quarantined : 'a t -> int
 
+  val slot_words : 'a t -> (Obj.t * int) list array
+  (** Per tid, the fields of the tid's free-stack and quarantine
+      bookkeeping, each as a block and a field index, for tests of
+      where they land in the heap. *)
+
   val register_metrics :
     'a t -> Wfq_obsv.Metrics.t -> prefix:string -> unit
   (** Attach the pool's live counters and depth gauges to [metrics]

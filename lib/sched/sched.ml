@@ -106,6 +106,8 @@ module type S = sig
   val fibers_completed : t -> int
   val steal_attempts : t -> int
   val steals_won : t -> int
+  val hot_cells : t -> Obj.t list
+  val tid_words : t -> (Obj.t * int) list array
   val run_queue_depth : t -> int -> int
 
   val register_metrics : t -> Wfq_obsv.Metrics.t -> prefix:string -> unit
@@ -151,7 +153,9 @@ module Make
   type t = {
     workers : int;
     queues : task Q.t array;  (** run-queue [i] is worker [i]'s *)
-    outstanding : int A.t;  (** fibers spawned and not yet completed *)
+    outstanding : int A.t;
+        (** fibers spawned and not yet completed; every spawn and
+            completion on every worker adds to it, so it is padded *)
     (* Always-on single-writer stats, indexed by the executing tid. *)
     spawned : C.t;
     completed : C.t;
@@ -173,7 +177,7 @@ module Make
       queues =
         Array.init num_workers (fun _ ->
             Q.create ~num_threads:num_workers ());
-      outstanding = A.make 0;
+      outstanding = A.make_padded 0;
       spawned = counter ();
       completed = counter ();
       steal_attempts = counter ();
@@ -191,6 +195,16 @@ module Make
   let fibers_completed t = C.total t.completed
   let steal_attempts t = C.total t.steal_attempts
   let steals_won t = C.total t.steals_won
+
+  let hot_cells t = [ Obj.repr t.outstanding ]
+
+  let tid_words t =
+    let counters =
+      [ t.spawned; t.completed; t.steal_attempts; t.steals_won ]
+      @ Array.to_list t.rq_push @ Array.to_list t.rq_take
+    in
+    Array.init t.workers (fun w ->
+        List.map (fun c -> C.slot_word c ~slot:w) counters)
 
   let run_queue_depth t i =
     if i < 0 || i >= t.workers then invalid_arg "Sched.run_queue_depth";

@@ -148,6 +148,14 @@ module type S = sig
   val steals_won : t -> int
   (** Tasks obtained from another worker's queue. *)
 
+  val hot_cells : t -> Obj.t list
+  (** The fiber count every worker adds to, for tests of where it lands
+      in the heap. *)
+
+  val tid_words : t -> (Obj.t * int) list array
+  (** Per worker, the counter slots only that worker writes, each as a
+      block and a field index, for the same tests. *)
+
   val run_queue_depth : t -> int -> int
   (** Approximate depth of one run-queue, from the push/take counters.
       Raises [Invalid_argument] for an out-of-range index. *)

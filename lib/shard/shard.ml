@@ -14,9 +14,10 @@
     therefore [Wfq_obsv.Counter] cells — per-tid single-writer padded
     plain ints, one counter per shard (exact at quiescence, no shared
     cache line, no RMW) — and the approximate size counters that drive
-    [Length_aware] are maintained only under that policy. The size
-    counters use [Stdlib.Atomic] rather than the [A] functor argument
-    deliberately: they never affect correctness, and keeping them (and
+    [Length_aware] are maintained only under that policy, each in a
+    padded cell of its own. The size counters use [Stdlib.Atomic]
+    rather than the [A] functor argument deliberately: they never
+    affect correctness, and keeping them (and
     the obsv cells) off the simulated-atomic plane means model checking
     explores only algorithm-relevant interleavings.
 
@@ -40,6 +41,7 @@ type shard_stats = {
 }
 
 module Qi = Wfq_core.Queue_intf
+module Line = Wfq_obsv.Line
 
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   (* Per-shard queue: any {!Wfq_core.Queue_intf.instance} — all
@@ -69,7 +71,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
        even between operations (two plain stores per op). The explicit
        quiescence witness for [check_quiescent_invariants]. *)
     op_seq : Wfq_obsv.Counter.t;
-    (* Single-writer probe slots, indexed by tid. *)
+    (* Single-writer probe slots, one {!Line} slot per tid: every
+       operation stores its tid's shard. *)
     last_enq_shard : int array;
     last_deq_shard : int array;
     (* Backend batch operations performed by the tid's most recent
@@ -115,16 +118,17 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       enq_ticket = A.make_padded 0;
       deq_ticket = A.make_padded 0;
       track_sizes = policy = Length_aware;
-      sizes = Array.init shards (fun _ -> Atomic.make 0);
+      sizes =
+        Array.init shards (fun _ -> Wfq_primitives.Real_atomic.make_padded 0);
       s_enq = per_shard_tids ();
       s_deq = per_shard_tids ();
       s_steal = per_shard_tids ();
       s_sweep = per_shard_tids ();
       op_seq = Wfq_obsv.Counter.create ~slots:num_threads ();
-      last_enq_shard = Array.make num_threads (-1);
-      last_deq_shard = Array.make num_threads (-1);
-      last_enq_batch_calls = Array.make num_threads 0;
-      last_deq_batch_calls = Array.make num_threads 0;
+      last_enq_shard = Line.ints num_threads (-1);
+      last_deq_shard = Line.ints num_threads (-1);
+      last_enq_batch_calls = Line.ints num_threads 0;
+      last_deq_batch_calls = Line.ints num_threads 0;
     }
 
   let create_strict ~num_threads () = create ~shards:1 ~num_threads ()
@@ -171,7 +175,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     t.shards.(s).Qi.enq ~tid v;
     if t.track_sizes then Atomic.incr t.sizes.(s);
     Wfq_obsv.Counter.incr t.s_enq.(s) ~slot:tid;
-    t.last_enq_shard.(tid) <- s
+    t.last_enq_shard.(Line.slot tid) <- s
 
   let enqueue t ~tid v =
     seq_enter t ~tid;
@@ -182,23 +186,24 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      counters bumped by the batch size. *)
   let enqueue_batch_to t ~tid s vs ~k =
     t.shards.(s).Qi.enq_batch ~tid vs;
-    t.last_enq_batch_calls.(tid) <- t.last_enq_batch_calls.(tid) + 1;
+    let w = Line.slot tid in
+    t.last_enq_batch_calls.(w) <- t.last_enq_batch_calls.(w) + 1;
     if t.track_sizes then ignore (Atomic.fetch_and_add t.sizes.(s) k : int);
     Wfq_obsv.Counter.add t.s_enq.(s) ~slot:tid k;
-    t.last_enq_shard.(tid) <- s
+    t.last_enq_shard.(Line.slot tid) <- s
 
   (* Account a successful dequeue served by shard [s]. *)
   let took t ~tid ~stolen s =
     if t.track_sizes then Atomic.decr t.sizes.(s);
     Wfq_obsv.Counter.incr t.s_deq.(s) ~slot:tid;
     if stolen then Wfq_obsv.Counter.incr t.s_steal.(s) ~slot:tid;
-    t.last_deq_shard.(tid) <- s
+    t.last_deq_shard.(Line.slot tid) <- s
 
   let took_batch t ~tid ~stolen s ~k =
     if t.track_sizes then ignore (Atomic.fetch_and_add t.sizes.(s) (-k) : int);
     Wfq_obsv.Counter.add t.s_deq.(s) ~slot:tid k;
     if stolen then Wfq_obsv.Counter.add t.s_steal.(s) ~slot:tid k;
-    t.last_deq_shard.(tid) <- s
+    t.last_deq_shard.(Line.slot tid) <- s
 
   (* Steal visits pre-check [is_empty] (two atomic reads) before paying
      for a full KP dequeue — with many shards most swept shards are
@@ -211,7 +216,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let rec sweep t ~tid s0 i =
     if i = t.n then begin
       Wfq_obsv.Counter.incr t.s_sweep.(s0) ~slot:tid;
-      t.last_deq_shard.(tid) <- -1;
+      t.last_deq_shard.(Line.slot tid) <- -1;
       None
     end
     else
@@ -258,11 +263,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     | [] -> ()
     | vs ->
         seq_enter t ~tid;
-        t.last_enq_batch_calls.(tid) <- 0;
+        t.last_enq_batch_calls.(Line.slot tid) <- 0;
         (match vs with
         | [ v ] ->
             enqueue_to t ~tid (start_enq t ~tid) v;
-            t.last_enq_batch_calls.(tid) <- 1
+            t.last_enq_batch_calls.(Line.slot tid) <- 1
         | vs -> (
             let k = List.length vs in
             match t.policy with
@@ -295,7 +300,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let dequeue_batch t ~tid ~n =
     if n < 0 then invalid_arg "Shard.dequeue_batch: n";
     seq_enter t ~tid;
-    t.last_deq_batch_calls.(tid) <- 0;
+    t.last_deq_batch_calls.(Line.slot tid) <- 0;
     let s0 = start_deq t ~tid in
     (* One backend-native batch dequeue per shard visited, asking for
        the whole remaining want: the backend returns short only when it
@@ -311,7 +316,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         if i > 0 && t.shards.(s).Qi.empty () then go acc got (i + 1)
         else
           let xs = t.shards.(s).Qi.deq_batch ~tid ~n:(n - got) in
-          t.last_deq_batch_calls.(tid) <- t.last_deq_batch_calls.(tid) + 1;
+          let w = Line.slot tid in
+          t.last_deq_batch_calls.(w) <- t.last_deq_batch_calls.(w) + 1;
           let k = List.length xs in
           if k > 0 then took_batch t ~tid ~stolen:(i > 0) s ~k;
           go (xs :: acc) (got + k) (i + 1)
@@ -319,7 +325,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let out = List.concat (List.rev (go [] 0 0)) in
     if out = [] && n > 0 then begin
       Wfq_obsv.Counter.incr t.s_sweep.(s0) ~slot:tid;
-      t.last_deq_shard.(tid) <- -1
+      t.last_deq_shard.(Line.slot tid) <- -1
     end;
     seq_exit t ~tid;
     out
@@ -382,10 +388,19 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (* --- probes ----------------------------------------------------- *)
 
-  let last_enqueue_shard t ~tid = t.last_enq_shard.(tid)
-  let last_dequeue_shard t ~tid = t.last_deq_shard.(tid)
-  let last_enqueue_batch_calls t ~tid = t.last_enq_batch_calls.(tid)
-  let last_dequeue_batch_calls t ~tid = t.last_deq_batch_calls.(tid)
+  let last_enqueue_shard t ~tid = t.last_enq_shard.(Line.slot tid)
+  let last_dequeue_shard t ~tid = t.last_deq_shard.(Line.slot tid)
+  let last_enqueue_batch_calls t ~tid = t.last_enq_batch_calls.(Line.slot tid)
+  let last_dequeue_batch_calls t ~tid = t.last_deq_batch_calls.(Line.slot tid)
+
+  let tid_words t =
+    Array.init (Line.slots t.last_enq_shard) (fun tid ->
+        List.map
+          (fun a -> (Obj.repr a, Line.slot tid))
+          [ t.last_enq_shard; t.last_deq_shard; t.last_enq_batch_calls;
+            t.last_deq_batch_calls ])
+
+  let size_cells t = List.map Obj.repr (Array.to_list t.sizes)
 
   let in_flight t =
     Array.exists

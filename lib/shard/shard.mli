@@ -197,6 +197,15 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
       [dequeue_batch] — at most [N] by the single-lap cost contract
       (steal visits pre-checked empty are skipped and not counted). *)
 
+  val tid_words : 'a t -> (Obj.t * int) list array
+  (** Per tid, the plain probe words only that tid writes (its last
+      shards and batch-call counts), each as a block and a field index,
+      for tests of where they land in the heap. *)
+
+  val size_cells : 'a t -> Obj.t list
+  (** The per-shard size cells of [Length_aware], for the same
+      tests. *)
+
   val in_flight : 'a t -> bool
   (** Whether any thread's operation-sequence cell is currently odd,
       i.e. some operation is observed mid-flight. Racy (a snapshot);

@@ -276,6 +276,132 @@ let test_hot_cells_apart () =
   check_apart "pool clock"
     (List.combine [ "global"; "local 0"; "local 1" ] (Pool.Clock.cells clock))
 
+(* Plain words that one domain writes on an operation path. A word is
+   a block and a field index, at the block's address plus 8 bytes a
+   field; [words] gives each a name and its writer. *)
+let word_address (block, i) = address block + (8 * i)
+
+(* Two writers' words at least a cache line apart. *)
+let check_words what words =
+  Gc.full_major ();
+  let a =
+    Array.of_list
+      (List.map (fun (name, writer, w) -> (name, writer, word_address w)) words)
+  in
+  Array.iteri
+    (fun i (ni, wi, ai) ->
+      Array.iteri
+        (fun j (nj, wj, aj) ->
+          if i < j && wi <> wj then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s and %s %d bytes apart" what ni nj
+                 (abs (ai - aj)))
+              true
+              (abs (ai - aj) >= 64))
+        a)
+    a
+
+(* Every word of an array a cache line past the array's header, so the
+   block the heap placed before the array cannot share its line. *)
+let check_headers what words =
+  Gc.full_major ();
+  List.iter
+    (fun (name, _, ((block, _) as w)) ->
+      let d = word_address w - (address block - 8) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s %d bytes past its header" what name d)
+        true (d >= 64))
+    words
+
+(* A probe's per-tid words, named [field tid] and written by [tid]. *)
+let per_tid fields probe =
+  List.concat
+    (Array.to_list
+       (Array.mapi
+          (fun tid ws ->
+            List.map2
+              (fun f w -> (Printf.sprintf "%s %d" f tid, tid, w))
+              fields ws)
+          probe))
+
+module Shard = Wfq_shard.Shard.Make (A)
+module Hazard = Wfq_hazard.Hazard.Make (A)
+
+module Sched =
+  Wfq_sched.Sched.Make (A)
+    (Wfq_sched.Sched.Rq_of ((val Wfq_core.Backends.find "kp-opt12")) (A))
+
+let test_tid_words_apart () =
+  let kp =
+    Kp.create_with ~help:Wfq_core.Kp_queue.Help_one_cyclic
+      ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads:2 ()
+  in
+  Kp.enqueue kp ~tid:0 1;
+  ignore (Kp.dequeue kp ~tid:1);
+  let cursors = per_tid [ "cursor" ] (Kp.tid_words kp) in
+  check_words "kp-opt12" cursors;
+  check_headers "kp-opt12" cursors;
+  let ring = Ring.create ~num_threads:2 () in
+  let cursors = per_tid [ "cursor" ] (Ring.Probe.tid_words ring) in
+  check_words "ring" cursors;
+  check_headers "ring" cursors;
+  let shard =
+    Shard.create ~policy:Wfq_shard.Shard.Length_aware ~shards:2 ~num_threads:2
+      ()
+  in
+  Shard.enqueue shard ~tid:0 1;
+  ignore (Shard.dequeue shard ~tid:1);
+  let probes =
+    per_tid
+      [ "last enq shard"; "last deq shard"; "last enq batch calls";
+        "last deq batch calls" ]
+      (Shard.tid_words shard)
+  in
+  let sizes =
+    List.mapi
+      (fun s c -> (Printf.sprintf "size %d" s, -1 - s, (c, 0)))
+      (Shard.size_cells shard)
+  in
+  check_words "shard" (probes @ sizes);
+  check_headers "shard" probes;
+  let clock = Pool.Clock.create ~num_threads:2 in
+  let pool =
+    Pool.create ~clock ~num_threads:2 ~fresh:(fun () -> ref 0)
+      ~reset:ignore ()
+  in
+  Pool.release pool ~tid:0 (Pool.alloc pool ~tid:1);
+  check_words "pool"
+    (per_tid
+       [ "free"; "free_len"; "fresh_len"; "ring"; "stamps"; "q_head";
+         "quarantine_len" ]
+       (Pool.slot_words pool));
+  let hazard =
+    Hazard.create ~nil:(ref 0) ~num_threads:2 ~slots_per_thread:2
+      ~free:(fun ~tid:_ _ -> ())
+      ()
+  in
+  check_words "hazard"
+    (per_tid
+       [ "slots"; "retired"; "retired_count"; "freed_total"; "retired_total";
+         "hazard slot 0"; "hazard slot 1" ]
+       (Hazard.tid_words hazard));
+  let sched = Sched.create ~num_workers:2 () in
+  let counters =
+    List.concat
+      (Array.to_list
+         (Array.mapi
+            (fun w ws ->
+              List.mapi
+                (fun k c -> (Printf.sprintf "counter %d of worker %d" k w, w, c))
+                ws)
+            (Sched.tid_words sched)))
+  in
+  let outstanding =
+    List.map (fun c -> ("outstanding", -1, (c, 0))) (Sched.hot_cells sched)
+  in
+  check_words "sched" (outstanding @ counters);
+  check_headers "sched" counters
+
 (* ------------------------ embed / first ------------------------- *)
 
 (* A record that is its own cell: [c], an embedded cell of any plane,
@@ -620,6 +746,8 @@ let () =
           Alcotest.test_case "a cache line apart" `Quick test_padded_apart;
           Alcotest.test_case "hot queue cells a cache line apart" `Quick
             test_hot_cells_apart;
+          Alcotest.test_case "per-tid plain words a cache line apart"
+            `Quick test_tid_words_apart;
         ] );
       ( "embed/first",
         [
