@@ -244,7 +244,6 @@ let () =
          (PPoPP 2011)."
   in
   exit
-    (Cmd.eval
-       (Cmd.group ~default info
-          (List.map suite_cmd S.table
-          @ [ sched_cmd; openloop_cmd; stats_cmd; check_cmd ])))
+    (Cli.eval_group ~default info
+       (List.map suite_cmd S.table
+       @ [ sched_cmd; openloop_cmd; stats_cmd; check_cmd ]))

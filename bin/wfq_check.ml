@@ -652,6 +652,5 @@ let () =
       ~doc:"Model checking for the wait-free queue reproduction."
   in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ dpor_cmd; explore_cmd; fuzz_cmd; stall_cmd; steps_cmd ]))
+    (Cli.eval_group info
+       [ dpor_cmd; explore_cmd; fuzz_cmd; stall_cmd; steps_cmd ])

@@ -227,7 +227,9 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let create ~who ?(pool = false) ?pool_segment ?(pool_quarantine = true)
       ?(hazards = false) ?scan_threshold ?obsv ?fault ~help ~phase
       ~num_threads () =
-    if num_threads <= 0 then invalid_arg (who ^ ".create: num_threads");
+    (* Every tid must fit the nodes' claim word. *)
+    if num_threads <= 0 || num_threads > N.max_threads then
+      invalid_arg (who ^ ".create: num_threads");
     assert ((not hazards) || (pool && not pool_quarantine));
     (match pool_segment with
     | Some k when k <= 0 ->
@@ -327,7 +329,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     | Some p ->
         let n = Pool.alloc p.nodes ~tid:self in
         n.N.value <- value;
-        n.N.enq_tid <- enq_tid;
+        N.set_enq_tid n enq_tid;
         n
     | None -> make_node ~nil:t.idle_node ~enq_tid value
 
@@ -498,7 +500,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       let next = A.get (link last) in
       protect_next t ~self next;
       if next != t.idle_node then begin
-        let tid = next.enq_tid in
+        let tid = N.enq_tid next in
         if tid = no_tid then ignore (A.compare_and_set t.tail last next)
         else begin
           (* L89: only real enqueued nodes ever follow [tail]. *)

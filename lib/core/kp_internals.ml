@@ -2,17 +2,18 @@
     queue family ([Kp_queue], [Kp_queue_fps], [Kp_queue_hp]).
 
     Paper Figure 1, lines 1-12: a singly-linked list of nodes behind a
-    sentinel. A node is the paper's four fields and nothing else:
-    [next], [value], [enq_tid], and [deq_tid], which is contended,
-    hence atomic (L5). Both atomic fields are embedded ([A.embedded]),
-    so a node is one 5-word block. The node is its own [next] cell:
-    [next] is field 0, and every access to it goes through [link]
-    ([A.first]). [deq_tid] is the int field 3, and every access to it
-    goes through [claim_word], [try_claim] and [recycle]
+    sentinel. A node holds the paper's four fields in three words:
+    [next], [value], and one int word, [claim], that packs [enq_tid]
+    with [deq_tid], the contended field (L5), and the node's
+    incarnation. Both atomic fields are embedded ([A.embedded]), so a
+    node is one 4-word block. The node is its own [next] cell: [next]
+    is field 0, and every access to it goes through [link] ([A.first]).
+    [claim] is the int field 2, and every access to it goes through
+    [claim_word], [try_claim], [enq_tid], [set_enq_tid] and [recycle]
     ([A.get_int_field] and its kin). Neither is ever read as a plain
-    field. The lock-free baseline's node ([Ms_queue]) is 3 words, and
-    the difference is [enq_tid] and [deq_tid], the paper's "two extra
-    fields" (Fig. 10).
+    field. The lock-free baseline's node ([Ms_queue]) is 3 words; the
+    paper's "two extra fields" (Fig. 10), [enq_tid] and [deq_tid],
+    cost this node one word between them.
 
     [value] is unboxed. A node that never held an element (nil, the
     first sentinel) or was recycled holds {!no_value} instead, so an
@@ -25,18 +26,25 @@
     descriptor to finish — only [tail] to advance. Slow-path (and all
     base-KP) nodes carry the enqueuer's real tid.
 
-    To support node recycling ([Segment_pool]) the once-written fields
-    ([value], [enq_tid]) are mutable — still written only by the
-    allocating enqueuer before the node is published — and [deq_tid]
-    holds an {e epoch-tagged} word ([Counted_atomic.Epoch]): payload =
-    the claiming tid (or [no_tid]), epoch = the node's incarnation.
-    Epoch 0 packs to the raw value, so unpooled queues (which never
-    recycle and stay at epoch 0) see exactly the historical
-    representation. [recycle] bumps the incarnation, which is what
-    makes a stalled helper's claim CAS on a recycled node fail instead
-    of ABA-claiming the new incarnation. The pool keeps its free stacks
-    and quarantines in arrays of its own, so a pooled node carries no
-    field for it.
+    The claim word is a [Counted_atomic.Epoch] word. Its payload is
+    [deq_tid]: the claiming tid, or [no_tid]. Its epoch field holds
+    [enq_tid + 1] in the low {!tid_bits} bits and the incarnation above
+    them ({!word}). [Epoch.value] and [Epoch.with_value] keep the whole
+    epoch field, so a claim CAS leaves [enq_tid] and the incarnation as
+    they were, and it compares all three at once. [enq_tid] is written
+    only before the node is published ([make_node], [set_enq_tid]) and
+    never changes while it is on the list, so it is read with a plain
+    load ([A.peek_int_field]) that is no simulator step. Nil and a
+    fresh blank node pack to the raw [no_tid]; a node with an enqueuer
+    does not.
+
+    To support node recycling ([Segment_pool]) [value] is mutable, still
+    written only by the allocating enqueuer before the node is
+    published. [recycle] bumps the incarnation and clears both tids,
+    which is what makes a stalled helper's claim CAS on a recycled node
+    fail instead of ABA-claiming the new incarnation. The pool keeps
+    its free stacks and quarantines in arrays of its own, so a pooled
+    node carries no field for it.
 
     There is no [None] node. Each queue makes one node that is never on
     the list, its {e nil} ([make_nil]): a [next] holding nil means
@@ -71,42 +79,76 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   type 'a node = {
     mutable next : 'a node A.embedded; (* field 0, only through [link] *)
     mutable value : 'a; (* [no_value] when the node holds no element *)
-    mutable enq_tid : int;
-    mutable deq_tid : int A.embedded; (* field 3, only via the claim helpers *)
+    mutable claim : int A.embedded; (* field 2, only via the claim helpers *)
   }
 
-  (* [deq_tid]'s position in the record, for the int-field atomics. *)
-  let deq_tid_field = 3
+  (* [claim]'s position in the record, for the int-field atomics. *)
+  let claim_field = 2
 
   (** The node's [next] cell: the node itself, read as a cell. *)
   let link : 'a node -> 'a node A.t = A.first
 
   (** [enq_tid] of the sentinel and of fast-path nodes; also the
-      unclaimed payload of every [deq_tid]. *)
+      unclaimed [deq_tid]. *)
   let no_tid = -1
+
+  (* ------------------------------------------------------------------ *)
+  (* The claim word: incarnation, [enq_tid] and [deq_tid] in one int    *)
+  (* ------------------------------------------------------------------ *)
+
+  (** Width of the [enq_tid + 1] field at the bottom of the claim
+      word's epoch. The incarnation gets the rest of the epoch's bits:
+      [63 - Epoch.bits - tid_bits = 31]. *)
+  let tid_bits = 12
+
+  let tid_mask = (1 lsl tid_bits) - 1
+
+  (** The largest [num_threads] whose tids fit the claim word: [enq_tid
+      + 1 <= num_threads] in {!tid_bits} bits, and the fast path's
+      [deq_tid], up to [2 * num_threads - 1], in [Epoch]'s payload. *)
+  let max_threads = min tid_mask ((Epoch.max_value + 1) / 2)
+
+  (** The unclaimed claim word of incarnation [incarnation] whose
+      enqueuer is [enq_tid]. Arithmetic wraps, so the incarnation
+      counts modulo [2^31]. *)
+  let word ~incarnation ~enq_tid =
+    Epoch.pack ~epoch:((incarnation lsl tid_bits) lor (enq_tid + 1)) no_tid
+
+  let incarnation_of w = Epoch.epoch w asr tid_bits
+  let enq_tid_of w = (Epoch.epoch w land tid_mask) - 1
 
   (* The queue's nil: its [next] cell holds nil itself.
      [A.embed_cyclic] closes the loop before the node is shared, so it
      is no step of the simulator. *)
   let make_nil () =
-    let deq_tid = A.embed no_tid in
-    A.embed_cyclic (fun next ->
-        { next; value = no_value; enq_tid = no_tid; deq_tid })
+    let claim = A.embed no_tid in
+    A.embed_cyclic (fun next -> { next; value = no_value; claim })
 
   (* A fresh node whose [next] is [nil]; the first sentinel is one with
      [no_value]. *)
   let make_node ~nil ~enq_tid value =
     let next = A.embed nil in
-    let deq_tid = A.embed no_tid in
-    { next; value; enq_tid; deq_tid }
+    let claim = A.embed (word ~incarnation:0 ~enq_tid) in
+    { next; value; claim }
+
+  (** [node]'s enqueuer, or [no_tid] for a blank or fast-path node. A
+      plain read: the bits are written only before publication. *)
+  let enq_tid node = enq_tid_of (A.peek_int_field node claim_field)
+
+  (** Set the enqueuer of a node that is not yet published: a fresh or
+      recycled node, so it is unclaimed. *)
+  let set_enq_tid node enq_tid =
+    let w = A.peek_int_field node claim_field in
+    A.init_int_field node claim_field
+      (word ~incarnation:(incarnation_of w) ~enq_tid)
 
   (* ------------------------------------------------------------------ *)
   (* Epoch-tagged claim protocol                                        *)
   (* ------------------------------------------------------------------ *)
 
   (** [node]'s claim word: the claiming tid (or [no_tid]) tagged with
-      the node's incarnation. *)
-  let claim_word node = A.get_int_field node deq_tid_field
+      the node's incarnation and enqueuer. *)
+  let claim_word node = A.get_int_field node claim_field
 
   (** The claiming tid of [node] (or [no_tid]), stripped of its epoch. *)
   let claimed_tid node = Epoch.value (claim_word node)
@@ -123,28 +165,27 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       model intact. *)
   let try_claim node ~observed ~tid =
     Epoch.value observed = no_tid
-    && A.cas_int_field node deq_tid_field observed
+    && A.cas_int_field node claim_field observed
          (Epoch.with_value observed tid)
 
-  (** Reset a node for its next life: clear the payload fields and bump
-      [deq_tid] to the next incarnation's unclaimed word. Called from
-      the pool's [reset] with the node quiescent (quarantine has proven
-      no thread still holds a reference). *)
+  (** Reset a node for its next life: clear [value], both tids and
+      [next], and bump the incarnation. Called from the pool's [reset]
+      with the node quiescent (quarantine has proven no thread still
+      holds a reference). *)
   let recycle ~nil node =
     node.value <- no_value;
-    node.enq_tid <- no_tid;
     A.set (link node) nil;
-    A.set_int_field node deq_tid_field
-      (Epoch.next_incarnation (claim_word node))
+    A.set_int_field node claim_field
+      (word ~incarnation:(incarnation_of (claim_word node) + 1)
+         ~enq_tid:no_tid)
 
   (** Recycle {e without} bumping the incarnation — the seeded fault for
       the DPOR calibration scenario ([Untagged_pool_claim]): with the
       tag gone, a stalled helper's claim CAS can ABA a recycled node. *)
   let recycle_untagged ~nil node =
     node.value <- no_value;
-    node.enq_tid <- no_tid;
     A.set (link node) nil;
-    A.set_int_field node deq_tid_field no_tid
+    A.set_int_field node claim_field no_tid
 
   (* ------------------------------------------------------------------ *)
   (* Quiescent list observers, shared verbatim by every variant.        *)

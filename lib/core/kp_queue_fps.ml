@@ -193,13 +193,14 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (* A fast-path node: [enq_tid = no_tid], telling helpers there is no
      descriptor to wait for (were it to carry a real tid, a slow-path
-     helper would wait forever for a descriptor never published). *)
+     helper would wait forever for a descriptor never published). A
+     pooled node comes back from [recycle] with [enq_tid = no_tid]
+     already. *)
   let alloc_node t ~tid value =
     match t.pools with
     | Some p ->
         let n = Pool.alloc p.nodes ~tid in
         n.N.value <- value;
-        n.N.enq_tid <- no_tid;
         n
     | None -> make_node ~nil:t.nil ~enq_tid:no_tid value
 
@@ -251,7 +252,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      nodes keep the marker harmlessly. *)
   let slow_enqueue t ~tid first last =
     let phase = slow_enter t ~tid in
-    first.N.enq_tid <- tid;
+    N.set_enq_tid first tid;
     H.enqueue_published t.h ~tid ~phase first last;
     slow_exit t
 
@@ -623,8 +624,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       (let n = A.get (link tail) in
        if n == t.nil then "nil"
        else
-         Printf.sprintf "%d (enq_tid=%d, deq_tid=%d)" (node_id n) n.enq_tid
-           (N.claimed_tid n));
+         Printf.sprintf "%d (enq_tid=%d, deq_tid=%d)" (node_id n)
+           (N.enq_tid n) (N.claimed_tid n));
     Printf.printf "head==tail: %b; slow_pending=%d\n" (head == tail)
       (A.get t.slow_pending);
     Array.iteri
@@ -641,7 +642,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let rec walk i n =
       if i < 8 then begin
         Printf.printf "  list[%d]: node %d enq_tid=%d deq_tid=%d%s%s\n" i
-          (node_id n) n.enq_tid (N.claimed_tid n)
+          (node_id n) (N.enq_tid n) (N.claimed_tid n)
           (if n == head then " <-head" else "")
           (if n == tail then " <-tail" else "");
         let nx = A.get (link n) in

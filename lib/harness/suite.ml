@@ -474,15 +474,16 @@ let pooled_below b =
              pw x w))
     (points b "words_per_op:WF fps")
 
-(* Unpooled opt WF (1+2) allocates 26 words/op on one domain (23 per
-   enqueue: the 5-word node and two 9-word descriptors; 29 per dequeue:
+(* Unpooled opt WF (1+2) allocates 25.5 words/op on one domain (22 per
+   enqueue: the 4-word node and two 9-word descriptors; 29 per dequeue:
    three descriptors and the returned [Some]) and at most 26.9 at any
    width. The limit is that maximum plus a word, rounded up. The pool's
    link and stamp back in every node and descriptor would put it at 32,
    and a self-referential [let rec] per record, which costs a second
    copy of it, at over 50, so 28 or more at any width means one of them
-   has come back. (A [deq_tid] cell back in the node adds 1 word/op,
-   inside the limit; [test_op_profile]'s exact pins catch that.) *)
+   has come back. (An [enq_tid] field or a [deq_tid] cell back in the
+   node adds 0.5 or 1 word/op, inside the limit; [test_op_profile]'s
+   exact pins catch those.) *)
 let kp_words_limit = 28.0
 
 let kp_words b =

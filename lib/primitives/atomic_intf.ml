@@ -70,6 +70,19 @@ module type ATOMIC = sig
   (** [cas_int_field r i expected desired]: {!compare_and_set} on
       field [i]. *)
 
+  val peek_int_field : 'r -> int -> int
+  (** [peek_int_field r i] is a plain read of the [int embedded] field
+      [i]: no barrier, no scheduling point, no counted access. Only for
+      bits of the word that no access changes while [r] is shared, so
+      that any write the reader can race with leaves them as they
+      were. *)
+
+  val init_int_field : 'r -> int -> int -> unit
+  (** [init_int_field r i v] is a plain write of the [int embedded]
+      field [i], for a record no other thread can reach yet: its
+      publication orders the write. Like {!peek_int_field}, no
+      scheduling point and no counted access. *)
+
   val get : 'a t -> 'a
   (** Atomic read. *)
 

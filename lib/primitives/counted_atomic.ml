@@ -45,7 +45,9 @@ module Epoch = struct
      at once. Used by the node pools ([Segment_pool]): a recycled node's
      claim word carries the next incarnation's epoch, so a stalled
      helper's CAS — expecting the previous incarnation's packed word —
-     fails instead of ABA-claiming the fresh incarnation.
+     fails instead of ABA-claiming the fresh incarnation. The KP node
+     ([Kp_internals]) also keeps its [enq_tid] in the low bits of the
+     epoch, which [with_value] carries along.
 
      Layout: [epoch lsl bits + value]. Epoch 0 packs to the raw value,
      so untagged code and tagged code agree on the initial state
@@ -65,10 +67,6 @@ module Epoch = struct
   let value p = ((p + 1) land ((1 lsl bits) - 1)) - 1
 
   let with_value p v = pack ~epoch:(epoch p) v
-
-  (** The unclaimed word of the next incarnation: bump the epoch, reset
-      the payload to -1. Applied when a pooled node is recycled. *)
-  let next_incarnation p = pack ~epoch:(epoch p + 1) (-1)
 end
 
 module Make (Base : Atomic_intf.ATOMIC) = struct
@@ -120,6 +118,10 @@ module Make (Base : Atomic_intf.ATOMIC) = struct
     let ok = Base.cas_int_field r i expected desired in
     if ok then incr cas_success else incr cas_failure;
     ok
+
+  (* Plain accesses are not shared-memory operations: not counted. *)
+  let peek_int_field = Base.peek_int_field
+  let init_int_field = Base.init_int_field
 
   let get c =
     incr reads;

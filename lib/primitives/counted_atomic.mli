@@ -42,9 +42,6 @@ module Epoch : sig
 
   val with_value : int -> int -> int
   (** [with_value p v]: [p]'s epoch, payload [v]. *)
-
-  val next_incarnation : int -> int
-  (** Bump the epoch and reset the payload to -1 (unclaimed). *)
 end
 
 module Make (Base : Atomic_intf.ATOMIC) : sig

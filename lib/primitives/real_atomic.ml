@@ -56,6 +56,11 @@ external cas_int_field : 'r -> int -> int -> int -> bool
   = "wfq_atomic_field_cas"
 [@@noalloc]
 
+(* Read as an [int array], the field is a plain load or store of an
+   immediate: no barrier, and no [caml_modify]. *)
+let peek_int_field r i = Array.unsafe_get (Obj.magic r : int array) i
+let init_int_field r i v = Array.unsafe_set (Obj.magic r : int array) i v
+
 let get = Atomic.get
 let set = Atomic.set
 let compare_and_set = Atomic.compare_and_set

@@ -73,6 +73,11 @@ let set_int_field r i v = set (field_cell r i) v
 let cas_int_field r i expected desired =
   compare_and_set (field_cell r i) expected desired
 
+(* The plain accesses touch the cell's contents without yielding: no
+   scheduling point, so no step and no access for [Dpor]. *)
+let peek_int_field r i = (field_cell r i).contents
+let init_int_field r i v = (field_cell r i).contents <- v
+
 let exchange r v =
   Scheduler.yield_access { Scheduler.loc = r.loc; kind = Scheduler.Rmw };
   let old = r.contents in

@@ -290,6 +290,33 @@ let test_committed_files_valid () =
                (S.of_json (Json.read_file (Filename.concat dir f)))))
     files
 
+(* Fig. 10's points count the words reachable from a built queue, so
+   they are exact: the committed ones must equal a fresh run of the
+   fig10 suite at the committed sizes. A change to a node, a descriptor
+   or a queue's fixed state moves them, and fails here until
+   BENCH_figures.json's fig10 series are re-measured. *)
+let test_committed_fig10_current () =
+  let dir = Filename.dirname (Filename.dirname Sys.executable_name) in
+  let committed =
+    S.of_json (Json.read_file (Filename.concat dir "BENCH_figures.json"))
+  in
+  let sizes = [ 1; 100 ] in
+  let fresh = run_suite "fig10" { S.quick with sizes } in
+  Alcotest.(check int) "two rows" 2 (List.length fresh);
+  List.iter
+    (fun (s : R.series) ->
+      let label = "fig10:" ^ s.label in
+      match
+        List.find_opt
+          (fun (c : R.series) -> c.label = label)
+          committed.S.series
+      with
+      | None -> Alcotest.failf "BENCH_figures.json has no %s" label
+      | Some c ->
+          Alcotest.(check (list (pair (float 0.0) (float 1e-6))))
+            (label ^ " as committed") c.points s.points)
+    fresh
+
 let cert_ps = [ 2.; 4.; 8.; 16.; 32.; 64.; 128. ]
 
 (* A valid file of [file]'s suite: every expected label over its axis
@@ -523,5 +550,7 @@ let () =
           Alcotest.test_case "sched guard" `Quick test_sched_guard;
           Alcotest.test_case "open-loop guards" `Quick test_open_loop_guards;
           Alcotest.test_case "polylog guard" `Quick test_polylog_guard;
+          Alcotest.test_case "committed fig10 points current" `Quick
+            test_committed_fig10_current;
         ] );
     ]

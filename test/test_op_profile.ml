@@ -220,19 +220,20 @@ let check_promoted name a =
     (a.promoted_per_pair < 0.1)
 
 let test_kp_opt12_alloc () =
-  (* Enqueue: the node, 5 words (header, [next] in field 0, [value],
-     [enq_tid], and the claim word [deq_tid] in field 3; the element is
-     unboxed), and two descriptors of 9. Dequeue: three descriptors
-     (27) and the [Some] it returns (2). [deq_tid] in a 2-word cell of
-     its own would add that cell and the pointer to it, 2 words to the
-     enqueue. [next] and a descriptor's node hold nodes, never option
+  (* Enqueue: the node, 4 words (header, [next] in field 0, [value],
+     and the claim word in field 2, which packs [enq_tid], [deq_tid]
+     and the incarnation; the element is unboxed), and two descriptors
+     of 9. Dequeue: three descriptors (27) and the [Some] it returns
+     (2). [enq_tid] in a field of its own would add a word to the
+     enqueue; [deq_tid] in a 2-word cell of its own, that cell and the
+     pointer to it, 2 words. [next] and a descriptor's node hold nodes, never option
      boxes: a box per append or per stage-1 descriptor would add 2
      words to each. Pool fields in the node and the descriptor would
      add 2 words to each record. A per-node or per-descriptor [let rec]
      would add a second copy of each record; a dequeued sentinel that
      is not self-linked would promote every node. *)
   let a = backend_probe "kp-opt12" in
-  Alcotest.(check int) "enqueue words" 23 a.enq_words;
+  Alcotest.(check int) "enqueue words" 22 a.enq_words;
   Alcotest.(check int) "dequeue words" 29 a.deq_words;
   check_promoted "kp-opt12" a
 
@@ -259,26 +260,27 @@ let backend_live_words id =
     ~enqueue:(fun q v -> q.Wfq_core.Queue_intf.enq ~tid:0 v)
 
 let test_kp_opt12_live_words () =
-  (* A queued element costs its node and nothing else: 5 words (see
-     above), the lock-free node's 3 plus [enq_tid] and [deq_tid], the
-     paper's two extra fields. With [deq_tid] in a cell of its own it
-     was 7; with [next] in one too, 9; a boxed element made that 11,
-     pool fields 13, a boxed [next] 15. *)
-  Alcotest.(check int) "live words per element" 5
+  (* A queued element costs its node and nothing else: 4 words (see
+     above), the lock-free node's 3 plus the one claim word that holds
+     [enq_tid] and [deq_tid], the paper's two extra fields. With them in
+     two fields it was 5; with [deq_tid] in a cell of its own, 7; with
+     [next] in one too, 9; a boxed element made that 11, pool fields
+     13, a boxed [next] 15. *)
+  Alcotest.(check int) "live words per element" 4
     (backend_live_words "kp-opt12")
 
 let test_fps_pooled_live_words () =
-  (* The fast-path queue shares the KP node: 5 words a queued element,
+  (* The fast-path queue shares the KP node: 4 words a queued element,
      pooled or not, and a fast-path enqueue publishes no descriptor. *)
-  Alcotest.(check int) "live words per element" 5
+  Alcotest.(check int) "live words per element" 4
     (backend_live_words "fps-pooled")
 
 let test_fps_pooled_slow_live_words () =
   (* With no fast-path budget every enqueue publishes a descriptor and
-     takes its node from the pool: still 5 words a queued element. The
+     takes its node from the pool: still 4 words a queued element. The
      descriptors go back to their own pool, and neither pool adds a
      field to the node. *)
-  Alcotest.(check int) "live words per element" 5
+  Alcotest.(check int) "live words per element" 4
     (live_words_per_element
        ~create:(fun () ->
          Bk.instantiate
@@ -296,11 +298,11 @@ let test_ms_live_words () =
        ~enqueue:(fun q v -> Ms_real.enqueue q ~tid:0 v))
 
 let test_fps_alloc () =
-  (* The fast-path enqueue allocates just the 5-word node; the
+  (* The fast-path enqueue allocates just the 4-word node; the
      fast-path dequeue allocates only the [Some] it returns and
      self-links its sentinel, so no node is promoted. *)
   let a = backend_probe "fps" in
-  Alcotest.(check int) "enqueue words" 5 a.enq_words;
+  Alcotest.(check int) "enqueue words" 4 a.enq_words;
   Alcotest.(check int) "dequeue words" 2 a.deq_words;
   check_promoted "fps" a
 

@@ -575,6 +575,182 @@ let test_desc_recycling_exactly_once () =
       Alcotest.failf "pooled slow path failed: %a" Ck.pp_failure f);
   Alcotest.(check bool) "bounded space exhausted" true r.Ck.exhausted
 
+(* ------------------------------------------------------------------ *)
+(* The claim word: incarnation, [enq_tid] and [deq_tid] in one int     *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [f] outside a scheduler, continuing at every simulator yield. *)
+let unscheduled f =
+  Effect.Deep.try_with f ()
+    {
+      effc =
+        (fun (type b) (e : b Effect.t) ->
+          let continue (k : (b, _) Effect.Deep.continuation) =
+            Effect.Deep.continue k
+          in
+          match e with
+          | Wfq_sim.Scheduler.Yield_access _ -> Some (fun k -> continue k ())
+          | Wfq_sim.Scheduler.Yield -> Some (fun k -> continue k ())
+          | _ -> None);
+    }
+
+module Claim_word
+    (A : Wfq_primitives.Atomic_intf.ATOMIC)
+    (P : sig
+      val plane : string
+      val run : (unit -> 'a) -> 'a
+    end) =
+struct
+  module N = Wfq_core.Kp_internals.Make (A)
+  module Kp = Wfq_core.Kp_queue.Make (A)
+  module Fps = Wfq_core.Kp_queue_fps.Make (A)
+  module Hp = Wfq_core.Kp_queue_hp.Make (A)
+
+  let label what = P.plane ^ ": " ^ what
+
+  (* The largest [enq_tid], and the largest [deq_tid]: a fast-path
+     claim by the last tid. *)
+  let top = N.max_threads - 1
+  let top_claim = N.max_threads + top
+
+  let check_word what n ~enq ~deq ~incarnation =
+    P.run (fun () ->
+        let w = N.claim_word n in
+        Alcotest.(check int) (label (what ^ ": enq_tid")) enq (N.enq_tid n);
+        Alcotest.(check int) (label (what ^ ": deq_tid")) deq
+          (N.claimed_tid n);
+        Alcotest.(check int)
+          (label (what ^ ": incarnation"))
+          incarnation (N.incarnation_of w))
+
+  let test_unclaimed () =
+    let nil = N.make_nil () in
+    let sentinel =
+      N.make_node ~nil ~enq_tid:N.no_tid Wfq_core.Kp_internals.no_value
+    in
+    List.iter
+      (fun (what, n) ->
+        check_word what n ~enq:N.no_tid ~deq:N.no_tid ~incarnation:0;
+        Alcotest.(check int)
+          (label (what ^ " packs to the raw no_tid"))
+          N.no_tid
+          (P.run (fun () -> N.claim_word n)))
+      [ ("nil", nil); ("fresh sentinel", sentinel) ]
+
+  let test_claim_keeps_enq_tid () =
+    let nil = N.make_nil () in
+    List.iter
+      (fun enq ->
+        let n = N.make_node ~nil ~enq_tid:enq 7 in
+        let observed = P.run (fun () -> N.claim_word n) in
+        Alcotest.(check bool) (label "claim won") true
+          (P.run (fun () -> N.try_claim n ~observed ~tid:top_claim));
+        check_word "won claim" n ~enq ~deq:top_claim ~incarnation:0;
+        (* The stale unclaimed word no longer matches: the CAS runs and
+           fails. *)
+        Alcotest.(check bool) (label "claim lost") false
+          (P.run (fun () -> N.try_claim n ~observed ~tid:0));
+        check_word "lost claim" n ~enq ~deq:top_claim ~incarnation:0)
+      [ N.no_tid; 0; top ]
+
+  let test_recycle () =
+    let nil = N.make_nil () in
+    let n = N.make_node ~nil ~enq_tid:top 7 in
+    let observed = P.run (fun () -> N.claim_word n) in
+    ignore (P.run (fun () -> N.try_claim n ~observed ~tid:top_claim));
+    P.run (fun () -> N.recycle ~nil n);
+    check_word "recycled" n ~enq:N.no_tid ~deq:N.no_tid ~incarnation:1;
+    Alcotest.(check bool) (label "next reset to nil") true
+      (P.run (fun () -> A.get (N.link n)) == nil);
+    Alcotest.(check bool)
+      (label "an earlier incarnation's claim fails")
+      false
+      (P.run (fun () -> N.try_claim n ~observed ~tid:0));
+    N.set_enq_tid n top;
+    check_word "re-enqueued" n ~enq:top ~deq:N.no_tid ~incarnation:1;
+    P.run (fun () -> N.recycle ~nil n);
+    check_word "recycled twice" n ~enq:N.no_tid ~deq:N.no_tid ~incarnation:2
+
+  (* Each queue takes the largest [num_threads] whose tids fit, and
+     its last tid's operations keep FIFO order; one more thread is an
+     [Invalid_argument] at [create]. *)
+  let test_num_threads_bound () =
+    let fits = N.max_threads in
+    let roundtrip what ~enq ~deq =
+      P.run (fun () ->
+          enq ~tid:top 1;
+          enq ~tid:0 2;
+          let first = deq ~tid:top in
+          let second = deq ~tid:0 in
+          let got = [ first; second; deq ~tid:top ] in
+          Alcotest.(check (list (option int)))
+            (label (what ^ " at the largest num_threads"))
+            [ Some 1; Some 2; None ] got)
+    in
+    let refuses what create =
+      match create (fits + 1) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted num_threads = %d" what (fits + 1)
+    in
+    let q = Kp.create ~num_threads:fits () in
+    roundtrip "Kp_queue" ~enq:(Kp.enqueue q) ~deq:(Kp.dequeue q);
+    refuses "Kp_queue" (fun num_threads -> Kp.create ~num_threads ());
+    let q = Fps.create ~num_threads:fits () in
+    roundtrip "Kp_queue_fps" ~enq:(Fps.enqueue q) ~deq:(Fps.dequeue q);
+    let q =
+      Fps.create_with ~max_failures:0 ~pool:true
+        ~help:Wfq_core.Kp_queue.Help_one_cyclic
+        ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads:fits ()
+    in
+    roundtrip "Kp_queue_fps slow path" ~enq:(Fps.enqueue q)
+      ~deq:(Fps.dequeue q);
+    refuses "Kp_queue_fps" (fun num_threads -> Fps.create ~num_threads ());
+    let q = Hp.create ~num_threads:fits () in
+    roundtrip "Kp_queue_hp" ~enq:(Hp.enqueue q) ~deq:(Hp.dequeue q);
+    refuses "Kp_queue_hp" (fun num_threads -> Hp.create ~num_threads ())
+
+  let tests =
+    [
+      Alcotest.test_case (label "nil and a fresh sentinel are unclaimed")
+        `Quick test_unclaimed;
+      Alcotest.test_case (label "a claim CAS keeps enq_tid") `Quick
+        test_claim_keeps_enq_tid;
+      Alcotest.test_case
+        (label "recycle bumps the incarnation, clears both tids")
+        `Quick test_recycle;
+      Alcotest.test_case (label "largest num_threads that fits") `Quick
+        test_num_threads_bound;
+    ]
+end
+
+module Claim_real =
+  Claim_word
+    (A)
+    (struct
+      let plane = "real"
+      let run f = f ()
+    end)
+
+module Claim_sim =
+  Claim_word
+    (SA)
+    (struct
+      let plane = "sim"
+      let run = unscheduled
+    end)
+
+(* The incarnation has 31 bits: every incarnation below 2^31 is its
+   own word, whatever the enqueuer, and 2^31 wraps to 0. *)
+let test_incarnation_bits () =
+  let module N = Claim_real.N in
+  let w i = N.word ~incarnation:i ~enq_tid:Claim_real.top in
+  Alcotest.(check bool) "2^31 - 1 is not 0" true (w ((1 lsl 31) - 1) <> w 0);
+  Alcotest.(check int) "2^31 wraps to 0" (w 0) (w (1 lsl 31));
+  Alcotest.(check int) "incarnation round trip" ((1 lsl 30) - 1)
+    (N.incarnation_of (w ((1 lsl 30) - 1)));
+  Alcotest.(check int) "enq_tid kept at a high incarnation" Claim_real.top
+    (N.enq_tid_of (w ((1 lsl 31) - 1)))
+
 let () =
   Alcotest.run "pool"
     [
@@ -636,4 +812,10 @@ let () =
           Alcotest.test_case "descriptor recycling exactly-once (pb=3)"
             `Quick test_desc_recycling_exactly_once;
         ] );
+      ( "claim word",
+        Claim_real.tests @ Claim_sim.tests
+        @ [
+            Alcotest.test_case "31 incarnation bits" `Quick
+              test_incarnation_bits;
+          ] );
     ]

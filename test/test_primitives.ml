@@ -672,6 +672,41 @@ let test_int_field_counted () =
   Alcotest.(check int) "value" 3 (CA.get_int_field r w_field);
   check_int_field_others r
 
+(* The plain accessors read and write the field's value on every
+   plane, and are no shared-memory operation on any: no simulator
+   step, no counted access. *)
+let test_int_field_plain () =
+  let r = { f0 = "zero"; f1 = 1; w = A.embed 10; f3 = [ 3; 4 ] } in
+  Alcotest.(check int) "real: peek" 10 (A.peek_int_field r w_field);
+  A.init_int_field r w_field 11;
+  Alcotest.(check int) "real: init seen by an atomic read" 11
+    (A.get_int_field r w_field);
+  A.set_int_field r w_field max_int;
+  Alcotest.(check int) "real: peek sees an atomic write" max_int
+    (A.peek_int_field r w_field);
+  check_int_field_others r;
+  let r = { f0 = "zero"; f1 = 1; w = SA.embed 20; f3 = [ 3; 4 ] } in
+  let log =
+    accesses (fun () ->
+        Alcotest.(check int) "sim: peek" 20 (SA.peek_int_field r w_field);
+        SA.init_int_field r w_field 21)
+  in
+  Alcotest.(check int) "sim: no step" 0 (List.length log);
+  let seen = ref 0 in
+  let log = accesses (fun () -> seen := SA.get_int_field r w_field) in
+  Alcotest.(check int) "sim: init seen by an atomic read" 21 !seen;
+  Alcotest.(check int) "sim: the atomic read is one step" 1
+    (List.length log);
+  check_int_field_others r;
+  let r = { f0 = "zero"; f1 = 1; w = CA.embed 30; f3 = [ 3; 4 ] } in
+  CA.reset ();
+  Alcotest.(check int) "counted: peek" 30 (CA.peek_int_field r w_field);
+  CA.init_int_field r w_field 31;
+  Alcotest.(check int) "counted: not counted" 0
+    (Wfq_primitives.Counted_atomic.total (CA.snapshot ()));
+  Alcotest.(check int) "counted: init" 31 (CA.get_int_field r w_field);
+  check_int_field_others r
+
 (* ------------------------- Real_atomic -------------------------- *)
 
 let test_real_atomic_physical_cas () =
@@ -770,6 +805,8 @@ let () =
             `Quick test_int_field_sim;
           Alcotest.test_case "counted like a make cell" `Quick
             test_int_field_counted;
+          Alcotest.test_case "plain read and write: no step, not counted"
+            `Quick test_int_field_plain;
         ] );
       ( "real_atomic",
         [
