@@ -153,7 +153,7 @@ let openloop_cmd =
           "Producer domains following the arrival schedule."
       $ opt_d pos_int 1 "consumers" "N" "Consumer domains."
       $ opt_d
-          Arg.(enum [ ("poisson", `Poisson); ("burst", `Burst) ])
+          (Cli.enum [ ("poisson", `Poisson); ("burst", `Burst) ])
           `Poisson "pattern" "NAME"
           "Arrival pattern: $(b,poisson) (exponential interarrivals) or \
            $(b,burst) (on/off Markov-modulated; see --duty, --burst-len)."
@@ -174,7 +174,7 @@ let openloop_cmd =
       $ opt_d pos_float 4.0 "knee-mult" "F"
           "Saturation-knee multiplier: the knee is the first offered load \
            whose sojourn p99 exceeds this multiple of the lowest load's p99."
-      $ opt (list (Arg.enum ids)) "backends" "LIST"
+      $ opt (Arg.list (Cli.enum ids)) "backends" "LIST"
           (Printf.sprintf
              "Comma-separated registry backend ids to sweep, each %s \
               (default: all; see --list-backends)."

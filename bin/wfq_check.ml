@@ -312,7 +312,7 @@ let faults =
 
 (* --queue and --fault take only the table's names, so a misspelt one
    is a usage error before anything runs. *)
-let queue_names = Arg.enum (List.map (fun (q, _) -> (q, q)) litmuses)
+let queue_names = Cli.enum (List.map (fun (q, _) -> (q, q)) litmuses)
 
 let queue_arg =
   let doc = "Queue to check: " ^ Arg.doc_alts_enum litmuses ^ "." in
@@ -601,7 +601,9 @@ let fault_arg =
      shrunk, and written to --out."
   in
   Arg.(
-    value & opt (some (enum faults)) None & info [ "fault" ] ~docv:"BUG" ~doc)
+    value
+    & opt (some (Cli.enum faults)) None
+    & info [ "fault" ] ~docv:"BUG" ~doc)
 
 let batch_only_arg =
   let doc =

@@ -100,7 +100,8 @@ let queue_arg =
   let doc =
     Printf.sprintf "Registry entry to soak: %s." (Arg.doc_alts_enum ids)
   in
-  Arg.(value & opt (enum ids) "kp-opt12" & info [ "queue" ] ~docv:"ID" ~doc)
+  Arg.(
+    value & opt (Cli.enum ids) "kp-opt12" & info [ "queue" ] ~docv:"ID" ~doc)
 
 (* A zero, negative or NaN count or duration is a usage error (exit
    124) before any domain starts. *)

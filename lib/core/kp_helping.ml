@@ -16,7 +16,7 @@
     (enqueue, L74) or on the first node's [deq_tid] field (dequeue, L135).
 
     This module holds everything behind the publication: descriptors,
-    state slots, node and descriptor pools, the phase and help policies,
+    state slots, the node pool, the phase and help policies,
     [help_enq]/[help_deq] (single and batch) and the [help_finish_*]
     steps. {!Kp_queue} drives it directly (publish, then help);
     {!Kp_queue_fps} runs a bounded Michael-Scott fast path over the same
@@ -30,6 +30,10 @@
       fast-path dequeue — finishing it only swings [head].
     Base KP never creates such nodes or claims, so these branches are
     dead there.
+
+    Each queue makes one {!reclamation} choice at [create]. Nodes are
+    the only recycled objects: descriptors are immutable, as in the
+    paper, and every state-slot transition installs a fresh one.
 
     {!Kp_queue_hp} runs on it too, with a hazard domain chosen at
     [create] (paper §3.4). The hooks are branches on the [hp] field,
@@ -67,11 +71,23 @@ type phase_policy =
       (** optimization 2: atomic counter bumped by a CAS whose result is
           deliberately ignored (footnote 3) *)
 
+(* How a queue gets its nodes back: the one reclamation choice, made at
+   [create]. *)
+type reclamation =
+  | Gc  (** nodes are left to the GC, as in the paper's Java *)
+  | Quarantine of int option
+      (** nodes are recycled through a {!Wfq_primitives.Segment_pool}
+          (optional carve-batch size) under epoch quarantine *)
+  | Hazard_pointers of int option
+      (** nodes are retired through a hazard domain (paper §3.4;
+          optional scan threshold), whose scans free into a node pool
+          without quarantine *)
+
 (* Test-only seeded bugs (model-checker calibration): each reinstates a
    known-fatal deviation from the protocol so the test suite can prove
    the checker finds it. Only {!Kp_queue_fps.Make.create_with} accepts
-   one; never set in production code. The first and third live in this
-   module, the other two in the fast path. *)
+   one; never set in production code. The first and the two pool
+   faults live in this module, the other two in the fast path. *)
 type fault =
   | Stale_helper_caller_phase
       (* help_slot passes the caller's bound down instead of the
@@ -84,7 +100,13 @@ type fault =
          plain -1 claim word instead of bumping the incarnation, so a
          stalled dequeuer's claim CAS can ABA a recycled node (claim it
          on the strength of a reference captured in its previous life).
-         Only meaningful with ~pool:true. *)
+         Implies [Unquarantined_pool]. Only meaningful with
+         [Quarantine]. *)
+  | Unquarantined_pool
+      (* pooled-node recycling without quarantine: a released node is
+         reusable at once, so a stale head or next CAS, whose expected
+         value is a bare reference, can ABA a recycled node. Only
+         meaningful with [Quarantine]. *)
   | Batch_partial_publish
       (* fast-path batch enqueue severs the chain after its first node
          before the link CAS, silently dropping the suffix while
@@ -106,7 +128,7 @@ type metrics = {
          dispatch time: how far behind the operations we rescue are *)
   m_desc_cas_fail : Wfq_obsv.Counter.t;
       (* descriptor-completion/publication CASes lost to a racing
-         helper (every [drop_desc] site) *)
+         helper (every lost [transition]) *)
   m_phase_cas_lost : Wfq_obsv.Counter.t;
       (* Phase_counter bumps whose CAS failed (footnote 3): the bump is
          lost, the phase is shared with the winner — harmless for
@@ -144,20 +166,14 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   module Hp = Wfq_hazard.Hazard.Make (A)
 
   (* Paper Figure 1, lines 13-24. State slots advance by physical-
-     equality CAS exactly like Java reference CAS. The fields are
-     mutable only to support descriptor recycling: a pooled record's
-     fields are written by its allocator {e before} it is published
-     through the slot's atomic CAS/exchange, and never after — so every
-     reader that can reach the record observes frozen values, exactly as
-     with immutable records.
-     Stale readers that still hold a displaced record are covered by the
-     pool's quarantine: the record cannot be recycled (hence re-written)
-     until they finish their operation. *)
+     equality CAS exactly like Java reference CAS. Every transition
+     installs a fresh record and the GC reclaims the displaced one, so
+     a record is never seen twice in a slot. *)
   type 'a op_desc = {
-    mutable phase : int;
-    mutable pending : bool;
-    mutable enqueue : bool;
-    mutable node : 'a N.node; (* the queue's nil: no node *)
+    phase : int;
+    pending : bool;
+    enqueue : bool;
+    node : 'a N.node; (* the queue's nil: no node *)
     (* Batch extension. A batch enqueue publishes one descriptor for a
        pre-linked chain of nodes: [node] is the chain's first node (the
        single L74 CAS linearizes the whole chain) and [last_node] its
@@ -168,39 +184,19 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
        until [got_n = want] or the queue empties. Single operations
        keep [last_node] nil and [want = 0].
 
-       Eight fields, 9 words: the pool keeps its free stacks and
-       quarantines in arrays of its own, so a pooled descriptor carries
-       nothing for it. *)
-    mutable last_node : 'a N.node;
-    mutable want : int;
-    mutable got_n : int;
-    mutable taken : 'a list;
-  }
-
-  (* An idle descriptor: the queue's [idle_desc], and a blank record for
-     the descriptor pool to carve. *)
-  let make_idle_desc ~nil =
-    { phase = -1; pending = false; enqueue = true; node = nil;
-      last_node = nil; want = 0; got_n = 0; taken = [] }
-
-  (* Allocation recycling: one pool of list nodes and one of
-     descriptors, sharing a single epoch clock — one enter/exit
-     announcement per queue operation covers both. [descs] is [None]
-     when quarantine is disabled: descriptor reuse is only sound under
-     quarantine (a stale helper still dereferences the displaced
-     record's fields), whereas node reuse with the epoch tag alone is
-     exactly what the model-checking scenario isolates. *)
-  type 'a pools = {
-    nodes : 'a N.node Pool.t;
-    descs : 'a op_desc Pool.t option;
+       Eight fields, 9 words. *)
+    last_node : 'a N.node;
+    want : int;
+    got_n : int;
+    taken : 'a list;
   }
 
   type 'a t = {
     head : 'a N.node A.t; (* L25 *)
     tail : 'a N.node A.t; (* L25 *)
     hp : 'a N.node Hp.t option;
-        (* §3.4 hazard domain; only with unquarantined node recycling
-           and so no descriptor pool ({!Kp_queue_hp}) *)
+        (* §3.4 hazard domain ([Hazard_pointers]), which frees into
+           [pool] *)
     state : 'a op_desc A.t array; (* L26 *)
     phase_counter : int A.t; (* optimization 2 (§3.3) *)
     help_policy : help_policy;
@@ -211,11 +207,15 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
            by its own tid, on every operation that helps, so each slot
            has a cache line no other domain writes *)
     num_threads : int;
-    pools : 'a pools option;
+    pool : 'a N.node Pool.t option;
+        (* the node pool ([Quarantine] or [Hazard_pointers]) *)
     obsv : metrics option;
     fault : fault option; (* test-only seeded bug, None in production *)
     idle_desc : 'a op_desc;
-        (* the shared construction-time descriptor; never pool-released *)
+        (* every slot's construction-time descriptor; nothing reads it
+           here, but the field count of this record moved backlog
+           fps-pooled latency (EXPERIMENTS.md, "The hazard-pointer queue
+           on the shared engine") *)
     idle_node : 'a N.node;
         (* the queue's nil ([Kp_internals.make_nil]): never on the list;
            the [next] of the last node and the "no node" of a
@@ -224,15 +224,13 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (* [who] prefixes the [Invalid_argument] messages with the public
      module's name. *)
-  let create ~who ?(pool = false) ?pool_segment ?(pool_quarantine = true)
-      ?(hazards = false) ?scan_threshold ?obsv ?fault ~help ~phase
+  let create ~who ?(reclamation = Gc) ?obsv ?fault ~help ~phase
       ~num_threads () =
     (* Every tid must fit the nodes' claim word. *)
     if num_threads <= 0 || num_threads > N.max_threads then
       invalid_arg (who ^ ".create: num_threads");
-    assert ((not hazards) || (pool && not pool_quarantine));
-    (match pool_segment with
-    | Some k when k <= 0 ->
+    (match reclamation with
+    | Quarantine (Some k) when k <= 0 ->
         invalid_arg (who ^ ".create: pool_segment must be positive")
     | _ -> ());
     (* The first sentinel is a blank node like every other, its [next]
@@ -242,37 +240,35 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       make_node ~nil:idle_node ~enq_tid:no_tid Kp_internals.no_value
     in
     let sentinel = blank_node () in
-    let idle = make_idle_desc ~nil:idle_node in
+    let idle =
+      { phase = -1; pending = false; enqueue = true; node = idle_node;
+        last_node = idle_node; want = 0; got_n = 0; taken = [] }
+    in
     let state = Array.init num_threads (fun _ -> A.make_padded idle) in
-    let pools =
-      if not pool then None
-      else begin
-        let clock = Pool.Clock.create ~num_threads in
-        let node_reset =
-          if fault = Some Untagged_pool_claim then
-            N.recycle_untagged ~nil:idle_node
-          else N.recycle ~nil:idle_node
-        in
-        let nodes =
-          Pool.create ?segment_size:pool_segment
-            ~quarantine:pool_quarantine ~clock ~num_threads
-            ~fresh:blank_node ~reset:node_reset ()
-        in
-        let descs =
-          if pool_quarantine then
-            Some
-              (Pool.create ?segment_size:pool_segment ~quarantine:true
-                 ~clock ~num_threads
-                 ~fresh:(fun () -> make_idle_desc ~nil:idle_node)
-                 ~reset:(fun _ -> ()) ())
-          else None
-        in
-        Some { nodes; descs }
-      end
+    let node_pool ?segment_size ~quarantine () =
+      let reset =
+        if fault = Some Untagged_pool_claim then
+          N.recycle_untagged ~nil:idle_node
+        else N.recycle ~nil:idle_node
+      in
+      Pool.create ?segment_size ~quarantine ~num_threads ~fresh:blank_node
+        ~reset ()
+    in
+    let pool =
+      match reclamation with
+      | Gc -> None
+      | Quarantine segment_size ->
+          let quarantine =
+            match fault with
+            | Some (Untagged_pool_claim | Unquarantined_pool) -> false
+            | _ -> true
+          in
+          Some (node_pool ?segment_size ~quarantine ())
+      | Hazard_pointers _ -> Some (node_pool ~quarantine:false ())
     in
     let hp =
-      match pools with
-      | Some { nodes; _ } when hazards ->
+      match (reclamation, pool) with
+      | Hazard_pointers scan_threshold, Some nodes ->
           let descriptor_roots () =
             Array.fold_left
               (fun acc slot ->
@@ -304,7 +300,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       phase_policy = phase;
       help_cursor = Wfq_obsv.Line.ints num_threads 0;
       num_threads;
-      pools;
+      pool;
       obsv;
       fault;
       idle_desc = idle;
@@ -318,16 +314,16 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   (* ------------------------------------------------------------------ *)
 
   let op_enter t ~tid =
-    match t.pools with Some p -> Pool.enter p.nodes ~tid | None -> ()
+    match t.pool with Some p -> Pool.enter p ~tid | None -> ()
 
   let op_exit t ~tid =
-    (match t.pools with Some p -> Pool.exit p.nodes ~tid | None -> ());
+    (match t.pool with Some p -> Pool.exit p ~tid | None -> ());
     match t.hp with Some hp -> Hp.clear_all hp ~tid | None -> ()
 
   let alloc_node t ~self ~enq_tid value =
-    match t.pools with
+    match t.pool with
     | Some p ->
-        let n = Pool.alloc p.nodes ~tid:self in
+        let n = Pool.alloc p ~tid:self in
         n.N.value <- value;
         N.set_enq_tid n enq_tid;
         n
@@ -339,68 +335,25 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      intact while an in-flight operation may still hold a reference from
      an earlier head read. *)
   let release_node t ~self n =
-    match (t.hp, t.pools) with
+    match (t.hp, t.pool) with
     | Some hp, _ -> Hp.retire hp ~tid:self n
-    | None, Some p -> Pool.release p.nodes ~tid:self n
+    | None, Some p -> Pool.release p ~tid:self n
     | None, None -> ()
 
-  (* The descriptor allocator: the batch protocol threads [last]/[want]/
-     [got]/[taken] through every record transition. *)
-  let mk_desc t ~self ~phase ~pending ~enqueue ~last ~want ~got ~taken
-      ~node =
-    match t.pools with
-    | Some { descs = Some dp; _ } ->
-        let d = Pool.alloc dp ~tid:self in
-        d.phase <- phase;
-        d.pending <- pending;
-        d.enqueue <- enqueue;
-        d.node <- node;
-        d.last_node <- last;
-        d.want <- want;
-        d.got_n <- got;
-        d.taken <- taken;
-        d
-    | _ ->
-        { phase; pending; enqueue; node; last_node = last; want;
-          got_n = got; taken }
-
-  (* A descriptor that lost its publication CAS was never visible to
-     anyone: back to the pool immediately. Every call site is a lost
-     descriptor CAS, so this is also the counting point. *)
-  let drop_desc t ~self d =
-    (match t.obsv with
-    | Some m -> Wfq_obsv.Counter.incr m.m_desc_cas_fail ~slot:self
-    | None -> ());
-    match t.pools with
-    | Some { descs = Some dp; _ } -> Pool.release dp ~tid:self d
-    | _ -> ()
-
-  (* The record displaced by a successful publication. Physical-equality
-     CAS (and the owner's atomic exchange) guarantee a unique displacer
-     per record, so each is retired exactly once. *)
-  let retire_desc t ~self d =
-    if d != t.idle_desc then
-      match t.pools with
-      | Some { descs = Some dp; _ } -> Pool.release dp ~tid:self d
-      | _ -> ()
-
-  (* Owner-side publication. Unpooled: the historical plain store.
-     Pooled: an atomic exchange, so the displaced record is recovered
-     without racing a helper's completion CAS on the same slot (a plain
-     read-then-store pair could retire a record a concurrent helper
-     just displaced, double-releasing it). *)
-  let publish t ~tid d =
-    match t.pools with
-    | Some { descs = Some _; _ } ->
-        retire_desc t ~self:tid (A.exchange t.state.(tid) d)
-    | _ -> A.set t.state.(tid) d
+  (* Owner-side publication: a plain store, as in the paper. A helper's
+     CAS on the slot expects the record it read, which the publication
+     has displaced for good, so no CAS can undo it. *)
+  let publish t ~tid d = A.set t.state.(tid) d
 
   (* One descriptor-record transition: install [new_desc] over
-     [cur_desc] in [tid]'s slot, retiring the displaced record on
-     success and dropping the unpublished one on failure. *)
+     [cur_desc] in [tid]'s slot. A lost CAS is counted; the record it
+     would have installed was never visible to anyone. *)
   let transition t ~self tid cur_desc new_desc =
     let won = A.compare_and_set t.state.(tid) cur_desc new_desc in
-    if won then retire_desc t ~self cur_desc else drop_desc t ~self new_desc;
+    (if not won then
+       match t.obsv with
+       | Some m -> Wfq_obsv.Counter.incr m.m_desc_cas_fail ~slot:self
+       | None -> ());
     won
 
   (* L48-57 *)
@@ -460,12 +413,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     | _ -> ()
 
   (* Before L74 installs [desc]'s node, publish it in slot 1 and check
-     that the state slot still holds [desc]. Descriptors are not
-     recycled under hazard pointers and every transition installs a new
-     record, so an unchanged slot rooted the node from the read to the
-     publication: it cannot have been freed and reused in between. The
-     check is on the record, never on the node it names: a node, once
-     recycled, is the same object in its next life. *)
+     that the state slot still holds [desc]. Every transition installs
+     a new record, so an unchanged slot rooted the node from the read to
+     the publication: it cannot have been freed and reused in between.
+     The check is on the record, never on the node it names: a node,
+     once recycled, is the same object in its next life. *)
   let protect_transfer t ~self tid desc =
     match t.hp with
     | Some hp ->
@@ -526,9 +478,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
               in
               ignore
                 (transition t ~self tid cur_desc
-                   (mk_desc t ~self ~phase:cur_desc.phase ~pending:false
-                      ~enqueue:true ~last:cur_desc.last_node ~want:0
-                      ~got:0 ~taken:[] ~node:next));
+                   { phase = cur_desc.phase; pending = false;
+                     enqueue = true; node = next;
+                     last_node = cur_desc.last_node; want = 0; got_n = 0;
+                     taken = [] });
               ignore (A.compare_and_set t.tail last target)
             end
           end
@@ -580,10 +533,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   (* Every dequeue record transition carries the batch progress
      ([want]/[got_n]/[taken]) across; a single dequeue keeps the
      defaults. *)
-  let deq_desc t ~self cur_desc ~pending ~node =
-    mk_desc t ~self ~phase:cur_desc.phase ~pending ~enqueue:false
-      ~last:t.idle_node ~want:cur_desc.want ~got:cur_desc.got_n
-      ~taken:cur_desc.taken ~node
+  let deq_desc t cur_desc ~pending ~node =
+    { phase = cur_desc.phase; pending; enqueue = false; node;
+      last_node = t.idle_node; want = cur_desc.want; got_n = cur_desc.got_n;
+      taken = cur_desc.taken }
 
   (* L150: step (3) — physically remove the old sentinel. The unique
      winner retires it into the pool (quarantined until in-flight
@@ -624,16 +577,16 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                let got = cur_desc.got_n + 1 in
                ignore
                  (transition t ~self tid cur_desc
-                    (mk_desc t ~self ~phase:cur_desc.phase
-                       ~pending:(got < cur_desc.want) ~enqueue:false
-                       ~last:t.idle_node ~want:cur_desc.want ~got
-                       ~taken:(v :: cur_desc.taken) ~node:t.idle_node))
+                    { phase = cur_desc.phase; pending = got < cur_desc.want;
+                      enqueue = false; node = t.idle_node;
+                      last_node = t.idle_node; want = cur_desc.want;
+                      got_n = got; taken = v :: cur_desc.taken })
              end
            end
            else
              ignore
                (transition t ~self tid cur_desc
-                  (deq_desc t ~self cur_desc ~pending:false
+                  (deq_desc t cur_desc ~pending:false
                      ~node:cur_desc.node)));
           swing_head t ~self first next
         end
@@ -693,7 +646,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
               if last == A.get t.tail && is_still_pending t tid phase then
                 ignore
                   (transition t ~self tid cur_desc
-                     (deq_desc t ~self cur_desc ~pending:false
+                     (deq_desc t cur_desc ~pending:false
                         ~node:t.idle_node));
               help_deq ~batch t ~self tid phase
             end
@@ -719,7 +672,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                     lost CAS is L132's continue. *)
                  && not
                       (transition t ~self tid cur_desc
-                         (deq_desc t ~self cur_desc ~pending:true
+                         (deq_desc t cur_desc ~pending:true
                             ~node:first))
                then ()
                else begin
@@ -807,8 +760,8 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      guarantees the tail jump has landed. *)
   let enqueue_published t ~tid ~phase first last =
     publish t ~tid
-      (mk_desc t ~self:tid ~phase ~pending:true ~enqueue:true ~last
-         ~want:0 ~got:0 ~taken:[] ~node:first);
+      { phase; pending = true; enqueue = true; node = first; last_node = last;
+        want = 0; got_n = 0; taken = [] };
     run_help t ~tid ~phase;
     help_finish_enq t ~self:tid
 
@@ -817,15 +770,16 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      to a node whose [deq_tid] is ours before returning. *)
   let dequeue_published t ~tid ~phase ~want =
     publish t ~tid
-      (mk_desc t ~self:tid ~phase ~pending:true ~enqueue:false
-         ~last:t.idle_node ~want ~got:0 ~taken:[] ~node:t.idle_node);
+      { phase; pending = true; enqueue = false; node = t.idle_node;
+        last_node = t.idle_node; want; got_n = 0; taken = [] };
     run_help t ~tid ~phase;
     help_finish_deq t ~self:tid
 
   (* L104-107: the single dequeue's result. The descriptor points at the
-     sentinel that preceded our element at the linearization point;
-     [node] may already be pool-released by the head winner, but
-     quarantine keeps its fields intact until the caller exits.
+     sentinel that preceded our element at the linearization point. The
+     head winner may already have released that node to the pool; the
+     node quarantine keeps it from being handed out again before the
+     caller's [op_exit].
 
      Once the value is read, the owner self-links that sentinel (a store
      of an existing node: no allocation). Otherwise a
@@ -892,29 +846,20 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let phase_of t ~tid = (A.get t.state.(tid)).phase
   let pending_of t ~tid = (A.get t.state.(tid)).pending
 
-  (* Pool telemetry (quiescent use): (reused, fresh, parked) for the
-     node pool, and the same for the descriptor pool when recycling
-     descriptors; [None] for unpooled queues. *)
+  (* Node-pool telemetry (quiescent use): (reused, fresh, parked);
+     [None] for a queue that leaves its nodes to the GC. *)
   let pool_stats t =
-    match t.pools with
-    | None -> None
-    | Some p ->
-        let line pool =
-          ( Pool.reused pool,
-            Pool.allocated_fresh pool,
-            Pool.pooled pool + Pool.quarantined pool )
-        in
-        Some (line p.nodes, Option.map line p.descs)
+    Option.map
+      (fun p ->
+        ( Pool.reused p,
+          Pool.allocated_fresh p,
+          Pool.pooled p + Pool.quarantined p ))
+      t.pool
 
-  (* Attach the node (and descriptor) pools' live counters to a metrics
-     registry; no-op for unpooled queues. *)
+  (* Attach the node pool's live counters to a metrics registry; no-op
+     for a queue that leaves its nodes to the GC. *)
   let register_pool_metrics t registry ~prefix =
-    match t.pools with
-    | None -> ()
-    | Some p ->
-        Pool.register_metrics p.nodes registry ~prefix:(prefix ^ ".nodes");
-        Option.iter
-          (fun dp ->
-            Pool.register_metrics dp registry ~prefix:(prefix ^ ".descs"))
-          p.descs
+    Option.iter
+      (fun p -> Pool.register_metrics p registry ~prefix:(prefix ^ ".nodes"))
+      t.pool
 end

@@ -92,6 +92,7 @@ type fault = Kp_helping.fault =
   | Stale_helper_caller_phase
   | Fast_deq_no_claim
   | Untagged_pool_claim
+  | Unquarantined_pool
   | Batch_partial_publish
 
 module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
@@ -101,7 +102,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   module Pool = H.Pool
 
   type 'a t = {
-    (* Aliases of [h]'s list ends, nil, pools, thread count and seeded
+    (* Aliases of [h]'s list ends, nil, pool, thread count and seeded
        fault: the fast path reads them with one load, as a plain
        Michael-Scott queue would. They and [slow_pending] come ahead of
        [h]: with [h] first, fps-pooled's two-domain pairs latency on a
@@ -109,7 +110,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     head : 'a N.node A.t;
     tail : 'a N.node A.t;
     nil : 'a N.node;
-    pools : 'a H.pools option;
+    pool : 'a N.node Pool.t option;
     num_threads : int;
     fault : fault option;
     (* Number of threads currently executing a slow-path operation.
@@ -117,12 +118,12 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
        when it is non-zero, keeping the uncontended hot path free of
        helping traffic. *)
     slow_pending : int A.t;
-    h : 'a H.t; (* the helping engine: list, descriptor slots, pools *)
+    h : 'a H.t; (* the helping engine: list, descriptor slots, pool *)
     max_failures : int;
     (* Single-writer per-tid statistics (exact at quiescence); always on
-       — the probes below and debug_dump read them — and padded, unlike
-       the plain int arrays they replace, which false-shared adjacent
-       tids' cells. *)
+       — the probes below and the metrics registry read them — and
+       padded, unlike the plain int arrays they replace, which
+       false-shared adjacent tids' cells. *)
     fast_hits : Wfq_obsv.Counter.t;
     slow_entries : Wfq_obsv.Counter.t;
     obsv : metrics option;
@@ -130,10 +131,12 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let name = "kp-fps"
 
-  let create_with ?(max_failures = default_max_failures) ?fault ?pool
-      ?pool_segment ?pool_quarantine ?obsv ~help ~phase ~num_threads () =
+  let create_with ?(max_failures = default_max_failures) ?fault
+      ?(pool = false) ?pool_segment ?obsv ~help ~phase ~num_threads () =
     let h =
-      H.create ~who:"Kp_queue_fps" ?pool ?pool_segment ?pool_quarantine
+      H.create ~who:"Kp_queue_fps"
+        ~reclamation:
+          (if pool then Kp_helping.Quarantine pool_segment else Kp_helping.Gc)
         ?obsv:(Option.map (fun m -> m.core) obsv)
         ?fault ~help ~phase ~num_threads ()
     in
@@ -144,7 +147,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       head = h.H.head;
       tail = h.H.tail;
       nil = h.H.idle_node;
-      pools = h.H.pools;
+      pool = h.H.pool;
       num_threads;
       fault;
       slow_pending = A.make_padded 0;
@@ -180,16 +183,16 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   (* ------------------------------------------------------------------ *)
   (* Fast-path pool plumbing: the helping engine's [op_enter]/[op_exit]/ *)
-  (* [release_node] over the aliased [pools]. Without flambda a call     *)
+  (* [release_node] over the aliased [pool]. Without flambda a call      *)
   (* into [H] is an indirect call, and the uncontended fast path makes   *)
   (* none.                                                               *)
   (* ------------------------------------------------------------------ *)
 
   let op_enter t ~tid =
-    match t.pools with Some p -> Pool.enter p.nodes ~tid | None -> ()
+    match t.pool with Some p -> Pool.enter p ~tid | None -> ()
 
   let op_exit t ~tid =
-    match t.pools with Some p -> Pool.exit p.nodes ~tid | None -> ()
+    match t.pool with Some p -> Pool.exit p ~tid | None -> ()
 
   (* A fast-path node: [enq_tid = no_tid], telling helpers there is no
      descriptor to wait for (were it to carry a real tid, a slow-path
@@ -197,17 +200,17 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
      pooled node comes back from [recycle] with [enq_tid = no_tid]
      already. *)
   let alloc_node t ~tid value =
-    match t.pools with
+    match t.pool with
     | Some p ->
-        let n = Pool.alloc p.nodes ~tid in
+        let n = Pool.alloc p ~tid in
         n.N.value <- value;
         n
     | None -> make_node ~nil:t.nil ~enq_tid:no_tid value
 
   (* Unique head-swing winner only (both paths). *)
   let release_node t ~tid n =
-    match t.pools with
-    | Some p -> Pool.release p.nodes ~tid n
+    match t.pool with
+    | Some p -> Pool.release p ~tid n
     | None -> ()
 
   (* The fast path's helping duty: one atomic load per operation; only
@@ -608,52 +611,16 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let max_failures t = t.max_failures
   let fast_path_hits_of t ~tid = Wfq_obsv.Counter.slot_value t.fast_hits ~slot:tid
-  let slow_path_entries_of t ~tid =
-    Wfq_obsv.Counter.slot_value t.slow_entries ~slot:tid
   let fast_path_hits t = Wfq_obsv.Counter.total t.fast_hits
   let slow_path_entries t = Wfq_obsv.Counter.total t.slow_entries
   let pending_of t ~tid = H.pending_of t.h ~tid
   let phase_of t ~tid = H.phase_of t.h ~tid
   let pool_stats t = H.pool_stats t.h
 
-  let debug_dump t =
-    let head = A.get t.head and tail = A.get t.tail in
-    let node_id (n : 'a node) = Hashtbl.hash n in
-    Printf.printf "head=%d (deq_tid=%d) tail=%d tail.next=%s\n"
-      (node_id head) (N.claimed_tid head) (node_id tail)
-      (let n = A.get (link tail) in
-       if n == t.nil then "nil"
-       else
-         Printf.sprintf "%d (enq_tid=%d, deq_tid=%d)" (node_id n)
-           (N.enq_tid n) (N.claimed_tid n));
-    Printf.printf "head==tail: %b; slow_pending=%d\n" (head == tail)
-      (A.get t.slow_pending);
-    Array.iteri
-      (fun tid slot ->
-        let d = A.get slot in
-        Printf.printf
-          "tid %d: pending=%b enq=%b phase=%d node=%s fast=%d slow=%d\n" tid
-          d.H.pending d.H.enqueue d.H.phase
-          (if d.H.node == t.nil then "nil"
-           else string_of_int (node_id d.H.node))
-          (Wfq_obsv.Counter.slot_value t.fast_hits ~slot:tid)
-          (Wfq_obsv.Counter.slot_value t.slow_entries ~slot:tid))
-      t.h.H.state;
-    let rec walk i n =
-      if i < 8 then begin
-        Printf.printf "  list[%d]: node %d enq_tid=%d deq_tid=%d%s%s\n" i
-          (node_id n) (N.enq_tid n) (N.claimed_tid n)
-          (if n == head then " <-head" else "")
-          (if n == tail then " <-tail" else "");
-        let nx = A.get (link n) in
-        if nx != t.nil then walk (i + 1) nx
-      end
-    in
-    walk 0 head
-
-  (* Attach the always-on path counters (and, when pooled, the pools'
-     counters and gauges) to a metrics registry. The optional [?obsv]
-     handle registers itself at construction; this covers the rest. *)
+  (* Attach the always-on path counters (and, when pooled, the node
+     pool's counters and gauges) to a metrics registry. The optional
+     [?obsv] handle registers itself at construction; this covers the
+     rest. *)
   let register_metrics t registry ~prefix =
     let open Wfq_obsv in
     Metrics.gauge registry ~name:(prefix ^ ".depth") (fun () -> length t);

@@ -58,8 +58,15 @@ type fault = Kp_helping.fault =
           the plain [-1] claim word instead of bumping the node's
           incarnation, so a dequeuer that stalled across the node's
           recycle can claim its next incarnation with a stale reference
-          (the recycle-ABA the tag exists to prevent). Only meaningful
-          together with [~pool:true]. *)
+          (the recycle-ABA the tag exists to prevent). Implies
+          [Unquarantined_pool]. Only meaningful together with
+          [~pool:true]. *)
+  | Unquarantined_pool
+      (** node recycling without quarantine: a released node is
+          reusable at once, so a stale [head] CAS, whose expected value
+          is a bare reference, can roll [head] back onto a recycled
+          node (the pointer ABA quarantine exists to prevent). Only
+          meaningful together with [~pool:true]. *)
   | Batch_partial_publish
       (** fast-path batch enqueue severs the pre-linked chain after its
           first node before the link CAS: one element is published, the
@@ -83,7 +90,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
     ?fault:fault ->
     ?pool:bool ->
     ?pool_segment:int ->
-    ?pool_quarantine:bool ->
     ?obsv:metrics ->
     help:Kp_queue.help_policy ->
     phase:Kp_queue.phase_policy ->
@@ -97,13 +103,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
       the fast path entirely, degenerating to {!Kp_queue} behaviour.
       [fault] (default [None]) injects a {!fault} — tests only.
 
-      [pool] (default [false]) recycles nodes and descriptors through
-      per-domain {!Wfq_primitives.Segment_pool}s exactly as in
-      {!Kp_queue.Make.create_with}: epoch tags defend the claim CAS,
-      quarantine defends the pointer CASes. [pool_quarantine:false]
-      (sim/model-checking only) leaves the tag as the sole defense and
-      disables descriptor recycling; [pool_segment] sets the carve-batch
-      size. Raises [Invalid_argument] for [num_threads <= 0], negative
+      [pool] (default [false]) recycles nodes through a per-domain
+      {!Wfq_primitives.Segment_pool}: epoch tags defend the claim CAS,
+      quarantine defends the pointer CASes. Descriptors are never
+      recycled. [pool_segment] sets the carve-batch size. Raises
+      [Invalid_argument] for [num_threads <= 0], negative
       [max_failures] or a non-positive [pool_segment].
 
       [obsv] (default: none) attaches an instrumentation handle built
@@ -173,29 +177,22 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
   (** Operations that exhausted [max_failures] and fell back to the
       slow path, all threads. Exact at quiescence. *)
 
-  val slow_path_entries_of : 'a t -> tid:int -> int
-
   val pending_of : 'a t -> tid:int -> bool
   (** Whether [tid]'s slow-path descriptor is currently pending. *)
 
   val phase_of : 'a t -> tid:int -> int
   (** Phase of [tid]'s latest slow-path operation ([-1] if none). *)
 
-  val pool_stats :
-    'a t -> ((int * int * int) * (int * int * int) option) option
-  (** Pool telemetry at quiescence, [None] for unpooled queues:
-      [(reused, fresh, parked)] for the node pool, then the same for the
-      descriptor pool when descriptor recycling is active ([None] under
-      [pool_quarantine:false]). *)
-
-  val debug_dump : 'a t -> unit
-  (** Print head/tail/descriptor state to stdout (quiescent debugging). *)
+  val pool_stats : 'a t -> (int * int * int) option
+  (** Node-pool telemetry at quiescence, [None] for unpooled queues:
+      [(reused, fresh, parked)], the order of
+      {!Kp_queue_hp.Make.pool_stats}. *)
 
   val register_metrics :
     'a t -> Wfq_obsv.Metrics.t -> prefix:string -> unit
   (** The uniform {!Queue_intf.RUN_QUEUE} registration: a
       [prefix ^ ".depth"] gauge (polls [length] at snapshot time only),
       the always-on path counters ([prefix ^ ".fast_hits"] /
-      [".slow_entries"]) and, when pooled, the node/descriptor pools'
-      counters and gauges ([".nodes.*"] / [".descs.*"]). *)
+      [".slow_entries"]) and, when pooled, the node pool's counters and
+      gauges ([".nodes.*"]). *)
 end

@@ -13,7 +13,7 @@
     the §3.3 optimized policies (atomic phase counter, cyclic
     single-thread helping), node recycling without quarantine, and a
     hazard domain with two slots per thread. Quarantine is what closes
-    the pointer-CAS ABA in the other pooled queues; here hazard pointers
+    the pointer-CAS ABA in pooled {!Kp_queue_fps}; here hazard pointers
     close it. Where each §3.4 obligation lives:
 
     - the descriptor carries the dequeued value, so the owner never
@@ -48,9 +48,10 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
   let name = "kp-wait-free-hp"
 
   let create ?scan_threshold ~num_threads () =
-    H.create ~who:"Kp_queue_hp" ~pool:true ~pool_quarantine:false
-      ~hazards:true ?scan_threshold ~help:Kp_helping.Help_one_cyclic
-      ~phase:Kp_helping.Phase_counter ~num_threads ()
+    H.create ~who:"Kp_queue_hp"
+      ~reclamation:(Kp_helping.Hazard_pointers scan_threshold)
+      ~help:Kp_helping.Help_one_cyclic ~phase:Kp_helping.Phase_counter
+      ~num_threads ()
 
   let enqueue t ~tid value =
     op_enter t ~tid;
@@ -80,8 +81,5 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let reclamation_stats t = Hp.stats (hazards t)
 
-  let pool_stats t =
-    match H.pool_stats t with
-    | Some ((reused, fresh, parked), _) -> (fresh, reused, parked)
-    | None -> assert false
+  let pool_stats t = Option.get (H.pool_stats t)
 end

@@ -50,5 +50,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
   val reclamation_stats : 'a t -> Hp.stats
 
   val pool_stats : 'a t -> int * int * int
-  (** (fresh allocations, pool reuses, currently parked). *)
+  (** (pool reuses, fresh allocations, currently parked): the node
+      pool's figures in {!Kp_queue_fps.Make.pool_stats}'s order. *)
 end

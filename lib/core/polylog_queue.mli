@@ -1,7 +1,8 @@
-(** Wait-free MPMC queue with polylogarithmic step complexity
-    (ROADMAP item 5): the Naderibeni-Ruppert tournament-tree queue
-    (PAPERS.md, "A Wait-free Queue with Polylogarithmic Step
-    Complexity", arXiv:2305.07229).
+(** Wait-free MPMC queue with polylogarithmic step complexity: the
+    Naderibeni-Ruppert tournament-tree queue (PAPERS.md, "A Wait-free
+    Queue with Polylogarithmic Step Complexity", arXiv:2305.07229). Its
+    block logs grow without bound, an open point of the ROADMAP item
+    "Pooled memory that pays for itself, with a certified bound".
 
     Where the KP family pays O(p) steps per operation in the worst
     case — the helping protocol scans the per-thread state array — this

@@ -80,8 +80,9 @@ module type RUN_QUEUE = sig
       construction-path only; it must never add hot-path work. *)
 end
 
-(** The uniform backend signature (ROADMAP item 5, docs/BACKENDS.md):
-    one configured queue algorithm with the complete plumbing every
+(** The uniform backend signature (docs/BACKENDS.md; the ROADMAP north
+    star's "one way to name a queue configuration"): one configured
+    queue algorithm with the complete plumbing every
     client in the tree consumes — core ops, native batches, the bounded
     insert, quiescent observers, the structural audit, and the metrics
     hookup. A module satisfying [QUEUE_BACKEND] (wrapped in a {!BACKEND}
@@ -106,7 +107,7 @@ module type QUEUE_BACKEND = sig
     'a t
   (** [?obsv:(registry, prefix)] attaches the backend's hot-path
       instrumentation (and the {!RUN_QUEUE} [.depth] gauge contract) at
-      construction; [?pool] requests node/descriptor recycling where the
+      construction; [?pool] requests node recycling where the
       backend offers it (the fps family) and is ignored elsewhere: the
       paper's queue leaves its nodes to the GC, and the ring and other
       flat-array structures allocate nothing per op. *)

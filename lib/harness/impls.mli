@@ -77,7 +77,7 @@ val wf_fps : impl
     safe with {!Workload.pairs}. *)
 
 val wf_fps_pooled : impl
-(** {!wf_fps} with node and descriptor recycling ("WF fps pooled", the
+(** {!wf_fps} with node recycling ("WF fps pooled", the
     registry's ["fps-pooled"]). *)
 
 val wf_fps_mf : int -> impl

@@ -1,13 +1,13 @@
 (** Per-domain segment pools: recycled allocation for queue hot paths.
 
-    The KP queue family allocates one node per enqueue and one
-    descriptor per operation; at millions of operations per second that
-    allocation rate is the dominant residual cost over the lock-free
-    baseline (EXPERIMENTS.md, "fast-path/slow-path"). This module
-    removes it Jiffy-style (Adas & Friedman, 2020): objects are carved
-    from {e segments} — chunked batches of [segment_size] objects — and
-    recycled through per-domain free stacks, so a steady-state operation
-    allocates no node and no descriptor.
+    The KP queue family allocates one node per enqueue; at millions of
+    operations per second that allocation rate is the dominant residual
+    cost over the lock-free baseline (EXPERIMENTS.md,
+    "fast-path/slow-path"). This module removes it Jiffy-style (Adas &
+    Friedman, 2020): objects are carved from {e segments} — chunked
+    batches of [segment_size] objects — and recycled through per-domain
+    free stacks, so a steady-state operation allocates no node. A pool
+    serves one object type and owns its epoch clock.
 
     Safety is split between two mechanisms, matching the two ways a
     recycled object can be misused:
@@ -45,8 +45,8 @@
     its free stack and its quarantine ring in arrays of its own, with
     the retire epochs in an [int array] beside the ring. An object
     therefore carries nothing for the pool, so pooling adds no word to
-    a queue node or descriptor, pooled or not. The arrays start at one
-    segment and double as the tid's parked count grows, up to
+    a queue node, pooled or not. The arrays start at one segment and
+    double as the tid's parked count grows, up to
     {!max_parked}; after that warm-up, release, promotion and reuse
     allocate nothing. A vacated entry is overwritten, so the pool
     references exactly the objects it parks. *)
@@ -157,12 +157,11 @@ module Make (A : Atomic_intf.ATOMIC) = struct
   let vacant = Obj.magic ()
 
   let create ?(segment_size = default_segment_size) ?(quarantine = true)
-      ~clock ~num_threads ~fresh ~reset () =
+      ~num_threads ~fresh ~reset () =
     if segment_size <= 0 then
       invalid_arg "Segment_pool.create: segment_size must be positive";
     if num_threads <= 0 then invalid_arg "Segment_pool.create: num_threads";
-    if num_threads > clock.Clock.num_threads then
-      invalid_arg "Segment_pool.create: more threads than the clock serves";
+    let clock = Clock.create ~num_threads in
     {
       clock;
       slots =

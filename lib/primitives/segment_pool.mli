@@ -1,9 +1,10 @@
 (** Per-domain segment pools with epoch-tagged, quarantined recycling.
 
-    Removes the one-node-plus-one-descriptor-per-operation allocation
-    rate of the KP queue family: objects are carved from Jiffy-style
-    segments (batches of [segment_size]) and recycled through strictly
-    tid-local free stacks. Two mechanisms make reuse safe under helping:
+    Removes the one-node-per-enqueue allocation rate of the KP queue
+    family: objects are carved from Jiffy-style segments (batches of
+    [segment_size]) and recycled through strictly tid-local free stacks.
+    A pool serves one object type and owns its epoch clock. Two
+    mechanisms make reuse safe under helping:
 
     - the {e claim CAS} on a recycled node is protected by an epoch tag
       in the claim word itself ([Counted_atomic.Epoch]) — maintained by
@@ -29,9 +30,8 @@
     [Wfq_sim.Sim_atomic] and is DPOR-checkable with its client queues. *)
 
 module Make (A : Atomic_intf.ATOMIC) : sig
-  (** Global epoch + per-thread announcements (EBR-style). One clock is
-      shared by all pools of a queue instance, so one enter/exit pair
-      per queue operation covers node and descriptor pools alike. *)
+  (** Global epoch + per-thread announcements (EBR-style). Each pool
+      makes its own at {!create}; the module is exposed for tests. *)
   module Clock : sig
     type t
 
@@ -66,7 +66,6 @@ module Make (A : Atomic_intf.ATOMIC) : sig
   val create :
     ?segment_size:int ->
     ?quarantine:bool ->
-    clock:Clock.t ->
     num_threads:int ->
     fresh:(unit -> 'a) ->
     reset:('a -> unit) ->
@@ -78,8 +77,8 @@ module Make (A : Atomic_intf.ATOMIC) : sig
       objects immediately reusable — only safe when something else
       closes the pointer races: hazard pointers that release an object
       only once no thread can reach it ([Kp_queue_hp]), or nothing at
-      all in the DPOR scenario that proves the epoch tag load-bearing.
-      The other queues keep the default [true]. *)
+      all in the seeded faults that prove quarantine and the epoch tag
+      load-bearing. The other queues keep the default [true]. *)
 
   val enter : 'a t -> tid:int -> unit
   (** [Clock.enter] iff this pool quarantines (no-op otherwise). *)

@@ -29,7 +29,7 @@ let test_nodes_are_reused () =
     Kp_hp.enqueue q ~tid:0 i;
     ignore (Kp_hp.dequeue q ~tid:0)
   done;
-  let fresh, reused, _pooled = Kp_hp.pool_stats q in
+  let reused, fresh, _pooled = Kp_hp.pool_stats q in
   Alcotest.(check bool)
     (Printf.sprintf "alloc mostly from pool (fresh %d, reused %d)" fresh
        reused)
@@ -110,7 +110,7 @@ let test_domains_with_forced_recycling () =
     logs;
   Alcotest.(check int) "conservation under recycling" total
     (Hashtbl.length seen);
-  let _, reused, _ = Kp_hp.pool_stats q in
+  let reused, _, _ = Kp_hp.pool_stats q in
   Alcotest.(check bool)
     (Printf.sprintf "recycling occurred (%d reuses)" reused)
     true (reused > 0)

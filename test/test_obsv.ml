@@ -418,7 +418,7 @@ let family_metrics =
     ( "fps-pooled",
       kp_core_metrics
       @ [ "fast_rounds"; "claim_handoffs"; "batch_cas"; "slow_entries";
-          "fast_hits"; "nodes.reused"; "descs.reused" ] );
+          "fast_hits"; "nodes.reused" ] );
   ]
 
 let test_family_metrics_registered (id, names) () =

@@ -12,6 +12,10 @@
      duplicate delivery and the shrinker must produce a small
      counterexample.
 
+   Quarantine is off only under a seeded fault ([Unquarantined_pool],
+   which [Untagged_pool_claim] implies): a pooled queue always
+   quarantines its nodes.
+
    Together they certify that the tag is load-bearing, not decorative. *)
 
 module A = Wfq_primitives.Real_atomic
@@ -40,23 +44,19 @@ let fresh_obj () = { lives = 0 }
    node performs. *)
 let mk_pool ?(segment_size = 4) ?(quarantine = true) ?(num_threads = 1) ()
     =
-  let clock = Pool.Clock.create ~num_threads in
-  ( clock,
-    Pool.create ~segment_size ~quarantine ~clock ~num_threads
-      ~fresh:fresh_obj
-      ~reset:(fun o -> o.lives <- o.lives + 1)
-      () )
+  Pool.create ~segment_size ~quarantine ~num_threads ~fresh:fresh_obj
+    ~reset:(fun o -> o.lives <- o.lives + 1)
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Pool unit tests                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_create_validation () =
-  let clock = Pool.Clock.create ~num_threads:2 in
   let mk ?(segment_size = 4) ?(num_threads = 2) () =
     ignore
-      (Pool.create ~segment_size ~clock ~num_threads ~fresh:fresh_obj
-         ~reset:ignore ())
+      (Pool.create ~segment_size ~num_threads ~fresh:fresh_obj ~reset:ignore
+         ())
   in
   Alcotest.check_raises "segment_size 0"
     (Invalid_argument "Segment_pool.create: segment_size must be positive")
@@ -64,15 +64,12 @@ let test_create_validation () =
   Alcotest.check_raises "num_threads 0"
     (Invalid_argument "Segment_pool.create: num_threads") (fun () ->
       mk ~num_threads:0 ());
-  Alcotest.check_raises "more threads than the clock serves"
-    (Invalid_argument "Segment_pool.create: more threads than the clock serves")
-    (fun () -> mk ~num_threads:3 ());
   Alcotest.check_raises "clock num_threads 0"
     (Invalid_argument "Segment_pool.Clock.create: num_threads") (fun () ->
       ignore (Pool.Clock.create ~num_threads:0))
 
 let test_carve_and_stats () =
-  let _, p = mk_pool ~segment_size:4 () in
+  let p = mk_pool ~segment_size:4 () in
   Pool.enter p ~tid:0;
   let o = Pool.alloc p ~tid:0 in
   (* First alloc carves one segment and hands out a first-life object. *)
@@ -109,7 +106,7 @@ let test_quarantine_maturity () =
      must not be handed out again until the global clock reaches e + 2,
      i.e. every thread has left the operation it was in at release
      time. *)
-  let _, p = mk_pool ~segment_size:1 () in
+  let p = mk_pool ~segment_size:1 () in
   Pool.enter p ~tid:0;
   let a = Pool.alloc p ~tid:0 in
   Pool.release p ~tid:0 a;
@@ -136,7 +133,7 @@ let test_quarantine_maturity () =
   Pool.exit p ~tid:0
 
 let test_no_quarantine_immediate_reuse () =
-  let _, p = mk_pool ~segment_size:1 ~quarantine:false () in
+  let p = mk_pool ~segment_size:1 ~quarantine:false () in
   let a = Pool.alloc p ~tid:0 in
   Alcotest.(check int) "first life" 1 a.lives;
   Pool.release p ~tid:0 a;
@@ -152,7 +149,7 @@ let test_fresh_count_exact () =
      the stack's bottom entries and every later push lands above them.
      Carve, use part of the segment, push releases on top of its
      remaining objects, then drain: the counters must stay exact. *)
-  let _, p = mk_pool ~segment_size:4 ~quarantine:false () in
+  let p = mk_pool ~segment_size:4 ~quarantine:false () in
   let counts what fresh reused pooled =
     Alcotest.(check (list int))
       (what ^ ": fresh, reused, pooled")
@@ -183,7 +180,7 @@ let test_steady_state_reuses () =
   (* Alternating alloc/release on one thread: after warm-up the pool
      must serve every request from recycled objects — fresh allocations
      stay bounded by the carved segments. *)
-  let _, p = mk_pool ~segment_size:4 ~num_threads:1 () in
+  let p = mk_pool ~segment_size:4 ~num_threads:1 () in
   for _ = 1 to 1_000 do
     Pool.enter p ~tid:0;
     let o = Pool.alloc p ~tid:0 in
@@ -202,7 +199,7 @@ let test_steady_state_reuses () =
 let test_per_thread_isolation () =
   (* Free lists are tid-local: an object released by tid 0 is reused by
      tid 0 only. *)
-  let _, p = mk_pool ~segment_size:1 ~quarantine:false ~num_threads:2 () in
+  let p = mk_pool ~segment_size:1 ~quarantine:false ~num_threads:2 () in
   let a = Pool.alloc p ~tid:0 in
   Pool.release p ~tid:0 a;
   let b = Pool.alloc p ~tid:1 in
@@ -216,7 +213,7 @@ let test_parked_bound () =
      tid's slot is not affected. *)
   List.iter
     (fun quarantine ->
-      let _, p = mk_pool ~quarantine ~num_threads:2 () in
+      let p = mk_pool ~quarantine ~num_threads:2 () in
       Pool.enter p ~tid:1;
       for _ = 1 to Pool.max_parked + 100 do
         Pool.release p ~tid:1 (fresh_obj ())
@@ -237,14 +234,13 @@ let test_parked_bound () =
 
 (* The pooled fps queue at two fast-path budgets: the default, and 0,
    where every operation publishes a descriptor, so the engine's pooled
-   slow path (node and descriptor recycling) runs on real domains. Each
-   row carries the exact pool counts of [test_pooled_recycling]'s and
-   [test_desc_recycling]'s one-domain runs. *)
+   slow path runs on real domains. Each row carries the exact node-pool
+   counts of the one-domain runs of [test_pooled_recycling] and
+   [test_pool_figures]. *)
 type fps_row = {
   name : string;
   max_failures : int;
-  solo_reused : int;  (** node-pool reuses *)
-  solo_descs : int * int;  (** descriptor-pool (reused, fresh) *)
+  solo_figures : int * int * int;  (** node-pool (reused, fresh, parked) *)
 }
 
 let fps_rows =
@@ -252,14 +248,12 @@ let fps_rows =
     {
       name = "kp-fps pooled";
       max_failures = Wfq_core.Kp_queue_fps.default_max_failures;
-      solo_reused = 15_872;
-      solo_descs = (0, 0);
+      solo_figures = (15_872, 128, 128);
     };
     {
       name = "kp-fps pooled max_failures 0";
       max_failures = 0;
-      solo_reused = 15_936;
-      solo_descs = (79_872, 128);
+      solo_figures = (15_872, 128, 128);
     };
   ]
 
@@ -271,7 +265,7 @@ let fps_pooled ~max_failures ~num_threads =
 (* [(reused, fresh, parked)] of the node pool. *)
 let node_stats q =
   match Fps.pool_stats q with
-  | Some (nodes, _) -> nodes
+  | Some figures -> figures
   | None -> Alcotest.fail "pooled queue without a pool"
 
 let test_pooled_conservation { name; max_failures; _ } () =
@@ -326,7 +320,8 @@ let solo_run { name; max_failures; _ } =
   done;
   t
 
-let test_pooled_recycling ({ solo_reused; _ } as row) () =
+let test_pooled_recycling
+    ({ solo_figures = (solo_reused, _, _); _ } as row) () =
   let reused, _, _ = node_stats (solo_run row) in
   (* Quarantine and carve batching keep some nodes parked, but a clear
      majority of the allocations must be served by recycling. *)
@@ -336,17 +331,17 @@ let test_pooled_recycling ({ solo_reused; _ } as row) () =
     (reused > solo_pairs / 4);
   Alcotest.(check int) "exact reuse count" solo_reused reused
 
-(* The descriptor pool on the same run. A fast-path operation publishes
-   no descriptor, so the default budget leaves the pool untouched; at
-   budget 0 every operation publishes one, and all but the pool's
-   carved batches come back from it. *)
-let test_desc_recycling ({ solo_descs; _ } as row) () =
-  match Fps.pool_stats (solo_run row) with
-  | Some (_, Some (reused, fresh, _)) ->
-      Alcotest.(check (pair int int))
-        "exact descriptor (reused, fresh)" solo_descs (reused, fresh)
-  | Some (_, None) -> Alcotest.fail "quarantined pool without descriptors"
-  | None -> Alcotest.fail "pooled queue without a pool"
+(* The node pool's three figures on the same run. Every enqueue takes
+   one node from the pool, so reuses and fresh allocations add up to
+   the pairs; what the pool parks is what it carved or took back and has
+   not handed out again. Descriptors are never pooled, so these are all
+   the pool figures a queue has. *)
+let test_pool_figures ({ solo_figures; _ } as row) () =
+  let ((reused, fresh, _) as figures) = node_stats (solo_run row) in
+  Alcotest.(check int) "every enqueue's node from the pool" solo_pairs
+    (reused + fresh);
+  Alcotest.(check (triple int int int))
+    "exact node-pool (reused, fresh, parked)" solo_figures figures
 
 (* Split roles on one domain: tid 0 only enqueues and tid 1 only
    dequeues, so tid 1 releases every node and never allocates one.
@@ -424,10 +419,9 @@ let claim_litmus ~reset () =
   let fresh () =
     NSim.make_node ~nil ~enq_tid:NSim.no_tid Wfq_core.Kp_internals.no_value
   in
-  let clock = PoolSim.Clock.create ~num_threads:2 in
   let p =
-    PoolSim.create ~segment_size:1 ~quarantine:false ~clock ~num_threads:2
-      ~fresh ~reset:(reset ~nil) ()
+    PoolSim.create ~segment_size:1 ~quarantine:false ~num_threads:2 ~fresh
+      ~reset:(reset ~nil) ()
   in
   (* First-life node minted directly ([reset] runs sim-atomic accesses,
      so the pool can only be driven from inside a fiber). Its claim word
@@ -465,17 +459,17 @@ let test_claim_tag_litmus_untagged_caught () =
       Alcotest.(check bool) "double claim reported" true
         (contains_sub msg "double claim")
 
-let fps_pooled_ops ?fault ~pool_quarantine ~max_failures () =
+let fps_pooled_ops ?fault ~max_failures () =
   Ck.queue
     ~create:(fun ~num_threads ->
       FpsSim.create_with ?fault ~max_failures ~pool:true ~pool_segment:1
-        ~pool_quarantine ~help:Wfq_core.Kp_queue.Help_one_cyclic
+        ~help:Wfq_core.Kp_queue.Help_one_cyclic
         ~phase:Wfq_core.Kp_queue.Phase_counter ~num_threads ())
     ~enqueue:FpsSim.enqueue ~dequeue:FpsSim.dequeue ~contents:FpsSim.to_list
     ()
 
 (* The recycle-ABA shape at queue level. With [pool_segment = 1] and
-   quarantine off, the sentinel released by fiber 1's first dequeue is
+   quarantine off (a seeded fault), the sentinel released by fiber 1's first dequeue is
    recycled immediately by its enqueue and re-enters the list; fiber
    1's second dequeue then swings [head] back onto the recycled object
    while fiber 0 may still hold stale references into the object's
@@ -491,12 +485,15 @@ let rollback_found msg =
   contains_sub msg "conservation" || contains_sub msg "step limit"
 
 let test_unquarantined_pointer_aba_caught () =
-  (* Negative control: tags intact, quarantine disabled. The tag cannot
-     protect the head CAS, so DPOR must find the rollback — this is the
-     witness that quarantine is load-bearing, not belt-and-braces. *)
+  (* Negative control: tags intact, quarantine disabled by the seeded
+     [Unquarantined_pool] fault. The tag cannot protect the head CAS, so
+     DPOR must find the rollback — this is the witness that quarantine
+     is load-bearing, not belt-and-braces. *)
   let r =
     Ck.run ~mode:Ck.Dpor ~max_schedules:500_000 ~init:[ 1 ]
-      ~queue:(fps_pooled_ops ~pool_quarantine:false ~max_failures:64 ())
+      ~queue:
+        (fps_pooled_ops ~fault:Wfq_core.Kp_queue_fps.Unquarantined_pool
+           ~max_failures:64 ())
       ~scripts:recycle_scripts ()
   in
   match r.Ck.failure with
@@ -515,14 +512,15 @@ let test_unquarantined_pointer_aba_caught () =
 
 let test_recycle_aba_untagged_caught () =
   (* The seeded fault: recycling skips the incarnation bump
-     ([Untagged_pool_claim]), so on top of the pointer hazard a stalled
+     ([Untagged_pool_claim], which also turns quarantine off), so on
+     top of the pointer hazard a stalled
      claim CAS can succeed against the recycled sentinel. The model
      checker must find and shrink the damage. *)
   let r =
     Ck.run ~mode:Ck.Dpor ~max_schedules:500_000 ~init:[ 1 ]
       ~queue:
         (fps_pooled_ops ~fault:Wfq_core.Kp_queue_fps.Untagged_pool_claim
-           ~pool_quarantine:false ~max_failures:64 ())
+           ~max_failures:64 ())
       ~scripts:recycle_scripts ()
   in
   match r.Ck.failure with
@@ -549,7 +547,7 @@ let test_pooled_fast_path_clean () =
   let r =
     Ck.run ~mode:(Ck.Preemption_bounded 3) ~max_schedules:500_000
       ~init:[ 1 ]
-      ~queue:(fps_pooled_ops ~pool_quarantine:true ~max_failures:64 ())
+      ~queue:(fps_pooled_ops ~max_failures:64 ())
       ~scripts:recycle_scripts ()
   in
   (match r.Ck.failure with
@@ -557,15 +555,15 @@ let test_pooled_fast_path_clean () =
   | Some f -> Alcotest.failf "pooled fast path failed: %a" Ck.pp_failure f);
   Alcotest.(check bool) "bounded space exhausted" true r.Ck.exhausted
 
-let test_desc_recycling_exactly_once () =
-  (* max_failures 0: every operation takes the slow path, so descriptors
-     are published, displaced, retired and recycled on every schedule —
-     with quarantine on, through the descriptor pool. Exactly-once
+let test_node_recycling_exactly_once () =
+  (* max_failures 0: every operation takes the slow path, so the
+     helping engine allocates, retires and recycles quarantined nodes on
+     every schedule while helpers race on the descriptors. Exactly-once
      delivery must survive all of it (same preemption bound as above). *)
   let r =
     Ck.run ~mode:(Ck.Preemption_bounded 3) ~max_schedules:500_000
       ~init:[ 1 ]
-      ~queue:(fps_pooled_ops ~pool_quarantine:true ~max_failures:0 ())
+      ~queue:(fps_pooled_ops ~max_failures:0 ())
       ~scripts:[ [ `Deq ]; [ `Enq 2 ] ]
       ()
   in
@@ -785,8 +783,8 @@ let () =
         @ List.map
             (fun row ->
               Alcotest.test_case
-                (row.name ^ " recycles descriptors (one domain)")
-                `Quick (test_desc_recycling row))
+                (row.name ^ " pool figures exact (one domain)")
+                `Quick (test_pool_figures row))
             fps_rows
         @ List.map
             (fun row ->
@@ -809,8 +807,8 @@ let () =
             test_recycle_aba_untagged_caught;
           Alcotest.test_case "pooled fast path clean (pb=3)" `Quick
             test_pooled_fast_path_clean;
-          Alcotest.test_case "descriptor recycling exactly-once (pb=3)"
-            `Quick test_desc_recycling_exactly_once;
+          Alcotest.test_case "node recycling exactly-once (pb=3)" `Quick
+            test_node_recycling_exactly_once;
         ] );
       ( "claim word",
         Claim_real.tests @ Claim_sim.tests

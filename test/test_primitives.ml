@@ -364,10 +364,8 @@ let test_tid_words_apart () =
   in
   check_words "shard" (probes @ sizes);
   check_headers "shard" probes;
-  let clock = Pool.Clock.create ~num_threads:2 in
   let pool =
-    Pool.create ~clock ~num_threads:2 ~fresh:(fun () -> ref 0)
-      ~reset:ignore ()
+    Pool.create ~num_threads:2 ~fresh:(fun () -> ref 0) ~reset:ignore ()
   in
   Pool.release pool ~tid:0 (Pool.alloc pool ~tid:1);
   check_words "pool"

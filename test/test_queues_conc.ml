@@ -28,7 +28,7 @@ let plain (module B : Qi.BACKEND) : (module Qi.QUEUE) =
 (* The fast-path/slow-path queue and the ring at the adversarial
    budget: mf=1 keeps falling back under contention (both paths and
    their interaction run constantly). The pooled fps queue runs there
-   too, so nodes and descriptors are recycled while both paths race.
+   too, so nodes are recycled while both paths race.
    The default budgets are exercised by the registry-driven rows
    below. *)
 let fps_mf1 =
