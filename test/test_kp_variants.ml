@@ -8,9 +8,9 @@
 
    The pooled points are [Kp_queue_fps] with [max_failures:0] and
    [pool:true]: every operation skips the fast path and publishes a
-   descriptor, so each runs [Kp_queue]'s helping engine with nodes and
-   descriptors recycled through its pools: the code the fps-pooled
-   backend runs whenever it falls back to its slow path. *)
+   descriptor, so each runs [Kp_queue]'s helping engine with its nodes
+   recycled through a quarantined pool: the code the fps-pooled backend
+   runs whenever it falls back to its slow path. *)
 
 module A = Wfq_primitives.Real_atomic
 module SA = Wfq_sim.Sim_atomic
@@ -54,10 +54,10 @@ let pinned =
     ("kp-opt1", ((765, 52), (21, 17)));
     ("kp-opt2", ((18_354, 52), (22, 18)));
     ("kp-opt12", ((1_148, 52), (21, 17)));
-    ("slow-pooled-base", ((65_859, 72), (40, 21)));
-    ("slow-pooled-opt1", ((52_533, 65), (39, 20)));
-    ("slow-pooled-opt2", ((63_543, 72), (40, 21)));
-    ("slow-pooled-opt12", ((51_111, 65), (39, 20)));
+    ("slow-pooled-base", ((44_858, 66), (36, 20)));
+    ("slow-pooled-opt1", ((34_113, 59), (35, 19)));
+    ("slow-pooled-opt2", ((44_424, 66), (36, 20)));
+    ("slow-pooled-opt12", ((33_894, 59), (35, 19)));
   ]
 
 (* One variant's queue, on either atomics. *)
