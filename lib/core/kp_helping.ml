@@ -211,6 +211,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
         (* the node pool ([Quarantine] or [Hazard_pointers]) *)
     obsv : metrics option;
     fault : fault option; (* test-only seeded bug, None in production *)
+    idle_desc : 'a op_desc;
+        (* every slot's construction-time descriptor; nothing reads it
+           here, but the field count of this record moved backlog
+           fps-pooled latency (EXPERIMENTS.md, "The hazard-pointer queue
+           on the shared engine") *)
     idle_node : 'a N.node;
         (* the queue's nil ([Kp_internals.make_nil]): never on the list;
            the [next] of the last node and the "no node" of a
@@ -298,6 +303,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       pool;
       obsv;
       fault;
+      idle_desc = idle;
       idle_node;
     }
 
