@@ -10,8 +10,8 @@
      and batch operations — contention is shard-local and ticket
      acquisition is amortized;
    - the result edge needs strict FIFO (the sink checks workers'
-     per-worker sequence numbers), so it uses [create_strict] — same
-     API, strict semantics.
+     per-worker sequence numbers), so it uses one shard
+     ([create ~shards:1]) — same API, strict semantics.
 
      dune exec examples/shard_pipeline.exe
 *)
@@ -32,7 +32,7 @@ let work_q : int Sh.t =
 
 (* Result edge: each worker owns a tid; the sink is the last tid. *)
 let result_q : (int * int * int) Sh.t =
-  Sh.create_strict ~num_threads:(workers + 1) ()
+  Sh.create ~shards:1 ~num_threads:(workers + 1) ()
 
 let done_producing = Atomic.make 0
 

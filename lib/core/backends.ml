@@ -40,7 +40,7 @@ let instantiate b = instantiate_with (module Wfq_primitives.Real_atomic) b
 type kp = { help : Kp_queue.help_policy; phase : Kp_queue.phase_policy }
 
 (* [Fps] runs [kp]'s helping and phase policies. Pooling is chosen here
-   and nowhere else: a backend's [create ?pool] overrides [pool]. *)
+   and nowhere else: every family's [create] ignores [?pool]. *)
 type fps = {
   pool : bool;
   max_failures : int;
@@ -140,12 +140,14 @@ let make ~id ~label config : (module Queue_intf.BACKEND) =
           module Q = Kp_queue_fps.Make (A)
           include Q
 
-          let create ?obsv ?(pool = c.pool) ~num_threads () =
+          (* Pooling is the configuration's [pool]: [?pool] is
+             ignored. *)
+          let create ?obsv ?pool:_ ~num_threads () =
             let q =
               Q.create_with
                 ?obsv:(handle Kp_queue_fps.metrics obsv ~num_threads)
-                ~max_failures:c.max_failures ?fault:c.fault ~pool ~help:kp.help
-                ~phase:kp.phase ~num_threads ()
+                ~max_failures:c.max_failures ?fault:c.fault ~pool:c.pool
+                ~help:kp.help ~phase:kp.phase ~num_threads ()
             in
             register Q.register_metrics q obsv;
             q

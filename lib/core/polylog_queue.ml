@@ -489,6 +489,5 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     let root_blocks t = last_done t 1
     let leaf_blocks t ~tid = last_done t (leaf_of t ~tid)
     let root_size t = (last_root t).size
-    let node_head t i = A.get t.nodes.(i).head
   end
 end

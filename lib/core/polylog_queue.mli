@@ -103,6 +103,5 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
     val root_blocks : 'a t -> int
     val leaf_blocks : 'a t -> tid:int -> int
     val root_size : 'a t -> int
-    val node_head : 'a t -> int -> int
   end
 end

@@ -107,10 +107,12 @@ module type QUEUE_BACKEND = sig
     'a t
   (** [?obsv:(registry, prefix)] attaches the backend's hot-path
       instrumentation (and the {!RUN_QUEUE} [.depth] gauge contract) at
-      construction; [?pool] requests node recycling where the
-      backend offers it (the fps family) and is ignored elsewhere: the
-      paper's queue leaves its nodes to the GC, and the ring and other
-      flat-array structures allocate nothing per op. *)
+      construction. Every backend ignores [?pool]: whether a queue
+      recycles nodes is part of its registered configuration
+      ([Backends.fps]'s [pool] field). The parameter stays in the
+      signature only because the benchmark's own backends
+      ([benchmark/src]) implement it and forward it; it can go with
+      the next change to the benchmark. *)
 
   val enqueue : 'a t -> tid:int -> 'a -> unit
   (** Unconditional insert; bounded backends raise their full-queue
@@ -159,7 +161,9 @@ module type BACKEND = sig
   val sim_safe : bool
   (** Whether the backend may run under [Sim_atomic] (every shared
       mutable cell goes through the functor argument); [false] opts out
-      of the DPOR/lincheck battery, keeping the real-domain suites. *)
+      of the DPOR/lincheck battery, keeping the real-domain suites.
+      Every registered backend says [true]; the value stays because the
+      benchmark's own backends ([benchmark/src]) define and read it. *)
 
   module Make (_ : Wfq_primitives.Atomic_intf.ATOMIC) : QUEUE_BACKEND
 end

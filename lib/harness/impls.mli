@@ -55,96 +55,49 @@ val wf_opt2 : impl
 val wf_opt12 : impl
 (** Both optimizations ("opt WF (1+2)"): the registry's ["kp-opt12"]. *)
 
-val wf_shard : int -> impl
-(** Sharded front-end ([lib/shard]) with the given shard count,
-    tid-affine policy (shard = tid mod N, steal on empty), over
-    ["kp-opt12"] shards ({!Wfq_shard.Shard.as_backend}). Relaxed FIFO: benchmark it with
-    {!Workload.pairs_relaxed}, not {!Workload.pairs} (a non-atomic
-    sweep may observe empty under concurrency). *)
-
-val wf_shard_rr : int -> impl
-(** Same front-end with the round-robin fetch-and-add ticket policy. *)
-
 val shard_series : impl list
 (** Series for the shard-scaling bench: opt WF (1+2) vs the sharded
-    front-end at 1/2/4/8 shards plus the 8-shard round-robin variant. *)
-
-val wf_fps : impl
-(** Fast-path/slow-path KP queue ("WF fps", the registry's ["fps"]):
-    lock-free Michael-Scott rounds until
-    {!Wfq_core.Kp_queue_fps.default_max_failures} failures, then the KP
-    helping slow path (opt 1+2). Wait-free, linearizable, strict FIFO —
-    safe with {!Workload.pairs}. *)
-
-val wf_fps_pooled : impl
-(** {!wf_fps} with node recycling ("WF fps pooled", the
-    registry's ["fps-pooled"]). *)
-
-val wf_fps_mf : int -> impl
-(** Same with an explicit [max_failures] budget ("WF fps mf=K"). *)
-
-val wf_fps_series : impl list
-(** The fast-path budget sweep: max_failures ∈ 1, 8, 64, 1024. *)
+    front-end ([lib/shard], {!Wfq_shard.Shard.as_backend} over
+    ["kp-opt12"] shards) at 1/2/4/8 tid-affine shards ("WF shard-K")
+    plus 8 round-robin shards ("WF shard-8 (rr)"). Relaxed FIFO:
+    benchmark it with {!Workload.pairs_relaxed}, not {!Workload.pairs}
+    (a non-atomic sweep may observe empty under concurrency). *)
 
 val fps_bench_series : impl list
-(** Series for the fps bench: LF, base WF, opt WF (1+2), WF fps, WF fps
-    pooled, plus {!wf_fps_series}. *)
+(** Series for the fps bench: LF, base WF, opt WF (1+2), WF fps (the
+    registry's ["fps"]: lock-free Michael-Scott rounds until
+    {!Wfq_core.Kp_queue_fps.default_max_failures} failures, then the KP
+    helping slow path), WF fps pooled (["fps-pooled"]), and the
+    fast-path budget sweep "WF fps mf=K" for K in 1, 8, 64, 1024. *)
 
 val alloc_series : impl list
 (** Series for the allocation-rate bench ([wfq_bench alloc]): LF,
     opt WF (1+2), WF fps and WF fps pooled, so the last pair's words/op
     delta isolates segment-pool recycling. *)
 
-val wf_ring : impl
-(** Bounded-memory wait-free ring ({!Wfq_core.Ring_queue}, "WF ring"):
-    8192 pre-allocated slots, default fast-path budget. No node per
-    element, but each operation allocates its slot record (3.50
-    words/op on pairs); [enqueue] on a full ring retries [try_enqueue]
-    until there is room (no benchmark workload approaches the bound).
-    Strict FIFO — safe with {!Workload.pairs}. *)
-
 val ring_series : impl list
 (** Series for the ring bench ([wfq_bench ring]): opt WF (1+2), WF
-    fps pooled (the throughput baseline) and the ring. The bench's
+    fps pooled (the throughput baseline) and "WF ring", the bounded
+    ring ({!Wfq_core.Ring_queue}) with 8192 slots, whose [enqueue] on a
+    full ring retries [try_enqueue] until there is room. The bench's
     guard is the ring's own words/op (at most 3.52 on one domain,
     spread at most 0.2 across widths). *)
 
-val wf_polylog : impl
-(** Polylog-step tournament-tree queue ({!Wfq_core.Polylog_queue},
-    "WF polylog"): O(log{^ 2} p) steps per operation vs the KP
-    family's O(p) helping scans. Unbounded, strict FIFO — safe with
-    {!Workload.pairs}. Append-only block logs (no reclamation), so
-    sized runs only. *)
-
 val polylog_series : impl list
 (** Series for the crossover bench ([wfq_bench polylog]): opt WF (1+2),
-    WF fps pooled, WF polylog. *)
-
-val fps_per_item : batch_impl
-(** "WF fps per-item": {!fps_batch}'s queue with batches looped one
-    element at a time — the amortization baseline every batch-native
-    series is compared against (and the CI guard's denominator). *)
-
-val fps_batch : batch_impl
-(** "WF fps batch": the registry's ["fps-pooled"], native batch
-    operations — one fast-path CAS (or one slow-path descriptor) per
-    whole batch. *)
-
-val kp_batch : batch_impl
-(** "opt WF (1+2) batch": the registry's ["kp-opt12"] native
-    batches. *)
-
-val ring_batch : batch_impl
-(** "WF ring batch": the bounded ring's native batches (8192 slots). *)
-
-val shard_batch : batch_impl
-(** "WF shard-4 (rr) batch": the sharded front-end, round-robin spread
-    routing. Relaxed FIFO — a batch dequeue may return short under
-    concurrency, so the batch workload retries the remainder. *)
+    WF fps pooled and WF polylog ({!Wfq_core.Polylog_queue}: O(log{^ 2}
+    p) steps per operation against the KP family's O(p) helping
+    scans). *)
 
 val batch_series : batch_impl list
-(** Series for the batch bench ([wfq_bench figures --batch k]):
-    {!fps_per_item} vs the four batch-native backends. *)
+(** Series for the batch bench ([wfq_bench figures --batch k]): "WF fps
+    per-item" (the registry's ["fps-pooled"] with batches looped one
+    element at a time, the amortization baseline and the CI guard's
+    denominator) against the native batches of "WF fps batch"
+    (["fps-pooled"]), "opt WF (1+2) batch" (["kp-opt12"]), "WF ring
+    batch" (8192 slots) and "WF shard-4 (rr) batch" (round-robin spread
+    routing; relaxed FIFO, so a batch dequeue may return short under
+    concurrency and the batch workload retries the remainder). *)
 
 val batch_name : batch_impl -> string
 val name : impl -> string

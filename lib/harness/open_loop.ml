@@ -25,7 +25,6 @@
     exactly this contrast deterministically; stall injection in {!run}
     reproduces it on real domains. *)
 
-module Hist = Wfq_obsv.Histogram
 module Stats = Wfq_primitives.Stats
 
 let now_ns = Wfq_benchmark.Clock.now
@@ -105,8 +104,6 @@ type result = {
   duration_s : float;  (** first intended send to last dequeue *)
   offered_rate : float;
   achieved_rate : float;  (** events / duration *)
-  enq_hist : Hist.t;  (** the same samples, pow2-bucketed per producer *)
-  sojourn_hist : Hist.t;  (** per consumer *)
 }
 
 let validate cfg =
@@ -121,7 +118,7 @@ let validate cfg =
         invalid_arg "Open_loop.run: stall parameters must be non-negative"
   | None -> ())
 
-let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
+let run cfg (module Q : Impls.BENCH_QUEUE) =
   validate cfg;
   if not (Float.is_finite cfg.rate) || cfg.rate <= 0.0 then
     invalid_arg "Open_loop.run: rate must be positive";
@@ -134,8 +131,6 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
   in
   let threads = cfg.producers + cfg.consumers in
   let q = Q.create ~num_threads:(threads + 1) in
-  let enq_hist = Hist.create ~slots:cfg.producers () in
-  let sojourn_hist = Hist.create ~slots:cfg.consumers () in
   (* Exact samples, preallocated so the hot loops allocate nothing. *)
   let enq_lat = Array.map (fun s -> Array.make (max 1 (Array.length s)) 0) subs in
   let soj_lat = Array.init cfg.consumers (fun _ -> Array.make cfg.events 0) in
@@ -157,9 +152,7 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
       let intended = t0 + sched.(i) in
       wait_until intended;
       Q.enqueue q ~tid sched.(i);
-      let d = now_ns () - intended in
-      lat.(i) <- d;
-      Hist.record enq_hist ~slot:p d
+      lat.(i) <- now_ns () - intended
     done
   in
   let consumer c () =
@@ -173,9 +166,7 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
       match Q.dequeue q ~tid with
       | Some intended_rel ->
           let now = now_ns () in
-          let d = now - (t0 + intended_rel) in
-          lat.(!local) <- d;
-          Hist.record sojourn_hist ~slot:c d;
+          lat.(!local) <- now - (t0 + intended_rel);
           incr local;
           Atomic.incr consumed;
           (* racy max is fine: any of the final dequeues bounds it *)
@@ -208,14 +199,6 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
   (match Q.dequeue q ~tid:threads with
   | Some _ -> failwith (Printf.sprintf "Open_loop.run: %s not drained" Q.name)
   | None -> ());
-  (match metrics with
-  | Some (registry, prefix) ->
-      Wfq_obsv.Metrics.register registry
-        (prefix ^ ".enq_latency_ns")
-        (Wfq_obsv.Metrics.Histogram enq_hist);
-      Wfq_obsv.Metrics.register registry (prefix ^ ".sojourn_ns")
-        (Wfq_obsv.Metrics.Histogram sojourn_hist)
-  | None -> ());
   let duration_ns = Atomic.get last_deq_ns - (!t0 + schedule.(0)) in
   let duration_s = float_of_int (max 1 duration_ns) *. 1e-9 in
   {
@@ -229,8 +212,6 @@ let run ?metrics cfg (module Q : Impls.BENCH_QUEUE) =
     duration_s;
     offered_rate = cfg.rate;
     achieved_rate = float_of_int cfg.events /. duration_s;
-    enq_hist;
-    sojourn_hist;
   }
 
 (* ------------------------------------------------------------------ *)

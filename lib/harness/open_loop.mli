@@ -51,19 +51,13 @@ type result = {
   duration_s : float;  (** first intended send to last dequeue *)
   offered_rate : float;
   achieved_rate : float;
-  enq_hist : Wfq_obsv.Histogram.t;
-      (** the same samples pow2-bucketed, one slot per producer — the
-          recording the metrics registry snapshots *)
-  sojourn_hist : Wfq_obsv.Histogram.t;  (** one slot per consumer *)
 }
 
-val run : ?metrics:Wfq_obsv.Metrics.t * string -> config -> Impls.impl -> result
+val run : config -> Impls.impl -> result
 (** Run one open-loop point on real domains ([producers + consumers]
     spawned, plus the calling domain which validates the drain).
     Conservation is checked (every event dequeued exactly once, queue
-    empty after); a violation raises [Failure].
-    [?metrics:(registry, prefix)] registers the two histograms as
-    [prefix ^ ".enq_latency_ns"] / [prefix ^ ".sojourn_ns"]. Raises
+    empty after); a violation raises [Failure]. Raises
     [Invalid_argument] on non-positive counts/rate or an out-of-range
     stall victim. *)
 

@@ -157,7 +157,7 @@ let median_line lines =
         steals_won = i (fun l -> l.steals_won);
       }
 
-let service ?(backends = backends) ~(scale : scale) () =
+let service ~(scale : scale) () =
   if scale.requests <= 0 || scale.fanout <= 0 || scale.runs <= 0 then
     invalid_arg "Sched_bench.service";
   List.concat_map

@@ -34,12 +34,9 @@ val backends : (string * (module Wfq_sched.Sched.S)) list
     — each the scheduler functor over that run-queue on real
     atomics. *)
 
-val service :
-  ?backends:(string * (module Wfq_sched.Sched.S)) list ->
-  scale:scale ->
-  unit ->
-  line list
-(** Run the scenario for every (backend, domain-count) pair. Each run
+val service : scale:scale -> unit -> line list
+(** Run the scenario for every (backend, domain-count) pair of
+    {!backends} and [scale.domains]. Each run
     verifies the fan-out answer and fiber conservation before
     reporting, so a wrong result fails loudly rather than producing a
     fast number. *)

@@ -1,21 +1,11 @@
-(** Live-space measurement for Figure 10. The static footprint counts
-    the words reachable from a built queue; the sampled one, the OCaml
-    equivalent of the paper's [-verbose:gc], is [Gc.full_major]
-    followed by [Gc.stat ()].live_words. *)
-
-val live_words : unit -> int
-(** Live heap words after a full major collection. *)
+(** Live-space measurement for Figure 10: the words reachable from a
+    built queue. *)
 
 val footprint : Impls.impl -> size:int -> int
 (** Heap words attributable to a queue holding [size] elements: the
     words reachable from it ([Obj.reachable_words]), which on a
     single-domain heap matches live words after building it minus live
     words before, without the collector's noise. *)
-
-val footprint_active : Impls.impl -> size:int -> iters:int -> samples:int -> int
-(** Like {!footprint} but averaged over samples taken while an
-    enqueue-dequeue workload runs over the filled queue — closer to the
-    paper's mid-benchmark sampling. *)
 
 type alloc_profile = {
   words_per_op : float;  (** minor-heap words allocated per operation *)

@@ -99,7 +99,7 @@ let drain (type a) (module Q : Impls.BENCH_QUEUE with type t = a) (q : a) =
   in
   go 0
 
-let pairs ?(check = true) (module Q : Impls.BENCH_QUEUE) ~threads ~iters () =
+let pairs (module Q : Impls.BENCH_QUEUE) ~threads ~iters () =
   if threads <= 0 || iters <= 0 then invalid_arg "Workload.pairs";
   let q = Q.create ~num_threads:(threads + 1) in
   let counters = fresh_counters threads in
@@ -114,27 +114,29 @@ let pairs ?(check = true) (module Q : Impls.BENCH_QUEUE) ~threads ~iters () =
     done
   in
   let seconds, gc = spawn_and_time ~threads worker in
-  if check then begin
-    let empties = sum_by counters (fun c -> c.deq_empties) in
-    if empties > 0 then
-      failwith
-        (Printf.sprintf "%s: %d impossible empty dequeues in pairs workload"
-           Q.name empties);
-    let leftover = drain (module Q) q in
-    if leftover <> 0 then
-      failwith
-        (Printf.sprintf "%s: %d elements left after balanced pairs workload"
-           Q.name leftover)
-  end;
+  let empties = sum_by counters (fun c -> c.deq_empties) in
+  if empties > 0 then
+    failwith
+      (Printf.sprintf "%s: %d impossible empty dequeues in pairs workload"
+         Q.name empties);
+  let leftover = drain (module Q) q in
+  if leftover <> 0 then
+    failwith
+      (Printf.sprintf "%s: %d elements left after balanced pairs workload"
+         Q.name leftover);
   { seconds; total_ops = 2 * threads * iters; per_thread = counters; gc }
+
+(* A dequeue or batch dequeue that stays empty or short this many
+   times in a row fails the run: a wait-free queue that holds the
+   element cannot miss it that often. *)
+let max_retries = 10_000_000
 
 (* Pairs for relaxed queues (the sharded front-end): each iteration
    still enqueues then dequeues, but a [None] is retried rather than
    declared impossible — a non-atomic shard sweep may miss elements in
    flight even though the global queue is never empty. Misses are
    tallied in [deq_empties]; conservation still holds exactly. *)
-let pairs_relaxed ?(check = true) ?(max_retries = 10_000_000)
-    (module Q : Impls.BENCH_QUEUE) ~threads ~iters () =
+let pairs_relaxed (module Q : Impls.BENCH_QUEUE) ~threads ~iters () =
   if threads <= 0 || iters <= 0 then invalid_arg "Workload.pairs_relaxed";
   let q = Q.create ~num_threads:(threads + 1) in
   let counters = fresh_counters threads in
@@ -160,20 +162,18 @@ let pairs_relaxed ?(check = true) ?(max_retries = 10_000_000)
     done
   in
   let seconds, gc = spawn_and_time ~threads worker in
-  if check then begin
-    let enqs = sum_by counters (fun c -> c.enqs) in
-    let hits = sum_by counters (fun c -> c.deq_hits) in
-    if enqs <> hits then
-      failwith
-        (Printf.sprintf "%s: relaxed pairs imbalance (%d enq, %d deq)"
-           Q.name enqs hits);
-    let leftover = drain (module Q) q in
-    if leftover <> 0 then
-      failwith
-        (Printf.sprintf
-           "%s: %d elements left after balanced relaxed-pairs workload"
-           Q.name leftover)
-  end;
+  let enqs = sum_by counters (fun c -> c.enqs) in
+  let hits = sum_by counters (fun c -> c.deq_hits) in
+  if enqs <> hits then
+    failwith
+      (Printf.sprintf "%s: relaxed pairs imbalance (%d enq, %d deq)"
+         Q.name enqs hits);
+  let leftover = drain (module Q) q in
+  if leftover <> 0 then
+    failwith
+      (Printf.sprintf
+         "%s: %d elements left after balanced relaxed-pairs workload"
+         Q.name leftover);
   { seconds; total_ops = 2 * threads * iters; per_thread = counters; gc }
 
 (* Batch pairs: each round batch-enqueues [batch] fresh values, then
@@ -185,8 +185,7 @@ let pairs_relaxed ?(check = true) ?(max_retries = 10_000_000)
    outstanding elements at its dequeue, so the queue is provably
    non-empty — but the sharded front-end's non-atomic sweep may miss
    elements in flight, exactly as in {!pairs_relaxed}. *)
-let pairs_batch ?(check = true) ?(max_retries = 10_000_000)
-    (module Q : Impls.BATCH_BENCH_QUEUE) ~threads ~iters ~batch () =
+let pairs_batch (module Q : Impls.BATCH_BENCH_QUEUE) ~threads ~iters ~batch () =
   if threads <= 0 || iters <= 0 || batch <= 0 || iters < batch then
     invalid_arg "Workload.pairs_batch";
   let rounds = iters / batch in
@@ -217,24 +216,22 @@ let pairs_batch ?(check = true) ?(max_retries = 10_000_000)
     done
   in
   let seconds, gc = spawn_and_time ~threads worker in
-  if check then begin
-    let enqs = sum_by counters (fun c -> c.enqs) in
-    let hits = sum_by counters (fun c -> c.deq_hits) in
-    if enqs <> hits then
-      failwith
-        (Printf.sprintf "%s: batch pairs imbalance (%d enq, %d deq)" Q.name
-           enqs hits);
-    let leftover =
-      let rec go n =
-        match Q.dequeue q ~tid:0 with Some _ -> go (n + 1) | None -> n
-      in
-      go 0
+  let enqs = sum_by counters (fun c -> c.enqs) in
+  let hits = sum_by counters (fun c -> c.deq_hits) in
+  if enqs <> hits then
+    failwith
+      (Printf.sprintf "%s: batch pairs imbalance (%d enq, %d deq)" Q.name
+         enqs hits);
+  let leftover =
+    let rec go n =
+      match Q.dequeue q ~tid:0 with Some _ -> go (n + 1) | None -> n
     in
-    if leftover <> 0 then
-      failwith
-        (Printf.sprintf "%s: %d elements left after balanced batch pairs"
-           Q.name leftover)
-  end;
+    go 0
+  in
+  if leftover <> 0 then
+    failwith
+      (Printf.sprintf "%s: %d elements left after balanced batch pairs"
+         Q.name leftover);
   {
     seconds;
     total_ops = 2 * threads * rounds * batch;
@@ -242,8 +239,10 @@ let pairs_batch ?(check = true) ?(max_retries = 10_000_000)
     gc;
   }
 
-let p_enq ?(check = true) ?(prefill = 1000) ?(seed = 42)
-    (module Q : Impls.BENCH_QUEUE) ~threads ~iters () =
+(* Elements in the queue before a {!p_enq} run starts. *)
+let prefill = 1000
+
+let p_enq ?(seed = 42) (module Q : Impls.BENCH_QUEUE) ~threads ~iters () =
   if threads <= 0 || iters <= 0 then invalid_arg "Workload.p_enq";
   let q = Q.create ~num_threads:(threads + 1) in
   for i = 1 to prefill do
@@ -265,16 +264,14 @@ let p_enq ?(check = true) ?(prefill = 1000) ?(seed = 42)
     done
   in
   let seconds, gc = spawn_and_time ~threads worker in
-  if check then begin
-    let enqs = sum_by counters (fun c -> c.enqs) in
-    let hits = sum_by counters (fun c -> c.deq_hits) in
-    let leftover = drain (module Q) q in
-    if prefill + enqs - hits <> leftover then
-      failwith
-        (Printf.sprintf
-           "%s: conservation violated (prefill %d + enq %d - deq %d <> left %d)"
-           Q.name prefill enqs hits leftover)
-  end;
+  let enqs = sum_by counters (fun c -> c.enqs) in
+  let hits = sum_by counters (fun c -> c.deq_hits) in
+  let leftover = drain (module Q) q in
+  if prefill + enqs - hits <> leftover then
+    failwith
+      (Printf.sprintf
+         "%s: conservation violated (prefill %d + enq %d - deq %d <> left %d)"
+         Q.name prefill enqs hits leftover);
   { seconds; total_ops = threads * iters; per_thread = counters; gc }
 
 (** Repeat a measurement [runs] times (paper: ten) and return the list of

@@ -29,36 +29,23 @@ type run_result = {
   gc : gc_stats;  (** GC activity inside the measured window *)
 }
 
-val pairs :
-  ?check:bool ->
-  Impls.impl ->
-  threads:int ->
-  iters:int ->
-  unit ->
-  run_result
+val pairs : Impls.impl -> threads:int -> iters:int -> unit -> run_result
 (** "enqueue-dequeue pairs": empty queue; each thread runs [iters] ×
     (enqueue; dequeue). Validation: no dequeue may observe empty (each
     thread's dequeue is preceded by its own enqueue) and the queue must
     end empty. *)
 
 val pairs_relaxed :
-  ?check:bool ->
-  ?max_retries:int ->
-  Impls.impl ->
-  threads:int ->
-  iters:int ->
-  unit ->
-  run_result
+  Impls.impl -> threads:int -> iters:int -> unit -> run_result
 (** {!pairs} for relaxed-FIFO queues (the sharded front-end): a [None]
     dequeue is retried (counted in [deq_empties]) instead of failing the
     run, because a non-atomic shard sweep may observe empty while
-    elements are in flight. Validation: every enqueue is eventually
-    dequeued and the queue ends empty. On a strict queue this is
+    elements are in flight; ten million misses in a row fail it.
+    Validation: every enqueue is eventually dequeued and the queue ends
+    empty. On a strict queue this is
     operation-for-operation identical to {!pairs}. *)
 
 val pairs_batch :
-  ?check:bool ->
-  ?max_retries:int ->
   Impls.batch_impl ->
   threads:int ->
   iters:int ->
@@ -70,21 +57,21 @@ val pairs_batch :
     per thread ([iters / batch] rounds), so the run moves the same
     element volume as {!pairs} at equal [iters]. A short batch dequeue
     is retried on the remainder (each shortfall counted once in
-    [deq_empties]) — strict backends never return short here, the
-    sharded front-end's non-atomic sweep may. Validation: enqueued =
+    [deq_empties], ten million in a row fail the run) — strict
+    backends never return short here, the sharded front-end's
+    non-atomic sweep may. Validation: enqueued =
     dequeued and the queue ends empty. *)
 
 val p_enq :
-  ?check:bool ->
-  ?prefill:int ->
   ?seed:int ->
   Impls.impl ->
   threads:int ->
   iters:int ->
   unit ->
   run_result
-(** "50% enqueues": queue prefilled with [prefill] (default 1000)
-    elements; each thread flips a private fair coin per iteration.
+(** "50% enqueues": queue prefilled with 1000 elements; each thread
+    flips a private fair coin per iteration (seeded by [seed], default
+    42).
     Validation: prefill + enqueues - successful dequeues = leftovers. *)
 
 val repeat : runs:int -> (unit -> run_result) -> float list

@@ -48,6 +48,4 @@ val completed : t -> completed list
 
 val has_pending : t -> bool
 
-val pp_op : Format.formatter -> op -> unit
-val pp_response : Format.formatter -> response -> unit
 val pp_completed : Format.formatter -> completed -> unit

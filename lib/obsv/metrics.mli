@@ -41,9 +41,5 @@ val to_json : t -> string
     non-empty [buckets] as [[lower_bound, count]] pairs, gauges
     [value]. *)
 
-val to_json_body : Buffer.t -> t -> unit
-(** Append just the ["metrics": [...]] member (no surrounding braces),
-    for embedding the registry in a larger JSON envelope. *)
-
 val dump : t -> out_channel -> unit
 (** One line per metric, aligned (the human [debug_dump] analogue). *)

@@ -15,9 +15,6 @@ val split_for : seed:int -> tid:int -> t
 val next_int64 : t -> int64
 (** Next 64 bits of the stream. *)
 
-val next_int : t -> int
-(** Next non-negative native int. *)
-
 val below : t -> int -> int
 (** [below t n] is uniform-ish in [0, n). Raises [Invalid_argument] when
     [n <= 0]. *)

@@ -13,13 +13,9 @@
     must stay cheaper than the contention it removes. Statistics are
     therefore [Wfq_obsv.Counter] cells — per-tid single-writer padded
     plain ints, one counter per shard (exact at quiescence, no shared
-    cache line, no RMW) — and the approximate size counters that drive
-    [Length_aware] are maintained only under that policy, each in a
-    padded cell of its own. The size counters use [Stdlib.Atomic]
-    rather than the [A] functor argument deliberately: they never
-    affect correctness, and keeping them (and
-    the obsv cells) off the simulated-atomic plane means model checking
-    explores only algorithm-relevant interleavings.
+    cache line, no RMW). Keeping them off the simulated-atomic plane
+    means model checking explores only algorithm-relevant
+    interleavings.
 
     Quiescence detection: every public operation bumps its tid's
     [op_seq] cell on entry (to odd) and exit (to even).
@@ -29,7 +25,7 @@
     concurrently with operations, which the racy snapshot-vs-length
     comparison it replaces could. *)
 
-type policy = Round_robin | Tid_affine | Length_aware
+type policy = Round_robin | Tid_affine
 
 type backend = Registered of string
 
@@ -60,8 +56,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     backend : backend;
     enq_ticket : int A.t;
     deq_ticket : int A.t;
-    track_sizes : bool;  (** only [Length_aware] pays for size upkeep *)
-    sizes : int Atomic.t array;
     (* Per-shard counters, each with one single-writer slot per tid. *)
     s_enq : Wfq_obsv.Counter.t array;
     s_deq : Wfq_obsv.Counter.t array;
@@ -117,9 +111,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       backend;
       enq_ticket = A.make_padded 0;
       deq_ticket = A.make_padded 0;
-      track_sizes = policy = Length_aware;
-      sizes =
-        Array.init shards (fun _ -> Wfq_primitives.Real_atomic.make_padded 0);
       s_enq = per_shard_tids ();
       s_deq = per_shard_tids ();
       s_steal = per_shard_tids ();
@@ -131,14 +122,11 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       last_deq_batch_calls = Line.ints num_threads 0;
     }
 
-  let create_strict ~num_threads () = create ~shards:1 ~num_threads ()
   let shards t = t.n
   let policy t = t.policy
   let backend t = t.backend
 
   (* --- shard selection ------------------------------------------- *)
-
-  let size t s = Atomic.get t.sizes.(s)
 
   let start_enq t ~tid =
     if t.n = 1 then 0
@@ -146,12 +134,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       match t.policy with
       | Round_robin -> A.fetch_and_add t.enq_ticket 1 mod t.n
       | Tid_affine -> tid mod t.n
-      | Length_aware ->
-          (* Two-choice: sample the ticket shard and its neighbour,
-             enqueue to the (approximately) shorter. *)
-          let s1 = A.fetch_and_add t.enq_ticket 1 mod t.n in
-          let s2 = Steal_order.next ~n:t.n s1 in
-          if size t s2 < size t s1 then s2 else s1
 
   let start_deq t ~tid =
     if t.n = 1 then 0
@@ -159,10 +141,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
       match t.policy with
       | Round_robin -> A.fetch_and_add t.deq_ticket 1 mod t.n
       | Tid_affine -> tid mod t.n
-      | Length_aware ->
-          let s1 = A.fetch_and_add t.deq_ticket 1 mod t.n in
-          let s2 = Steal_order.next ~n:t.n s1 in
-          if size t s2 > size t s1 then s2 else s1
 
   (* --- core operations ------------------------------------------- *)
 
@@ -173,7 +151,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
 
   let enqueue_to t ~tid s v =
     t.shards.(s).Qi.enq ~tid v;
-    if t.track_sizes then Atomic.incr t.sizes.(s);
     Wfq_obsv.Counter.incr t.s_enq.(s) ~slot:tid;
     t.last_enq_shard.(Line.slot tid) <- s
 
@@ -188,19 +165,16 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
     t.shards.(s).Qi.enq_batch ~tid vs;
     let w = Line.slot tid in
     t.last_enq_batch_calls.(w) <- t.last_enq_batch_calls.(w) + 1;
-    if t.track_sizes then ignore (Atomic.fetch_and_add t.sizes.(s) k : int);
     Wfq_obsv.Counter.add t.s_enq.(s) ~slot:tid k;
     t.last_enq_shard.(Line.slot tid) <- s
 
   (* Account a successful dequeue served by shard [s]. *)
   let took t ~tid ~stolen s =
-    if t.track_sizes then Atomic.decr t.sizes.(s);
     Wfq_obsv.Counter.incr t.s_deq.(s) ~slot:tid;
     if stolen then Wfq_obsv.Counter.incr t.s_steal.(s) ~slot:tid;
     t.last_deq_shard.(Line.slot tid) <- s
 
   let took_batch t ~tid ~stolen s ~k =
-    if t.track_sizes then ignore (Atomic.fetch_and_add t.sizes.(s) (-k) : int);
     Wfq_obsv.Counter.add t.s_deq.(s) ~slot:tid k;
     if stolen then Wfq_obsv.Counter.add t.s_steal.(s) ~slot:tid k;
     t.last_deq_shard.(Line.slot tid) <- s
@@ -286,7 +260,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                       ((t0 + j) mod t.n)
                       chunk ~k:(List.length chunk))
                   (split_chunks vs ~k ~n:t.n)
-            | Round_robin | Tid_affine | Length_aware ->
+            | Round_robin | Tid_affine ->
                 (* Keep together: one selection, one backend-native
                    batch — intra-batch FIFO preserved, the whole batch
                    contiguous in its shard. Small Round_robin batches
@@ -349,16 +323,15 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           empty_sweeps = Wfq_obsv.Counter.total t.s_sweep.(s);
         })
 
-  (* The stats/length and approx-size/length cross-checks are only
-     meaningful at quiescence: under concurrency a thread can sit
-     between its shard dequeue and its counter bump, making the honest
-     snapshots disagree with the honest lengths. The [op_seq] witness
-     makes the guarantee explicit: the verdict is reported only when no
-     operation was in flight at the start of the check AND no operation
-     started or finished while it ran — otherwise the check is vacuously
-     [Ok] (we learned nothing, we claim nothing). A concurrent caller
-     can therefore never see a spurious [Error]; a quiescent caller gets
-     the exact check, as before. *)
+  (* The stats/length cross-check is only meaningful at quiescence:
+     under concurrency a thread can sit between its shard dequeue and
+     its counter bump, making the honest snapshots disagree with the
+     honest lengths. The [op_seq] witness makes the guarantee explicit:
+     the verdict is reported only when no operation was in flight at the
+     start of the check AND no operation started or finished while it
+     ran — otherwise the check is vacuously [Ok] (we learned nothing, we
+     claim nothing). A concurrent caller can therefore never see a
+     spurious [Error]; a quiescent caller gets the exact check. *)
   let check_quiescent_invariants t =
     let seq0 = Wfq_obsv.Counter.snapshot t.op_seq in
     if Array.exists (fun c -> c land 1 = 1) seq0 then Ok ()
@@ -376,11 +349,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
                   (Printf.sprintf
                      "shard %d: stats imbalance (enq %d - deq %d <> len %d)"
                      s st.(s).enqueues st.(s).dequeues len)
-              else if t.track_sizes && size t s <> len then
-                Error
-                  (Printf.sprintf
-                     "shard %d: approx size %d <> actual length %d" s
-                     (size t s) len)
               else shards_ok (s + 1)
       in
       let verdict = shards_ok 0 in
@@ -399,8 +367,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) = struct
           (fun a -> (Obj.repr a, Line.slot tid))
           [ t.last_enq_shard; t.last_deq_shard; t.last_enq_batch_calls;
             t.last_deq_batch_calls ])
-
-  let size_cells t = List.map Obj.repr (Array.to_list t.sizes)
 
   let in_flight t =
     Array.exists
@@ -434,12 +400,7 @@ let as_backend ?(policy = Round_robin) ?(shards = 4) id :
       (Printf.sprintf
          "Shard.as_backend: %S is bounded (a full shard has no try_enqueue)"
          id);
-  let tag =
-    match policy with
-    | Round_robin -> "rr"
-    | Tid_affine -> "tid"
-    | Length_aware -> "la"
-  in
+  let tag = match policy with Round_robin -> "rr" | Tid_affine -> "tid" in
   (module struct
     let id = Printf.sprintf "shard-%s%d-%s" tag shards id
     let label = Printf.sprintf "%d %s shards over %s" shards tag B.label

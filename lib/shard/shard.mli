@@ -12,15 +12,15 @@
 
     - {b Per-shard FIFO}: each shard is a linearizable FIFO queue;
       elements placed in the same shard are dequeued in insertion
-      order. Batches enqueued with a contiguous policy (tid-affine or
-      length-aware) stay in one shard and are consumed in order.
+      order. Batches enqueued with [Tid_affine] stay in one shard and
+      are consumed in order.
     - {b k-relaxed global order}: with [N > 1] shards, two elements
       enqueued into different shards may be dequeued in either order.
       The inversion is bounded: round-robin tickets place consecutive
       global enqueues on consecutive shards, so an element can be
       overtaken by at most [N - 1] ticket successors plus the elements
       ahead of it in its own shard — never unboundedly.
-    - {b Strict mode}: [N = 1] ({!create_strict}) degenerates to a
+    - {b Strict mode}: [N = 1] ([create ~shards:1]) degenerates to a
       single KP shard and is a strict linearizable FIFO; ticket
       acquisition is skipped, so strict mode adds no overhead over the
       underlying queue.
@@ -57,11 +57,6 @@ type policy =
       (** shard = [tid mod N]; no shared selection state at all. With
           at least as many shards as threads this partitions the queue
           into per-thread lanes (dequeues still steal on empty). *)
-  | Length_aware
-      (** two-choice selection on approximate shard sizes: enqueue to
-          the shorter of two sampled shards, dequeue from the longer —
-          evens shard lengths under skewed producers at the cost of one
-          extra counter read per operation *)
 
 (** Per-shard queue algorithm: any backend in {!Wfq_core.Backends}, by
     id (e.g. ["fps-pooled"], ["polylog"]), in its registered
@@ -107,10 +102,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
       unknown backend id; the message names the id and the known
       ones. *)
 
-  val create_strict : num_threads:int -> unit -> 'a t
-  (** Single-shard strict FIFO mode: equivalent to [create ~shards:1],
-      with shard selection compiled away. *)
-
   val shards : 'a t -> int
   val policy : 'a t -> policy
   val backend : 'a t -> backend
@@ -126,7 +117,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
   val enqueue_batch : 'a t -> tid:int -> 'a list -> unit
   (** Insert a whole batch through the backends' native batch enqueue,
       with batch-aware spread-vs-keep-together routing. [Tid_affine]
-      and [Length_aware] keep the batch together: one selection, one
+      keeps the batch together: one selection, one
       backend batch, the whole batch contiguous in its shard.
       [Round_robin] spreads a batch of [k >= N] elements as [N]
       contiguous sub-batches over consecutive ticket-selected shards
@@ -165,8 +156,7 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
 
   val check_quiescent_invariants : 'a t -> (unit, string) result
   (** Every shard's KP invariants, plus agreement between the stats
-      counters, the approximate size counters and the actual shard
-      lengths.
+      counters and the actual shard lengths.
 
       {b Explicit quiescence guarantee}: the cross-checks are reported
       only if no operation was in flight when the check started and
@@ -201,10 +191,6 @@ module Make (A : Wfq_primitives.Atomic_intf.ATOMIC) : sig
   (** Per tid, the plain probe words only that tid writes (its last
       shards and batch-call counts), each as a block and a field index,
       for tests of where they land in the heap. *)
-
-  val size_cells : 'a t -> Obj.t list
-  (** The per-shard size cells of [Length_aware], for the same
-      tests. *)
 
   val in_flight : 'a t -> bool
   (** Whether any thread's operation-sequence cell is currently odd,

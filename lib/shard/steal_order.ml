@@ -13,10 +13,6 @@ let visit ~n ~start i =
   let s = start + i in
   if s >= n then s - n else s
 
-let next ~n s =
-  check ~n ~start:s;
-  if s + 1 = n then 0 else s + 1
-
 let order ~n ~start =
   check ~n ~start;
   List.init n (fun i -> visit ~n ~start i)

@@ -15,11 +15,6 @@ val visit : n:int -> start:int -> int -> int
     path). Raises [Invalid_argument] if [n <= 0], [start] is outside
     [0, n), or [i] is outside [0, n). *)
 
-val next : n:int -> int -> int
-(** [next ~n s] is the ring successor [s + 1 mod n] — the single-step
-    advance used by batch drains and two-choice neighbour sampling.
-    Raises [Invalid_argument] if [n <= 0] or [s] is outside [0, n). *)
-
 val order : n:int -> start:int -> int list
 (** The whole lap as a list, [visit] at every position — for tests and
     diagnostics, not hot paths. *)

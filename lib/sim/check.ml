@@ -255,10 +255,8 @@ let scenario ~queue:ops ~scripts ~init ?step_bound ~max_fiber_steps () =
   in
   (Array.of_list (List.mapi fiber scripts), hist, check)
 
-let make_scenario ~queue ~scripts ~init ?step_bound ~max_fiber_steps () =
-  let fibers, _, check =
-    scenario ~queue ~scripts ~init ?step_bound ~max_fiber_steps ()
-  in
+let make_scenario ~queue ~scripts ~init ~max_fiber_steps () =
+  let fibers, _, check = scenario ~queue ~scripts ~init ~max_fiber_steps () in
   (fibers, check)
 
 let history ~queue ~scripts ~init ~forced =
@@ -277,7 +275,10 @@ let run ?(mode = Dpor) ?max_schedules ?step_limit ?step_bound
        bitmask limit)";
   let max_fiber_steps = ref 0 in
   let make () =
-    make_scenario ~queue ~scripts ~init ?step_bound ~max_fiber_steps ()
+    let fibers, _, check =
+      scenario ~queue ~scripts ~init ?step_bound ~max_fiber_steps ()
+    in
+    (fibers, check)
   in
   let schedules, exhausted, raw_failure =
     match mode with
@@ -322,11 +323,8 @@ let run ?(mode = Dpor) ?max_schedules ?step_limit ?step_bound
 
 type certificate = { observed_bound : int; schedules : int }
 
-let certify ?mode ?max_schedules ?step_limit ?init ~bound ~queue ~scripts () =
-  let r =
-    run ?mode ?max_schedules ?step_limit ~step_bound:bound ?init ~queue
-      ~scripts ()
-  in
+let certify ?mode ?max_schedules ~bound ~queue ~scripts () =
+  let r = run ?mode ?max_schedules ~step_bound:bound ~queue ~scripts () in
   match r.failure with
   | Some f ->
       Error

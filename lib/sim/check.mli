@@ -96,7 +96,6 @@ val make_scenario :
   queue:'q queue ->
   scripts:script list ->
   init:int list ->
-  ?step_bound:int ->
   max_fiber_steps:int ref ->
   unit ->
   (unit -> unit) array * (Scheduler.result -> (unit, string) result)
@@ -149,8 +148,6 @@ type certificate = {
 val certify :
   ?mode:mode ->
   ?max_schedules:int ->
-  ?step_limit:int ->
-  ?init:int list ->
   bound:int ->
   queue:'q queue ->
   scripts:script list ->

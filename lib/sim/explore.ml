@@ -141,20 +141,16 @@ let preemption_bounded ~budget ?max_schedules ?step_limit ~make () =
   explore ~mode:(Preemption_bounded budget) ?max_schedules ?step_limit ~make
     ()
 
-(** PCT fuzzing: [count] runs under {!Scheduler.Pct} with varying seeds.
-    [change_points] selects the targeted bug depth minus one;
-    [expected_length] should over-approximate the run's step count (it
-    is re-estimated from the first run when omitted). *)
-let pct ?(seed0 = 0) ?(count = 1000) ?(change_points = 2)
-    ?expected_length ?(step_limit = 1_000_000) ~make () =
+(** PCT fuzzing: [count] runs under {!Scheduler.Pct} with seeds
+    [0 .. count-1]. [change_points] selects the targeted bug depth minus one; the
+    expected run length is the step count of a calibration run under
+    the deterministic strategy. *)
+let pct ?(count = 1000) ?(change_points = 2) ?(step_limit = 1_000_000)
+    ~make () =
   let expected_length =
-    match expected_length with
-    | Some k -> k
-    | None ->
-        (* Calibration run under the deterministic strategy. *)
-        let fibers, _ = make () in
-        let r = Scheduler.run ~step_limit fibers in
-        max 1 r.Scheduler.total_steps
+    let fibers, _ = make () in
+    let r = Scheduler.run ~step_limit fibers in
+    max 1 r.Scheduler.total_steps
   in
   let rec go i =
     if i >= count then { schedules = count; exhausted = true; failure = None }
@@ -164,7 +160,7 @@ let pct ?(seed0 = 0) ?(count = 1000) ?(change_points = 2)
         Scheduler.run
           ~strategy:
             (Scheduler.Pct
-               { seed = seed0 + i; change_points; expected_length })
+               { seed = i; change_points; expected_length })
           ~step_limit fibers
       in
       match classify result check with
@@ -175,7 +171,7 @@ let pct ?(seed0 = 0) ?(count = 1000) ?(change_points = 2)
             failure =
               Some
                 ( List.map (fun (_, j, _) -> j) result.trace,
-                  Printf.sprintf "%s (pct seed %d)" msg (seed0 + i) );
+                  Printf.sprintf "%s (pct seed %d)" msg i );
           }
       | None -> go (i + 1)
     end

@@ -45,10 +45,8 @@ val preemption_bounded :
     operations tractable. *)
 
 val pct :
-  ?seed0:int ->
   ?count:int ->
   ?change_points:int ->
-  ?expected_length:int ->
   ?step_limit:int ->
   make:
     (unit ->
@@ -56,11 +54,11 @@ val pct :
     * (Scheduler.result -> (unit, string) result)) ->
   unit ->
   report
-(** PCT fuzzing ({!Scheduler.Pct}): [count] priority-based runs with
-    [change_points] priority-drop points each, targeting bugs of
+(** PCT fuzzing ({!Scheduler.Pct}): [count] priority-based runs (seeds
+    [0 .. count-1]) with [change_points] priority-drop points each, targeting bugs of
     preemption depth [change_points + 1] with a provable per-run hit
-    probability. [expected_length] defaults to a calibration run's step
-    count. *)
+    probability. The expected run length PCT draws its change points
+    over is a calibration run's step count. *)
 
 val fuzz :
   ?seed0:int ->

@@ -53,7 +53,10 @@ let drop_trailing_zeros l =
 let remove_slice l i k =
   List.filteri (fun j _ -> j < i || j >= i + k) l
 
-let shrink ?(max_attempts = 5_000) ?(step_limit = 100_000) ~make ~forced () =
+(* Replays one shrink may spend before it settles for its best so far. *)
+let max_attempts = 5_000
+
+let shrink ?(step_limit = 100_000) ~make ~forced () =
   let attempts = ref 0 in
   let run candidate =
     let fibers, check = make () in

@@ -21,7 +21,6 @@ type t = {
 }
 
 val shrink :
-  ?max_attempts:int ->
   ?step_limit:int ->
   make:
     (unit ->
@@ -32,7 +31,7 @@ val shrink :
 (** Shrink the failing schedule [forced] against fresh executions from
     [make] (same contract as {!Explore}): drop trailing default choices,
     remove slices ddmin-style, then zero out remaining entries.
-    Candidates are capped at [max_attempts] (default 5000) replays;
+    Candidates are capped at 5000 replays;
     shrinking degrades gracefully when the cap bites. Any failure
     message is accepted as "still failing" — the shrunk schedule's
     message may differ from the original's (e.g. a livelock shrinking

@@ -1,7 +1,5 @@
-(** Coarse-grained baseline: [Stdlib.Queue] under a single mutex.
-
-    The simplest correct concurrent queue; useful as a sanity baseline in
-    benchmarks and as the reference implementation in differential tests. *)
+(** Coarse-grained baseline: [Stdlib.Queue] under a single mutex, shared
+    by the test executables of this directory. *)
 
 type 'a t = { q : 'a Queue.t; lock : Mutex.t }
 

@@ -517,7 +517,7 @@ let corrupted_histories_rejected =
    linearizable history (the lock coarsens intervals but keeps the check
    sound). *)
 let test_thread_safe_recording () =
-  let module Mq = Wfq_core.Mutex_queue in
+  let module Mq = Mutex_queue in
   let h = H.create ~thread_safe:true () in
   let q = Mq.create ~num_threads:3 () in
   let worker thread () =

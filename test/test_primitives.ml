@@ -345,10 +345,7 @@ let test_tid_words_apart () =
   let cursors = per_tid [ "cursor" ] (Ring.Probe.tid_words ring) in
   check_words "ring" cursors;
   check_headers "ring" cursors;
-  let shard =
-    Shard.create ~policy:Wfq_shard.Shard.Length_aware ~shards:2 ~num_threads:2
-      ()
-  in
+  let shard = Shard.create ~shards:2 ~num_threads:2 () in
   Shard.enqueue shard ~tid:0 1;
   ignore (Shard.dequeue shard ~tid:1);
   let probes =
@@ -357,12 +354,7 @@ let test_tid_words_apart () =
         "last deq batch calls" ]
       (Shard.tid_words shard)
   in
-  let sizes =
-    List.mapi
-      (fun s c -> (Printf.sprintf "size %d" s, -1 - s, (c, 0)))
-      (Shard.size_cells shard)
-  in
-  check_words "shard" (probes @ sizes);
+  check_words "shard" probes;
   check_headers "shard" probes;
   let pool =
     Pool.create ~num_threads:2 ~fresh:(fun () -> ref 0) ~reset:ignore ()

@@ -68,12 +68,12 @@ let mutex_ops =
   Ops
     {
       qname = "mutex";
-      make = (fun () -> Wfq_core.Mutex_queue.create ~num_threads:1 ());
-      enq = (fun q v -> Wfq_core.Mutex_queue.enqueue q ~tid:0 v);
-      deq = (fun q -> Wfq_core.Mutex_queue.dequeue q ~tid:0);
-      to_list = Wfq_core.Mutex_queue.to_list;
-      len = Wfq_core.Mutex_queue.length;
-      empty = Wfq_core.Mutex_queue.is_empty;
+      make = (fun () -> Mutex_queue.create ~num_threads:1 ());
+      enq = (fun q v -> Mutex_queue.enqueue q ~tid:0 v);
+      deq = (fun q -> Mutex_queue.dequeue q ~tid:0);
+      to_list = Mutex_queue.to_list;
+      len = Mutex_queue.length;
+      empty = Mutex_queue.is_empty;
     }
 
 let all_queues =
@@ -85,7 +85,7 @@ let all_queues =
    implementations satisfy the shared signatures. *)
 module _ : Wfq_core.Queue_intf.CHECKABLE_QUEUE = Ms
 module _ : Wfq_core.Queue_intf.CHECKABLE_QUEUE = Kp
-module _ : Wfq_core.Queue_intf.QUEUE = Wfq_core.Mutex_queue
+module _ : Wfq_core.Queue_intf.QUEUE = Mutex_queue
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests *)

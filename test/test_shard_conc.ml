@@ -16,9 +16,7 @@
 module P = Wfq_shard.Shard
 module Sh = Wfq_shard.Shard.Make (Wfq_primitives.Real_atomic)
 
-let policies =
-  [ (P.Round_robin, "rr"); (P.Tid_affine, "affine");
-    (P.Length_aware, "length") ]
+let policies = [ (P.Round_robin, "rr"); (P.Tid_affine, "affine") ]
 
 (* value = producer * 1_000_000 + seq, as in test_queues_conc. *)
 let encode ~producer ~seq = (producer * 1_000_000) + seq
@@ -132,7 +130,7 @@ let test_pairs_relaxed (policy, pname) ~shards ~threads ~iters () =
    can never observe empty. *)
 let test_strict_pairs_never_empty () =
   let threads = 4 and iters = 3_000 in
-  let t = Sh.create_strict ~num_threads:threads () in
+  let t = Sh.create ~shards:1 ~num_threads:threads () in
   let empties = Atomic.make 0 in
   let domains =
     List.init threads (fun tid ->
